@@ -41,38 +41,59 @@ class AngleReport:
         }
 
 
-def hs_inner(x: ComplexMatrix, y: ComplexMatrix) -> complex:
-    """<X,Y> = tr(Y*X); conjugate-linear in Y."""
-    if x.a.shape != y.a.shape:
-        raise ShapeError(
-            f"hs_inner requires matching shapes, got {x.rows}x{x.cols} and {y.rows}x{y.cols}"
-        )
-    return complex(np.trace(y.a.conj().T @ x.a))
+def _inner(x: np.ndarray, y: np.ndarray) -> complex:
+    return complex(np.trace(y.conj().T @ x))
 
 
-def hs_norm(x: ComplexMatrix) -> float:
-    """sqrt of the sum of squared entry moduli; zero only for the zero matrix."""
-    n = float(np.linalg.norm(x.a))
+def _norm(x: np.ndarray) -> float:
+    n = float(np.linalg.norm(x))
     if n == 0.0:
         # squared subnormals underflow; rescale so zero detection stays exact
-        m = float(np.max(np.abs(x.a)))
+        m = float(np.max(np.abs(x)))
         if m > 0.0:
-            return m * float(np.linalg.norm(x.a / m))
+            return m * float(np.linalg.norm(x / m))
     return n
 
 
-def _nonzero_norms(x: ComplexMatrix, y: ComplexMatrix):
-    nx, ny = hs_norm(x), hs_norm(y)
+def _nonzero_norms(x: np.ndarray, y: np.ndarray):
+    nx, ny = _norm(x), _norm(y)
     if nx == 0.0 or ny == 0.0:
         raise ZeroOperandError("angle undefined for a zero operand")
     return nx, ny
 
 
+def _cos(x: np.ndarray, y: np.ndarray) -> float:
+    nx, ny = _nonzero_norms(x, y)
+    return min(1.0, max(-1.0, _inner(x, y).real / (nx * ny)))
+
+
+def _sin(x: np.ndarray, y: np.ndarray) -> float:
+    nx, ny = _nonzero_norms(x, y)
+    return min(1.0, float(np.linalg.norm(x / nx - _cos(x, y) * (y / ny))))
+
+
+def _same_shape(what: str, x: ComplexMatrix, y: ComplexMatrix) -> None:
+    if x.a.shape != y.a.shape:
+        raise ShapeError(
+            f"{what} requires matching shapes, got {x.rows}x{x.cols} and {y.rows}x{y.cols}"
+        )
+
+
+def hs_inner(x: ComplexMatrix, y: ComplexMatrix) -> complex:
+    """<X,Y> = tr(Y*X); conjugate-linear in Y."""
+    _same_shape("hs_inner", x, y)
+    return _inner(x.a, y.a)
+
+
+def hs_norm(x: ComplexMatrix) -> float:
+    """sqrt of the sum of squared entry moduli; zero only for the zero matrix."""
+    return _norm(x.a)
+
+
 def cos_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
     """Re<X,Y>/(norm(X) norm(Y)), clamped into [-1, 1] against roundoff."""
-    nx, ny = _nonzero_norms(x, y)
-    c = hs_inner(x, y).real / (nx * ny)
-    return min(1.0, max(-1.0, c))
+    _same_shape("cos_angle", x, y)
+    return _cos(x.a, y.a)
 
 
 def sin_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
@@ -82,10 +103,8 @@ def sin_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
     to machine precision near parallel pairs, where the naive form bottoms
     out at sqrt(eps) ~ 1e-8.
     """
-    nx, ny = _nonzero_norms(x, y)
-    c = hs_inner(x, y).real / (nx * ny)
-    c = min(1.0, max(-1.0, c))
-    return min(1.0, float(np.linalg.norm(x.a / nx - c * (y.a / ny))))
+    _same_shape("sin_angle", x, y)
+    return _sin(x.a, y.a)
 
 
 def angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
@@ -94,11 +113,9 @@ def angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
 
 
 def angle_report(x: ComplexMatrix, y: ComplexMatrix) -> AngleReport:
-    nx, ny = _nonzero_norms(x, y)
-    inner = hs_inner(x, y)
-    c = min(1.0, max(-1.0, inner.real / (nx * ny)))
-    s = min(1.0, float(np.linalg.norm(x.a / nx - c * (y.a / ny))))
-    return AngleReport(c, s, inner, nx, ny)
+    _same_shape("angle_report", x, y)
+    nx, ny = _nonzero_norms(x.a, y.a)
+    return AngleReport(_cos(x.a, y.a), _sin(x.a, y.a), _inner(x.a, y.a), nx, ny)
 
 
 def is_weak_orthogonal(
@@ -119,5 +136,5 @@ def cosine_expansion(x: ComplexMatrix, y: ComplexMatrix, sign: int) -> float:
     """norm(X)^2 + norm(Y)^2 +- 2 norm(X) norm(Y) cos; equals norm(X +- Y)^2."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    nx, ny = _nonzero_norms(x, y)
+    nx, ny = _nonzero_norms(x.a, y.a)
     return nx * nx + ny * ny + 2.0 * sign * nx * ny * cos_angle(x, y)

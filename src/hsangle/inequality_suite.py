@@ -1,4 +1,5 @@
-"""One checker per inequality: compute both sides, report the slack.
+"""The inequality registry: each entry is one formula for both sides over an
+operand pair, its norms and its moduli; check reports the slack.
 
 Registry (each line lhs <= rhs, over square matrices of equal dimension):
 
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, digest, trace
-from .spectral import abs_adjoint, abs_op, is_psd
-from .hs_geometry import cos_angle, hs_inner, hs_norm, sin_angle, angle
+from .matrix_core import ComplexMatrix, ShapeError, digest
+from .spectral import _Moduli, is_psd
+from .hs_geometry import _cos, _inner, _norm, _sin, angle, sin_angle
 
 SQRT2 = math.sqrt(2.0)
 # Sharp coefficient in the sum inequality T37.
@@ -81,105 +83,60 @@ def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
     return bool(dev <= tol * (1.0 + np.linalg.norm(a) ** 2))
 
 
-def _abs_cos(x, y):
-    return cos_angle(abs_op(x), abs_op(y))
+class _Pair:
+    """The operands X, Y as arrays.  Their norms nx, ny and their moduli
+    ax = |X|, sx = |X*|, ay = |Y|, sy = |Y*| are computed on first use; both
+    moduli of an operand come from its one SVD.  ca and cs are the cosines of
+    the pairs (|X|, |Y|) and (|X*|, |Y*|).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x, self.y = x, y
+
+    nx = cached_property(lambda p: _norm(p.x))
+    ny = cached_property(lambda p: _norm(p.y))
+    _mx = cached_property(lambda p: _Moduli(p.x))
+    _my = cached_property(lambda p: _Moduli(p.y))
+    ax = property(lambda p: p._mx.abs)
+    sx = property(lambda p: p._mx.adj)
+    ay = property(lambda p: p._my.abs)
+    sy = property(lambda p: p._my.adj)
+    ca = cached_property(lambda p: _cos(p.ax, p.ay))
+    cs = cached_property(lambda p: _cos(p.sx, p.sy))
 
 
-def _abs_adj_cos(x, y):
-    return cos_angle(abs_adjoint(x), abs_adjoint(y))
-
-
-def _sides_cs_21(x, y):
-    return abs(hs_inner(x, y)), hs_norm(x) * hs_norm(y)
-
-
-def _sides_t213(x, y):
-    lhs = abs(hs_inner(x, y)) ** 2
-    rhs = hs_inner(abs_adjoint(x), abs_adjoint(y)).real * hs_inner(abs_op(x), abs_op(y)).real
-    return lhs, rhs
-
-
-def _sides_t214i(x, y):
-    return cos_angle(x, y) ** 2, _abs_adj_cos(x, y) * _abs_cos(x, y)
-
-
-def _sides_t214ii(x, y):
-    # Cosines of PSD pairs are nonnegative; clamp roundoff before the sqrt.
-    ca = math.sqrt(max(0.0, _abs_adj_cos(x, y)))
-    cb = math.sqrt(max(0.0, _abs_cos(x, y)))
-    return abs(cos_angle(x, y)), min(ca, cb)
-
-
-def _sides_t214iii(x, y):
-    lhs = sin_angle(abs_adjoint(x), abs_adjoint(y)) ** 2 + sin_angle(abs_op(x), abs_op(y)) ** 2
-    return lhs, 2.0 * sin_angle(x, y) ** 2
-
-
-def _sides_t31(x, y):
-    dif_adj = hs_norm(ComplexMatrix(abs_adjoint(x).a - abs_adjoint(y).a))
-    dif = hs_norm(ComplexMatrix(abs_op(x).a - abs_op(y).a))
-    return dif_adj**2 + dif**2, 2.0 * hs_norm(ComplexMatrix(x.a - y.a)) ** 2
-
-
-def _sides_c32(x, y):
-    dif = hs_norm(ComplexMatrix(abs_op(x).a - abs_op(y).a))
-    return dif, SQRT2 * hs_norm(ComplexMatrix(x.a - y.a))
-
-
-def _sides_r33(x, y):
-    dif = hs_norm(ComplexMatrix(abs_op(x).a - abs_op(y).a))
-    return dif, hs_norm(ComplexMatrix(x.a - y.a))
-
-
-def _sides_t34(x, y):
-    lhs = hs_norm(ComplexMatrix(x.a + y.a)) ** 2
-    rhs = hs_norm(ComplexMatrix(abs_adjoint(x).a + abs_adjoint(y).a)) * hs_norm(
-        ComplexMatrix(abs_op(x).a + abs_op(y).a)
-    )
-    return lhs, rhs
-
-
-def _sides_t35(x, y):
-    dif = hs_norm(ComplexMatrix(abs_op(x).a - abs_op(y).a))
-    return dif**2, hs_norm(ComplexMatrix(x.a + y.a)) * hs_norm(ComplexMatrix(x.a - y.a))
-
-
-def _sides_l31(x, y):
-    nx, ny, c = hs_norm(x), hs_norm(y), _abs_cos(x, y)
-    return nx * ny * c, c * (nx * nx + ny * ny) - nx * ny * c * c
-
-
-def _sides_t36(x, y):
-    lhs = hs_norm(ComplexMatrix(abs_adjoint(x).a + abs_adjoint(y).a))
-    return lhs, SQRT2 * hs_norm(ComplexMatrix(abs_op(x).a + abs_op(y).a))
-
-
-def _sides_l32(x, y):
-    nx, ny = hs_norm(x), hs_norm(y)
-    lhs = 2.0 * nx * ny * _abs_adj_cos(x, y)
-    return lhs, nx * nx + ny * ny + 4.0 * nx * ny * _abs_cos(x, y)
-
-
-def _sides_t37(x, y):
-    lhs = hs_norm(ComplexMatrix(x.a + y.a))
-    return lhs, SUM_SHARP_CONSTANT * hs_norm(ComplexMatrix(abs_op(x).a + abs_op(y).a))
-
-
+# (lhs, rhs) of each registry entry, as a formula over a _Pair.
 _REGISTRY = {
-    "CS_21": _sides_cs_21,
-    "T213": _sides_t213,
-    "T214i": _sides_t214i,
-    "T214ii": _sides_t214ii,
-    "T214iii": _sides_t214iii,
-    "T31": _sides_t31,
-    "C32": _sides_c32,
-    "R33": _sides_r33,
-    "T34": _sides_t34,
-    "T35": _sides_t35,
-    "L31": _sides_l31,
-    "T36": _sides_t36,
-    "L32": _sides_l32,
-    "T37": _sides_t37,
+    "CS_21": lambda p: (abs(_inner(p.x, p.y)), p.nx * p.ny),
+    "T213": lambda p: (
+        abs(_inner(p.x, p.y)) ** 2,
+        _inner(p.sx, p.sy).real * _inner(p.ax, p.ay).real,
+    ),
+    "T214i": lambda p: (_cos(p.x, p.y) ** 2, p.cs * p.ca),
+    # Cosines of PSD pairs are nonnegative; clamp roundoff before the sqrt.
+    "T214ii": lambda p: (abs(_cos(p.x, p.y)), math.sqrt(max(0.0, min(p.cs, p.ca)))),
+    "T214iii": lambda p: (
+        _sin(p.sx, p.sy) ** 2 + _sin(p.ax, p.ay) ** 2,
+        2.0 * _sin(p.x, p.y) ** 2,
+    ),
+    "T31": lambda p: (
+        _norm(p.sx - p.sy) ** 2 + _norm(p.ax - p.ay) ** 2,
+        2.0 * _norm(p.x - p.y) ** 2,
+    ),
+    "C32": lambda p: (_norm(p.ax - p.ay), SQRT2 * _norm(p.x - p.y)),
+    "R33": lambda p: (_norm(p.ax - p.ay), _norm(p.x - p.y)),
+    "T34": lambda p: (_norm(p.x + p.y) ** 2, _norm(p.sx + p.sy) * _norm(p.ax + p.ay)),
+    "T35": lambda p: (_norm(p.ax - p.ay) ** 2, _norm(p.x + p.y) * _norm(p.x - p.y)),
+    "L31": lambda p: (
+        p.nx * p.ny * p.ca,
+        p.ca * (p.nx * p.nx + p.ny * p.ny) - p.nx * p.ny * p.ca * p.ca,
+    ),
+    "T36": lambda p: (_norm(p.sx + p.sy), SQRT2 * _norm(p.ax + p.ay)),
+    "L32": lambda p: (
+        2.0 * p.nx * p.ny * p.cs,
+        p.nx * p.nx + p.ny * p.ny + 4.0 * p.nx * p.ny * p.ca,
+    ),
+    "T37": lambda p: (_norm(p.x + p.y), SUM_SHARP_CONSTANT * _norm(p.ax + p.ay)),
 }
 
 INEQUALITY_IDS = tuple(_REGISTRY)
@@ -215,11 +172,12 @@ def check(
             if not is_normal(m):
                 raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
     dig = digest(x, y)
-    if inequality_id in ANGLE_IDS and (hs_norm(x) == 0.0 or hs_norm(y) == 0.0):
+    pair = _Pair(x.a, y.a)
+    if inequality_id in ANGLE_IDS and (pair.nx == 0.0 or pair.ny == 0.0):
         # The angle ids presuppose nonzero operands; with a zero operand the
         # statement holds trivially and there is nothing to compute.
         return InequalityReport(inequality_id, 0.0, 0.0, 0.0, True, 1.0, dig)
-    lhs, rhs = sides(x, y)
+    lhs, rhs = sides(pair)
     lhs, rhs = float(lhs), float(rhs)
     scale = max(abs(lhs), abs(rhs), 1.0)
     slack = rhs - lhs
@@ -262,9 +220,8 @@ def adjoint_link_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) 
     for name, p in prods.items():
         if np.linalg.norm(p) == 0.0:
             raise DegenerateIdentityError(f"product {name} is zero; the identity degenerates")
-    m = {k: ComplexMatrix(v) for k, v in prods.items()}
-    s1 = hs_norm(m["XZ"]) * hs_norm(m["ZY"]) * cos_angle(m["XZ"], m["ZY"])
-    s2 = hs_norm(m["X*Z"]) * hs_norm(m["ZY*"]) * cos_angle(m["X*Z"], m["ZY*"])
+    s1 = _norm(prods["XZ"]) * _norm(prods["ZY"]) * _cos(prods["XZ"], prods["ZY"])
+    s2 = _norm(prods["X*Z"]) * _norm(prods["ZY*"]) * _cos(prods["X*Z"], prods["ZY*"])
     return abs(s1 - s2) / (1.0 + max(abs(s1), abs(s2)))
 
 
@@ -292,9 +249,9 @@ def t213_equality_holds(
     """
     if x.a.shape != y.a.shape or not x.is_square:
         raise ShapeError("t213_equality_holds requires square matrices of equal shape")
-    p = ComplexMatrix(y.a.conj().T @ x.a)
-    t = trace(p)
+    p = y.a.conj().T @ x.a
+    t = complex(np.trace(p))
     if t == 0:
-        return hs_norm(p) <= tol * (1.0 + hs_norm(x) * hs_norm(y))
+        return _norm(p) <= tol * (1.0 + _norm(x.a) * _norm(y.a))
     zeta = t.conjugate() / abs(t)
-    return is_psd(ComplexMatrix(zeta * p.a), tol)
+    return is_psd(ComplexMatrix(zeta * p), tol)

@@ -74,7 +74,7 @@ class ComplexMatrix:
         if missing:
             raise ValidationError(f"matrix JSON missing fields: {sorted(missing)}")
         rows, cols = obj["rows"], obj["cols"]
-        if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+        if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in (rows, cols)):
             raise ValidationError("rows and cols must be positive integers")
         try:
             re = np.asarray(obj["re"], dtype=np.float64)

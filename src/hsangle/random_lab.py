@@ -29,15 +29,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .matrix_core import ComplexMatrix
-from .spectral import abs_adjoint, abs_op
-from .hs_geometry import hs_norm
+from .hs_geometry import _norm
 from .inequality_suite import (
+    _REGISTRY,
     INEQUALITY_IDS,
     NORMAL_ONLY_IDS,
     SQRT2,
     SUM_SHARP_CONSTANT,
     InequalityReport,
     UnknownInequalityError,
+    _Pair,
     check,
 )
 
@@ -299,31 +300,17 @@ class ReproReport:
 
 
 def reproduce_witnesses() -> ReproReport:
-    """Recompute the four sharp-witness quantities and compare to targets."""
+    """Recompute the four sharp-witness quantities, the sides of T36 at (X, Y)
+    and of T37 at (X, Z), and compare them to their targets."""
     x, y, z = witness_triple()
+    t36, t37 = check("T36", x, y), check("T37", x, z)
     root8_4 = 8.0**0.25
-    checks = (
-        ReproCheck(
-            "norm(|X*|+|Y*|)",
-            hs_norm(ComplexMatrix(abs_adjoint(x).a + abs_adjoint(y).a)),
-            2.0,
-            1e-12,
-        ),
-        ReproCheck(
-            "sqrt(2)*norm(|X|+|Y|)",
-            SQRT2 * hs_norm(ComplexMatrix(abs_op(x).a + abs_op(y).a)),
-            2.0,
-            1e-12,
-        ),
-        ReproCheck("norm(X+Z)", hs_norm(ComplexMatrix(x.a + z.a)), root8_4, 1e-9),
-        ReproCheck(
-            "sum_sharp_constant*norm(|X|+|Z|)",
-            SUM_SHARP_CONSTANT * hs_norm(ComplexMatrix(abs_op(x).a + abs_op(z).a)),
-            root8_4,
-            1e-9,
-        ),
-    )
-    return ReproReport(checks)
+    return ReproReport((
+        ReproCheck("norm(|X*|+|Y*|)", t36.lhs, 2.0, 1e-12),
+        ReproCheck("sqrt(2)*norm(|X|+|Y|)", t36.rhs, 2.0, 1e-12),
+        ReproCheck("norm(X+Z)", t37.lhs, root8_4, 1e-9),
+        ReproCheck("sum_sharp_constant*norm(|X|+|Z|)", t37.rhs, root8_4, 1e-9),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +358,20 @@ class ScanResult:
 
 
 def _ratio_for(inequality_id: str):
-    def t36(x, y):
-        den = np.linalg.norm(abs_op(x).a + abs_op(y).a)
-        if den == 0.0:
-            return -math.inf
-        return np.linalg.norm(abs_adjoint(x).a + abs_adjoint(y).a) / den
+    """The scan objective target * lhs / rhs of the registry entry, at most
+    the target and equal to it at a sharp pair.  A vanishing denominator
+    gives -inf; for C32 and R33 that is X - Y negligible against the
+    operands."""
+    sides, target = _REGISTRY[inequality_id], SCAN_TARGETS[inequality_id]
+    rel = 1e-12 if inequality_id in ("C32", "R33") else 0.0
 
-    def t37(x, y):
-        den = np.linalg.norm(abs_op(x).a + abs_op(y).a)
-        if den == 0.0:
+    def ratio(x, y):
+        lhs, rhs = sides(_Pair(x, y))
+        if rhs == 0.0 or (rel and rhs <= target * rel * max(_norm(x), _norm(y), 1.0)):
             return -math.inf
-        return np.linalg.norm(x.a + y.a) / den
+        return target * lhs / rhs
 
-    def diff_ratio(x, y):
-        den = np.linalg.norm(x.a - y.a)
-        if den <= 1e-12 * max(np.linalg.norm(x.a), np.linalg.norm(y.a), 1.0):
-            return -math.inf
-        return np.linalg.norm(abs_op(x).a - abs_op(y).a) / den
-
-    return {"T36": t36, "T37": t37, "C32": diff_ratio, "R33": diff_ratio}[inequality_id]
+    return ratio
 
 
 class _RawPairCodec:
@@ -404,7 +386,7 @@ class _RawPairCodec:
         d, b = self.dim, self.block
         x = (p[0:b] + 1j * p[b : 2 * b]).reshape(d, d)
         y = (p[2 * b : 3 * b] + 1j * p[3 * b : 4 * b]).reshape(d, d)
-        return ComplexMatrix(x), ComplexMatrix(y)
+        return x, y
 
     def renormalize(self, p: np.ndarray):
         # A common factor leaves every registry ratio invariant.
@@ -439,9 +421,7 @@ class _NormalPairCodec:
         o = 4 * b
         dx = p[o : o + d] + 1j * p[o + d : o + 2 * d]
         dy = p[o + 2 * d : o + 3 * d] + 1j * p[o + 3 * d : o + 4 * d]
-        x = (vx * dx) @ vx.conj().T
-        y = (vy * dy) @ vy.conj().T
-        return ComplexMatrix(x), ComplexMatrix(y)
+        return (vx * dx) @ vx.conj().T, (vy * dy) @ vy.conj().T
 
     def renormalize(self, p: np.ndarray):
         b, d = self.block, self.dim
@@ -545,4 +525,6 @@ def sharpness_scan(
                 break
             current, start = value, result.x
     wx, wy = codec.decode(best_params)
-    return ScanResult(inequality_id, float(best), target, wx, wy, iterations)
+    return ScanResult(
+        inequality_id, float(best), target, ComplexMatrix(wx), ComplexMatrix(wy), iterations
+    )

@@ -8,10 +8,11 @@ range(|X|), a closed-form 2x2 absolute value, and a PSD test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, ValidationError, adjoint
+from .matrix_core import ComplexMatrix, ShapeError, ValidationError
 
 # Relative tolerance for accepting an input as Hermitian.
 HERMITIAN_TOL = 1e-10
@@ -76,37 +77,54 @@ def reconstruct(eig: HermitianEigen) -> ComplexMatrix:
     return ComplexMatrix((v * eig.eigenvalues) @ v.conj().T)
 
 
-def _svd(x: ComplexMatrix):
+def _svd(a: np.ndarray):
     # |X| and U come from the SVD of X itself, not from eig(X*X): squaring
     # the spectrum amplifies roundoff at small singular values to
     # sqrt(eps) * sigma_max, which is fatal at exactly-singular witnesses.
     try:
-        w, s, vh = np.linalg.svd(x.a)
+        return np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
-    return w, s, vh
+
+
+class _Moduli:
+    """|X| = V S V* and |X*| = W S W* from the one SVD X = W S V*; each is
+    formed on first use."""
+
+    def __init__(self, a: np.ndarray):
+        self.w, self.s, self.vh = _svd(a)
+
+    @cached_property
+    def abs(self) -> np.ndarray:
+        s, vh = self.s, self.vh
+        if s.size < vh.shape[0]:
+            s = np.concatenate([s, np.zeros(vh.shape[0] - s.size)])
+        return _hermitian_part((vh.conj().T * s) @ vh)
+
+    @cached_property
+    def adj(self) -> np.ndarray:
+        # Only asked for square X, where W and S conform.
+        w = self.w
+        return _hermitian_part((w * self.s) @ w.conj().T)
 
 
 def abs_op(x: ComplexMatrix) -> ComplexMatrix:
     """Operator absolute value |X| = (X*X)^(1/2); cols x cols, PSD."""
-    _, s, vh = _svd(x)
-    if s.shape[0] < x.cols:
-        s = np.concatenate([s, np.zeros(x.cols - s.shape[0])])
-    v = vh.conj().T
-    return ComplexMatrix(_hermitian_part((v * s) @ vh))
+    return ComplexMatrix(_Moduli(x.a).abs)
 
 
 def abs_adjoint(x: ComplexMatrix) -> ComplexMatrix:
     """|X*| = (XX*)^(1/2) for square X."""
     _require_square(x, "abs_adjoint")
-    return abs_op(adjoint(x))
+    return ComplexMatrix(_Moduli(x.a).adj)
 
 
 def polar(x: ComplexMatrix) -> PolarParts:
     """Polar decomposition X = U|X| with U vanishing on ker|X|."""
     _require_square(x, "polar")
-    w, s, vh = _svd(x)
-    absm = ComplexMatrix(_hermitian_part((vh.conj().T * s) @ vh))
+    m = _Moduli(x.a)
+    w, s, vh = m.w, m.s, m.vh
+    absm = ComplexMatrix(m.abs)
     sigma_max = float(s[0]) if s.size else 0.0
     mask = s > POLAR_RANK_REL * sigma_max if sigma_max > 0.0 else s > np.inf
     if mask.any():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -147,6 +148,37 @@ class TestVerify:
         assert code == 2
         assert "--dims" in err
 
+    def test_out_of_range_dims_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--trials", "5", "--dims", "65")
+        assert code == 2
+        assert err.startswith("error:") and "dim" in err
+
+    def test_zero_trials_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--trials", "0")
+        assert code == 2
+        assert "trials" in err
+
+    # sha256 of the stdout, captured when both moduli of an operand came from
+    # its one SVD.  A change that moves any output bit must re-baseline these
+    # on purpose and state the largest worst_slack drift.
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ("--trials", "30", "--dims", "1..8", "--seed", "7"),
+                "b51961d745eed6a948289949d577ec37c0f4380669d2cdc3cd32b36be4ac3c89",
+            ),
+            (
+                ("--trials", "2", "--dims", "32,64", "--seed", "7"),
+                "fd3271629fd71a9d1da5b245d9abf2455dbd5cb2c35caa41f1c9ef43e982dd61",
+            ),
+        ],
+    )
+    def test_golden_output(self, capsys, argv, sha256):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestRepro:
     def test_passes(self, capsys):
@@ -215,6 +247,22 @@ class TestInputHandling:
         assert out == ""
         payload = json.loads(target.read_text())
         assert payload["cos"] == 0.0
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "--output", str(tmp_path / "missing" / "out.json"), "repro")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "out.json" in err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_positive(self, capsys, monkeypatch, raw):
+        code, _, err = run_cli(capsys, "--tol", raw, "repro")
+        assert code == 2
+        assert "--tol" in err
+        monkeypatch.setenv("HSANGLE_TOL", raw)
+        code, _, err = run_cli(capsys, "repro")
+        assert code == 2
+        assert "HSANGLE_TOL" in err
 
     def test_env_tol_override(self, capsys, monkeypatch, witness_files):
         monkeypatch.setenv("HSANGLE_TOL", "not-a-number")

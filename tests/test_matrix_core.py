@@ -83,6 +83,14 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ComplexMatrix.from_json_dict(d)
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_json_rejects_bool_dims(self, field):
+        # bool is an int subclass: true must not pass for a dimension of 1
+        d = identity(1).to_json_dict()
+        d[field] = True
+        with pytest.raises(ValidationError):
+            ComplexMatrix.from_json_dict(d)
+
 
 class TestAdjoint:
     def test_identity_self_adjoint(self):

@@ -1,0 +1,90 @@
+"""The one path from an operand pair to the registry sides: check, the
+scanner's ratios and the sharp-witness reproduction all read the same
+formulas, and an operand's two moduli come from its one SVD."""
+
+import numpy as np
+import pytest
+
+from hsangle import (
+    ComplexMatrix,
+    GeneratorSpec,
+    INEQUALITY_IDS,
+    check,
+    generate,
+    reproduce_witnesses,
+    witness_triple,
+)
+from hsangle import random_lab
+from hsangle.random_lab import SCAN_TARGETS, _NormalPairCodec, _RawPairCodec, _ratio_for
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The matrices passed to np.linalg.svd since the test began."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def pair(kind, dim, seed):
+    x = generate(GeneratorSpec(kind, dim, 2 * seed))
+    y = generate(GeneratorSpec(kind, dim, 2 * seed + 1))
+    return x, y
+
+
+@pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
+def test_check_makes_one_svd_per_operand_and_none_for_cs21(inequality_id, svd_calls):
+    kind = "normal" if inequality_id == "R33" else "ginibre"
+    for seed in range(5):
+        x, y = pair(kind, 3, seed)
+        svd_calls.clear()
+        check(inequality_id, x, y)
+        assert len(svd_calls) == (0 if inequality_id == "CS_21" else 2)
+
+
+@pytest.mark.parametrize("inequality_id", ["T36", "T37"])
+def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypatch):
+    evals = []
+    ratio_for = random_lab._ratio_for
+
+    def counting_ratio_for(iid):
+        ratio = ratio_for(iid)
+
+        def counted(x, y):
+            before = len(svd_calls)
+            value = ratio(x, y)
+            evals.append(len(svd_calls) - before)
+            return value
+
+        return counted
+
+    monkeypatch.setattr(random_lab, "_ratio_for", counting_ratio_for)
+    random_lab.sharpness_scan(inequality_id, 2, 400, 3)
+    assert len(evals) >= 400
+    assert set(evals) == {2}
+    assert len(svd_calls) == 2 * len(evals)
+
+
+@pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))
+def test_scan_ratio_is_target_times_lhs_over_rhs(inequality_id):
+    target = SCAN_TARGETS[inequality_id]
+    ratio = _ratio_for(inequality_id)
+    codec = _NormalPairCodec(3) if inequality_id == "R33" else _RawPairCodec(3)
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        x, y = codec.decode(rng.normal(size=codec.nparams))
+        rep = check(inequality_id, ComplexMatrix(x), ComplexMatrix(y))
+        assert abs(ratio(x, y) - target * rep.lhs / rep.rhs) <= 1e-12
+
+
+def test_repro_values_are_the_check_sides():
+    x, y, z = witness_triple()
+    t36, t37 = check("T36", x, y), check("T37", x, z)
+    values = [c.value for c in reproduce_witnesses().checks]
+    assert values == [t36.lhs, t36.rhs, t37.lhs, t37.rhs]
