@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("repro", help="recompute the sharp-witness quantities")
 
-    p = sub.add_parser("scan", help="hill-climb for extremal pairs")
+    p = sub.add_parser("scan", help="search for extremal pairs")
     p.add_argument("--id", required=True, dest="inequality_id", metavar="ID")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)

@@ -64,7 +64,11 @@ def _nonzero_norms(x: np.ndarray, y: np.ndarray):
 
 def _cos(x: np.ndarray, y: np.ndarray) -> float:
     nx, ny = _nonzero_norms(x, y)
-    return min(1.0, max(-1.0, _inner(x, y).real / (nx * ny)))
+    # Scale each operand by a power of two near its norm, so that neither the
+    # inner product nor nx * ny underflows; the scaling itself is exact.
+    sx, sy = math.ldexp(1.0, math.frexp(nx)[1]), math.ldexp(1.0, math.frexp(ny)[1])
+    c = _inner(x / sx, y / sy).real / ((nx / sx) * (ny / sy))
+    return min(1.0, max(-1.0, c))
 
 
 def _sin(x: np.ndarray, y: np.ndarray) -> float:

@@ -184,6 +184,14 @@ def check(
     return InequalityReport(inequality_id, lhs, rhs, slack, bool(slack >= -tol * scale), scale, dig)
 
 
+def _products(what: str, x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix):
+    """The products XZ, ZY, X*Z and ZY* of conformable square operands."""
+    xa, ya, za = x.a, y.a, z.a
+    if not (x.is_square and y.is_square and x.rows == z.rows and z.cols == y.rows):
+        raise ShapeError(f"{what} requires conformable square operands")
+    return xa @ za, za @ ya, xa.conj().T @ za, za @ ya.conj().T
+
+
 def commutation_identity_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) -> float:
     """Residual of the exact identity
 
@@ -192,11 +200,7 @@ def commutation_identity_residual(x: ComplexMatrix, y: ComplexMatrix, z: Complex
 
     normalized by 1 + lhs.
     """
-    xa, ya, za = x.a, y.a, z.a
-    if not (x.is_square and y.is_square and x.rows == z.rows and z.cols == y.rows):
-        raise ShapeError("commutation_identity_residual requires conformable square operands")
-    xz, zy = xa @ za, za @ ya
-    xsz, zys = xa.conj().T @ za, za @ ya.conj().T
+    xz, zy, xsz, zys = _products("commutation_identity_residual", x, y, z)
     n = np.linalg.norm
     lhs = n(xz - zy) ** 2 + n(xsz) ** 2 + n(zys) ** 2
     rhs = n(xz) ** 2 + n(zy) ** 2 + n(xsz - zys) ** 2
@@ -208,20 +212,12 @@ def adjoint_link_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) 
 
     Undefined (raises) when any of the four products vanishes.
     """
-    xa, ya, za = x.a, y.a, z.a
-    if not (x.is_square and y.is_square and x.rows == z.rows and z.cols == y.rows):
-        raise ShapeError("adjoint_link_residual requires conformable square operands")
-    prods = {
-        "XZ": xa @ za,
-        "ZY": za @ ya,
-        "X*Z": xa.conj().T @ za,
-        "ZY*": za @ ya.conj().T,
-    }
-    for name, p in prods.items():
+    xz, zy, xsz, zys = _products("adjoint_link_residual", x, y, z)
+    for name, p in (("XZ", xz), ("ZY", zy), ("X*Z", xsz), ("ZY*", zys)):
         if np.linalg.norm(p) == 0.0:
             raise DegenerateIdentityError(f"product {name} is zero; the identity degenerates")
-    s1 = _norm(prods["XZ"]) * _norm(prods["ZY"]) * _cos(prods["XZ"], prods["ZY"])
-    s2 = _norm(prods["X*Z"]) * _norm(prods["ZY*"]) * _cos(prods["X*Z"], prods["ZY*"])
+    s1 = _norm(xz) * _norm(zy) * _cos(xz, zy)
+    s2 = _norm(xsz) * _norm(zys) * _cos(xsz, zys)
     return abs(s1 - s2) / (1.0 + max(abs(s1), abs(s2)))
 
 

@@ -1,5 +1,5 @@
 """Seeded matrix ensembles, the randomized property-suite driver, the sharp
-witness reproduction, and a hill-climbing scanner for extremal pairs.
+witness reproduction, and a restarted Nelder-Mead scanner for extremal pairs.
 
 Reproducibility contract
 ------------------------
@@ -29,7 +29,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .matrix_core import ComplexMatrix
-from .hs_geometry import _norm
 from .inequality_suite import (
     _REGISTRY,
     INEQUALITY_IDS,
@@ -137,11 +136,18 @@ def _ginibre(rng: CounterRng, dim: int) -> np.ndarray:
     return rng.complex_normals(dim * dim).reshape(dim, dim)
 
 
-def _haar_unitary(rng: CounterRng, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, dim))
+def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
+    """The QR factor Q of a with the phases of diag(R) moved into it; Haar
+    distributed when a is Ginibre."""
+    q, r = np.linalg.qr(a)
     d = np.diagonal(r)
     phases = np.where(np.abs(d) == 0.0, 1.0 + 0.0j, d / np.abs(d))
     return q * phases
+
+
+def _normal(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """V diag(d) V* for unitary V."""
+    return (v * d) @ v.conj().T
 
 
 def generate(spec: GeneratorSpec) -> ComplexMatrix:
@@ -154,9 +160,8 @@ def generate(spec: GeneratorSpec) -> ComplexMatrix:
         g = _ginibre(rng, dim)
         a = (g + g.conj().T) / 2.0
     elif spec.kind == "normal":
-        v = _haar_unitary(rng, dim)
-        d = rng.complex_normals(dim)
-        a = (v * d) @ v.conj().T
+        v = _phase_fixed_q(_ginibre(rng, dim))
+        a = _normal(v, rng.complex_normals(dim))
     elif spec.kind == "psd":
         g = _ginibre(rng, dim)
         a = g.conj().T @ g / dim
@@ -166,7 +171,7 @@ def generate(spec: GeneratorSpec) -> ComplexMatrix:
         right = rng.complex_normals(r * dim).reshape(r, dim)
         a = left @ right
     else:  # unitary
-        a = _haar_unitary(rng, dim)
+        a = _phase_fixed_q(_ginibre(rng, dim))
     return ComplexMatrix(a)
 
 
@@ -323,16 +328,6 @@ SCAN_TARGETS = {
     "R33": 1.0,
 }
 
-_SCAN_INITIAL_STEP = 0.5
-_SCAN_MIN_STEP = 1e-8
-_SCAN_REJECTION_LIMIT = 50
-_SCAN_RENORM_EVERY = 100
-# Random climbing alone stalls a few tenths of a percent under the sharp
-# constants: the maximizers are rank-deficient, so the ratio has a conical
-# peak where the improving-direction fraction collapses.  Each restart cycle
-# therefore caps the climb and hands the endpoint to a chained deterministic
-# simplex polish, which handles the nonsmooth corner.
-_SCAN_CLIMB_CAP = 12000
 _SCAN_POLISH_CHAIN = 4
 _SCAN_POLISH_FEV = 6000
 
@@ -366,8 +361,9 @@ def _ratio_for(inequality_id: str):
     rel = 1e-12 if inequality_id in ("C32", "R33") else 0.0
 
     def ratio(x, y):
-        lhs, rhs = sides(_Pair(x, y))
-        if rhs == 0.0 or (rel and rhs <= target * rel * max(_norm(x), _norm(y), 1.0)):
+        pair = _Pair(x, y)
+        lhs, rhs = sides(pair)
+        if rhs == 0.0 or (rel and rhs <= target * rel * max(pair.nx, pair.ny, 1.0)):
             return -math.inf
         return target * lhs / rhs
 
@@ -388,12 +384,6 @@ class _RawPairCodec:
         y = (p[2 * b : 3 * b] + 1j * p[3 * b : 4 * b]).reshape(d, d)
         return x, y
 
-    def renormalize(self, p: np.ndarray):
-        # A common factor leaves every registry ratio invariant.
-        b = self.block
-        c = max(np.linalg.norm(p[: 2 * b]), np.linalg.norm(p[2 * b :]))
-        return None if c == 0.0 else p / c
-
 
 class _NormalPairCodec:
     """Parameters for a pair constrained to the normal matrices:
@@ -407,12 +397,7 @@ class _NormalPairCodec:
         self.nparams = 4 * self.block + 4 * dim
 
     def _unitary(self, re, im):
-        d = self.dim
-        a = (re + 1j * im).reshape(d, d)
-        q, r = np.linalg.qr(a)
-        diag = np.diagonal(r)
-        phases = np.where(np.abs(diag) == 0.0, 1.0 + 0.0j, diag / np.abs(diag))
-        return q * phases
+        return _phase_fixed_q((re + 1j * im).reshape(self.dim, self.dim))
 
     def decode(self, p: np.ndarray):
         b, d = self.block, self.dim
@@ -421,33 +406,20 @@ class _NormalPairCodec:
         o = 4 * b
         dx = p[o : o + d] + 1j * p[o + d : o + 2 * d]
         dy = p[o + 2 * d : o + 3 * d] + 1j * p[o + 3 * d : o + 4 * d]
-        return (vx * dx) @ vx.conj().T, (vy * dy) @ vy.conj().T
-
-    def renormalize(self, p: np.ndarray):
-        b, d = self.block, self.dim
-        o = 4 * b
-        q = p.copy()
-        # V is invariant under positive scaling of A; keep A bounded anyway.
-        ca = max(np.linalg.norm(q[:o]), 1e-300)
-        q[:o] /= ca
-        c = max(np.linalg.norm(q[o : o + 2 * d]), np.linalg.norm(q[o + 2 * d :]))
-        if c == 0.0:
-            return None
-        q[o:] /= c
-        return q
+        return _normal(vx, dx), _normal(vy, dy)
 
 
 def sharpness_scan(
     inequality_id: str, dim: int, iterations: int, master_seed: int = 0
 ) -> ScanResult:
-    """Maximize the lhs/rhs-coefficient ratio within `iterations` evaluations.
+    """Maximize the lhs/rhs-coefficient ratio within exactly `iterations`
+    evaluations.
 
-    Each cycle climbs by joint Gaussian perturbation of all real parameters
-    (step halved after 50 consecutive rejections, climb abandoned below step
-    1e-8 or after the per-cycle cap) and then polishes the endpoint with a
-    chained derivative-free simplex search; cycles restart from fresh random
-    points until the budget is spent.  Deterministic in master_seed.  The
-    scanner corroborates sharpness; it certifies nothing.
+    Each restart draws a standard normal start point and runs a chain of up
+    to four derivative-free Nelder-Mead searches, each starting where the
+    last ended, until one fails to improve; restarts continue until the
+    budget is spent.  Deterministic in master_seed.  The scanner corroborates
+    sharpness; it certifies nothing.
     """
     if inequality_id not in SCAN_TARGETS:
         raise ValueError(
@@ -470,43 +442,12 @@ def sharpness_scan(
         x, y = codec.decode(p)
         return ratio_fn(x, y)
 
-    best = -math.inf
-    best_params = None
-    climb_cap = max(200, min(_SCAN_CLIMB_CAP, iterations // 8))
+    best, best_params = -math.inf, None
     while evals < iterations:
-        params = rng.normals(codec.nparams)
-        current = evaluate(params)
-        if best_params is None or current > best:
-            best, best_params = current, params.copy()
-        step = _SCAN_INITIAL_STEP
-        rejections = 0
-        it = 0
-        phase_end = min(evals + climb_cap, iterations)
-        while evals < phase_end:
-            it += 1
-            if it % _SCAN_RENORM_EVERY == 0:
-                renormed = codec.renormalize(params)
-                if renormed is not None:
-                    params = renormed
-                    current = evaluate(params)
-            proposal = params + step * rng.normals(codec.nparams)
-            value = evaluate(proposal)
-            if value > current:
-                params, current = proposal, value
-                rejections = 0
-                if current > best:
-                    best, best_params = current, params.copy()
-            else:
-                rejections += 1
-                if rejections >= _SCAN_REJECTION_LIMIT:
-                    rejections = 0
-                    step *= 0.5
-                    if step < _SCAN_MIN_STEP:
-                        break
-        start = params
+        start, current = rng.normals(codec.nparams), -math.inf
         for _ in range(_SCAN_POLISH_CHAIN):
             remaining = iterations - evals
-            if remaining < 1 or not np.isfinite(current):
+            if remaining < 1:
                 break
             result = minimize(
                 lambda p: -evaluate(p),
@@ -519,7 +460,7 @@ def sharpness_scan(
                 },
             )
             value = -result.fun
-            if value > best:
+            if best_params is None or value > best:
                 best, best_params = value, result.x.copy()
             if value <= current + 1e-15:
                 break

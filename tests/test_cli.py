@@ -60,6 +60,14 @@ class TestAngle:
         assert code == 2
         assert "zero" in err
 
+    def test_tiny_operands(self, capsys, tmp_path):
+        tiny = write_matrix(tmp_path / "tiny.json", ComplexMatrix(1e-200 * np.eye(2)))
+        code, out, _ = run_cli(capsys, "angle", tiny, tiny)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cos"] == 1.0
+        assert payload["sin"] == 0.0
+
 
 class TestAbs:
     def test_matches_library(self, capsys, witness_files):

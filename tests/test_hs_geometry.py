@@ -173,6 +173,18 @@ class TestAngles:
             assert abs(rep.inner) <= rep.norm_x * rep.norm_y * (1.0 + 1e-12)
             assert abs(rep.cos - rep.inner.real / (rep.norm_x * rep.norm_y)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [-1000, -700, 500])
+    def test_report_invariant_under_power_of_two_scaling(self, k):
+        rng = np.random.default_rng(51)
+        for _ in range(20):
+            x, y = random_matrix(rng, 3), random_matrix(rng, 3)
+            base = angle_report(x, y)
+            rep = angle_report(scale(2.0**k, x), scale(2.0**k, y))
+            assert abs(rep.cos - base.cos) <= 1e-15
+            assert abs(rep.sin - base.sin) <= 1e-15
+            assert abs(math.ldexp(rep.norm_x, -k) - base.norm_x) <= 1e-15 * base.norm_x
+            assert abs(math.ldexp(rep.norm_y, -k) - base.norm_y) <= 1e-15 * base.norm_y
+
 
 class TestPredicates:
     def test_disjoint_supports_orthogonal(self):

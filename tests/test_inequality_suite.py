@@ -59,6 +59,16 @@ class TestRegistry:
         assert abs(rep.slack) <= 1e-9 * rep.scale
         assert rep.holds
 
+    @pytest.mark.parametrize("iid", ["T214i", "T214ii", "T214iii", "L31", "L32"])
+    def test_angle_ids_hold_on_tiny_operands(self, iid):
+        # norm(X) norm(Y) ~ 1e-400 underflows; the cosines must not divide by it.
+        x, y, z = witness_triple()
+        rng = np.random.default_rng(8)
+        pairs = [(identity(2), identity(2)), (x, y), (x, z)]
+        pairs += [(random_matrix(rng, 3), random_matrix(rng, 3)) for _ in range(5)]
+        for a, b in pairs:
+            assert check(iid, scale(1e-200, a), scale(1e-200, b)).holds
+
     def test_t213_self_pair_equality(self):
         rng = np.random.default_rng(60)
         x = random_matrix(rng, 4)

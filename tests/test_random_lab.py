@@ -19,6 +19,7 @@ from hsangle import (
     run_single_trial,
     sharpness_scan,
 )
+from hsangle import random_lab
 from hsangle.random_lab import fnv1a64, mix64
 
 
@@ -213,6 +214,27 @@ class TestSharpnessScan:
     def test_unscannable_id_rejected(self):
         with pytest.raises(ValueError):
             sharpness_scan("CS_21", 2, 100, 0)
+
+    @pytest.mark.parametrize("iid", ["T36", "T37", "C32", "R33"])
+    def test_exact_evaluation_budget(self, monkeypatch, iid):
+        calls = 0
+        ratio_for = random_lab._ratio_for
+
+        def counting_ratio_for(inequality_id):
+            ratio = ratio_for(inequality_id)
+
+            def counted(x, y):
+                nonlocal calls
+                calls += 1
+                return ratio(x, y)
+
+            return counted
+
+        monkeypatch.setattr(random_lab, "_ratio_for", counting_ratio_for)
+        for n in (1, 101, 250):
+            calls = 0
+            sharpness_scan(iid, 2, n, 0)
+            assert calls == n
 
     def test_json_shape(self):
         d = sharpness_scan("T37", 1, 50, 0).to_json_dict()
