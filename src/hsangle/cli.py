@@ -4,7 +4,8 @@ Matrices are always passed as JSON files ({"rows", "cols", "re", "im"}).
 Exit codes: 0 success, 1 a verified quantity missed its target or an
 inequality was violated, 2 bad input (malformed JSON, shape mismatch,
 unknown id, zero operand where an angle is required, out-of-range --dims,
-a tolerance that is not finite and positive, an unwritable --output).
+a tolerance that is not finite and positive, an unwritable --output, a
+result outside float64).
 """
 
 from __future__ import annotations
@@ -79,11 +80,15 @@ def _text_lines(obj, prefix="") -> list:
 
 
 def _emit(payloads, args) -> None:
-    """Write one JSON object (or text block) per payload, line-separated."""
-    if args.format == "json":
-        out = "\n".join(json.dumps(p) for p in payloads) + "\n"
-    else:
-        out = "\n".join("\n".join(_text_lines(p)) for p in payloads) + "\n"
+    """Write one JSON object (or text block) per payload, line-separated;
+    a result outside float64 is an error in either format."""
+    try:
+        blocks = [json.dumps(p, allow_nan=False) for p in payloads]
+    except ValueError as exc:
+        raise ValidationError(f"result outside float64 (inf or nan): {exc}") from exc
+    if args.format == "text":
+        blocks = ["\n".join(_text_lines(p)) for p in payloads]
+    out = "\n".join(blocks) + "\n"
     if args.output == "-":
         sys.stdout.write(out)
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,25 +56,35 @@ def _norm(x: np.ndarray) -> float:
     return n
 
 
-def _nonzero_norms(x: np.ndarray, y: np.ndarray):
-    nx, ny = _norm(x), _norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroOperandError("angle undefined for a zero operand")
-    return nx, ny
+class _Pair:
+    """One operand pair x, y as arrays.  The norms nx, ny, the inner product
+    <x, y>, the cosine and the sine are each computed once, on first use;
+    nsum = norm(x + y) and ndiff = norm(x - y) on each read."""
 
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x, self.y = x, y
 
-def _cos(x: np.ndarray, y: np.ndarray) -> float:
-    nx, ny = _nonzero_norms(x, y)
-    # Scale each operand by a power of two near its norm, so that neither the
-    # inner product nor nx * ny underflows; the scaling itself is exact.
-    sx, sy = math.ldexp(1.0, math.frexp(nx)[1]), math.ldexp(1.0, math.frexp(ny)[1])
-    c = _inner(x / sx, y / sy).real / ((nx / sx) * (ny / sy))
-    return min(1.0, max(-1.0, c))
+    nx = cached_property(lambda p: _norm(p.x))
+    ny = cached_property(lambda p: _norm(p.y))
+    inner = cached_property(lambda p: _inner(p.x, p.y))
+    nsum = property(lambda p: _norm(p.x + p.y))
+    ndiff = property(lambda p: _norm(p.x - p.y))
 
+    @cached_property
+    def cos(self) -> float:
+        nx, ny = self.nx, self.ny
+        if nx == 0.0 or ny == 0.0:
+            raise ZeroOperandError("angle undefined for a zero operand")
+        # Scale each operand by a power of two near its norm, so that neither
+        # the inner product nor nx * ny underflows; the scaling itself is exact.
+        sx, sy = math.ldexp(1.0, math.frexp(nx)[1]), math.ldexp(1.0, math.frexp(ny)[1])
+        c = _inner(self.x / sx, self.y / sy).real / ((nx / sx) * (ny / sy))
+        return min(1.0, max(-1.0, c))
 
-def _sin(x: np.ndarray, y: np.ndarray) -> float:
-    nx, ny = _nonzero_norms(x, y)
-    return min(1.0, float(np.linalg.norm(x / nx - _cos(x, y) * (y / ny))))
+    @cached_property
+    def sin(self) -> float:
+        c = self.cos  # raises on a zero operand, before the divisions below
+        return min(1.0, float(np.linalg.norm(self.x / self.nx - c * (self.y / self.ny))))
 
 
 def _same_shape(what: str, x: ComplexMatrix, y: ComplexMatrix) -> None:
@@ -97,7 +108,7 @@ def hs_norm(x: ComplexMatrix) -> float:
 def cos_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
     """Re<X,Y>/(norm(X) norm(Y)), clamped into [-1, 1] against roundoff."""
     _same_shape("cos_angle", x, y)
-    return _cos(x.a, y.a)
+    return _Pair(x.a, y.a).cos
 
 
 def sin_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
@@ -108,7 +119,7 @@ def sin_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
     out at sqrt(eps) ~ 1e-8.
     """
     _same_shape("sin_angle", x, y)
-    return _sin(x.a, y.a)
+    return _Pair(x.a, y.a).sin
 
 
 def angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
@@ -118,8 +129,8 @@ def angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
 
 def angle_report(x: ComplexMatrix, y: ComplexMatrix) -> AngleReport:
     _same_shape("angle_report", x, y)
-    nx, ny = _nonzero_norms(x.a, y.a)
-    return AngleReport(_cos(x.a, y.a), _sin(x.a, y.a), _inner(x.a, y.a), nx, ny)
+    p = _Pair(x.a, y.a)
+    return AngleReport(p.cos, p.sin, p.inner, p.nx, p.ny)
 
 
 def is_weak_orthogonal(
@@ -140,5 +151,6 @@ def cosine_expansion(x: ComplexMatrix, y: ComplexMatrix, sign: int) -> float:
     """norm(X)^2 + norm(Y)^2 +- 2 norm(X) norm(Y) cos; equals norm(X +- Y)^2."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    nx, ny = _nonzero_norms(x.a, y.a)
-    return nx * nx + ny * ny + 2.0 * sign * nx * ny * cos_angle(x, y)
+    _same_shape("cosine_expansion", x, y)
+    p = _Pair(x.a, y.a)
+    return p.nx * p.nx + p.ny * p.ny + 2.0 * sign * p.nx * p.ny * p.cos

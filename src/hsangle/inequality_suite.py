@@ -32,7 +32,7 @@ import numpy as np
 
 from .matrix_core import ComplexMatrix, ShapeError, digest
 from .spectral import _Moduli, is_psd
-from .hs_geometry import _cos, _inner, _norm, _sin, angle, sin_angle
+from .hs_geometry import _Pair, _norm, angle, sin_angle
 
 SQRT2 = math.sqrt(2.0)
 # Sharp coefficient in the sum inequality T37.
@@ -78,65 +78,46 @@ class InequalityReport:
 
 
 def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
-    a = x.a
+    # Decided on X / 2^e with 2^e near max |x_ij|, so that the commutator
+    # cannot overflow; the scaling is exact.  2^-2e is capped against overflow.
+    e = math.frexp(np.abs(x.a).max())[1]
+    a = x.a * math.ldexp(1.0, -e)
     dev = np.linalg.norm(a @ a.conj().T - a.conj().T @ a)
-    return bool(dev <= tol * (1.0 + np.linalg.norm(a) ** 2))
+    return bool(dev <= tol * (math.ldexp(1.0, min(-2 * e, 1000)) + np.linalg.norm(a) ** 2))
 
 
-class _Pair:
-    """The operands X, Y as arrays.  Their norms nx, ny and their moduli
-    ax = |X|, sx = |X*|, ay = |Y|, sy = |Y*| are computed on first use; both
-    moduli of an operand come from its one SVD.  ca and cs are the cosines of
-    the pairs (|X|, |Y|) and (|X*|, |Y*|).
-    """
+class _Operands(_Pair):
+    """The operand pair X, Y plus the pairs of their moduli, abs = (|X|, |Y|)
+    and adj = (|X*|, |Y*|), formed on first use from one SVD per operand."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x, self.y = x, y
-
-    nx = cached_property(lambda p: _norm(p.x))
-    ny = cached_property(lambda p: _norm(p.y))
-    _mx = cached_property(lambda p: _Moduli(p.x))
-    _my = cached_property(lambda p: _Moduli(p.y))
-    ax = property(lambda p: p._mx.abs)
-    sx = property(lambda p: p._mx.adj)
-    ay = property(lambda p: p._my.abs)
-    sy = property(lambda p: p._my.adj)
-    ca = cached_property(lambda p: _cos(p.ax, p.ay))
-    cs = cached_property(lambda p: _cos(p.sx, p.sy))
+    _moduli = cached_property(lambda p: (_Moduli(p.x), _Moduli(p.y)))
+    abs = cached_property(lambda p: _Pair(p._moduli[0].abs(), p._moduli[1].abs()))
+    adj = cached_property(lambda p: _Pair(p._moduli[0].adj(), p._moduli[1].adj()))
 
 
-# (lhs, rhs) of each registry entry, as a formula over a _Pair.
+# (lhs, rhs) of each registry entry, as a formula over _Operands.
 _REGISTRY = {
-    "CS_21": lambda p: (abs(_inner(p.x, p.y)), p.nx * p.ny),
-    "T213": lambda p: (
-        abs(_inner(p.x, p.y)) ** 2,
-        _inner(p.sx, p.sy).real * _inner(p.ax, p.ay).real,
-    ),
-    "T214i": lambda p: (_cos(p.x, p.y) ** 2, p.cs * p.ca),
+    "CS_21": lambda p: (abs(p.inner), p.nx * p.ny),
+    "T213": lambda p: (abs(p.inner) ** 2, p.adj.inner.real * p.abs.inner.real),
+    "T214i": lambda p: (p.cos ** 2, p.adj.cos * p.abs.cos),
     # Cosines of PSD pairs are nonnegative; clamp roundoff before the sqrt.
-    "T214ii": lambda p: (abs(_cos(p.x, p.y)), math.sqrt(max(0.0, min(p.cs, p.ca)))),
-    "T214iii": lambda p: (
-        _sin(p.sx, p.sy) ** 2 + _sin(p.ax, p.ay) ** 2,
-        2.0 * _sin(p.x, p.y) ** 2,
-    ),
-    "T31": lambda p: (
-        _norm(p.sx - p.sy) ** 2 + _norm(p.ax - p.ay) ** 2,
-        2.0 * _norm(p.x - p.y) ** 2,
-    ),
-    "C32": lambda p: (_norm(p.ax - p.ay), SQRT2 * _norm(p.x - p.y)),
-    "R33": lambda p: (_norm(p.ax - p.ay), _norm(p.x - p.y)),
-    "T34": lambda p: (_norm(p.x + p.y) ** 2, _norm(p.sx + p.sy) * _norm(p.ax + p.ay)),
-    "T35": lambda p: (_norm(p.ax - p.ay) ** 2, _norm(p.x + p.y) * _norm(p.x - p.y)),
+    "T214ii": lambda p: (abs(p.cos), math.sqrt(max(0.0, min(p.adj.cos, p.abs.cos)))),
+    "T214iii": lambda p: (p.adj.sin ** 2 + p.abs.sin ** 2, 2.0 * p.sin ** 2),
+    "T31": lambda p: (p.adj.ndiff ** 2 + p.abs.ndiff ** 2, 2.0 * p.ndiff ** 2),
+    "C32": lambda p: (p.abs.ndiff, SQRT2 * p.ndiff),
+    "R33": lambda p: (p.abs.ndiff, p.ndiff),
+    "T34": lambda p: (p.nsum ** 2, p.adj.nsum * p.abs.nsum),
+    "T35": lambda p: (p.abs.ndiff ** 2, p.nsum * p.ndiff),
     "L31": lambda p: (
-        p.nx * p.ny * p.ca,
-        p.ca * (p.nx * p.nx + p.ny * p.ny) - p.nx * p.ny * p.ca * p.ca,
+        p.nx * p.ny * p.abs.cos,
+        p.abs.cos * (p.nx * p.nx + p.ny * p.ny) - p.nx * p.ny * p.abs.cos * p.abs.cos,
     ),
-    "T36": lambda p: (_norm(p.sx + p.sy), SQRT2 * _norm(p.ax + p.ay)),
+    "T36": lambda p: (p.adj.nsum, SQRT2 * p.abs.nsum),
     "L32": lambda p: (
-        2.0 * p.nx * p.ny * p.cs,
-        p.nx * p.nx + p.ny * p.ny + 4.0 * p.nx * p.ny * p.ca,
+        2.0 * p.nx * p.ny * p.adj.cos,
+        p.nx * p.nx + p.ny * p.ny + 4.0 * p.nx * p.ny * p.abs.cos,
     ),
-    "T37": lambda p: (_norm(p.x + p.y), SUM_SHARP_CONSTANT * _norm(p.ax + p.ay)),
+    "T37": lambda p: (p.nsum, SUM_SHARP_CONSTANT * p.abs.nsum),
 }
 
 INEQUALITY_IDS = tuple(_REGISTRY)
@@ -172,7 +153,7 @@ def check(
             if not is_normal(m):
                 raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
     dig = digest(x, y)
-    pair = _Pair(x.a, y.a)
+    pair = _Operands(x.a, y.a)
     if inequality_id in ANGLE_IDS and (pair.nx == 0.0 or pair.ny == 0.0):
         # The angle ids presuppose nonzero operands; with a zero operand the
         # statement holds trivially and there is nothing to compute.
@@ -216,8 +197,9 @@ def adjoint_link_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) 
     for name, p in (("XZ", xz), ("ZY", zy), ("X*Z", xsz), ("ZY*", zys)):
         if np.linalg.norm(p) == 0.0:
             raise DegenerateIdentityError(f"product {name} is zero; the identity degenerates")
-    s1 = _norm(xz) * _norm(zy) * _cos(xz, zy)
-    s2 = _norm(xsz) * _norm(zys) * _cos(xsz, zys)
+    p1, p2 = _Pair(xz, zy), _Pair(xsz, zys)
+    s1 = p1.nx * p1.ny * p1.cos
+    s2 = p2.nx * p2.ny * p2.cos
     return abs(s1 - s2) / (1.0 + max(abs(s1), abs(s2)))
 
 

@@ -21,14 +21,13 @@ class ShapeError(ValidationError):
 
 
 def _validated(entries, ndim: int) -> np.ndarray:
-    arr = np.asarray(entries, dtype=np.complex128)
+    arr = np.array(entries, dtype=np.complex128, order="C")
     if arr.ndim != ndim:
         raise ValidationError(f"expected a {ndim}-d array, got shape {arr.shape}")
     if arr.size == 0 or min(arr.shape) < 1:
         raise ValidationError(f"dimensions must be positive, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError("non-finite entry (NaN or Inf) rejected")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

@@ -37,7 +37,7 @@ from .inequality_suite import (
     SUM_SHARP_CONSTANT,
     InequalityReport,
     UnknownInequalityError,
-    _Pair,
+    _Operands,
     check,
 )
 
@@ -361,7 +361,7 @@ def _ratio_for(inequality_id: str):
     rel = 1e-12 if inequality_id in ("C32", "R33") else 0.0
 
     def ratio(x, y):
-        pair = _Pair(x, y)
+        pair = _Operands(x, y)
         lhs, rhs = sides(pair)
         if rhs == 0.0 or (rel and rhs <= target * rel * max(pair.nx, pair.ny, 1.0)):
             return -math.inf

@@ -8,7 +8,6 @@ range(|X|), a closed-form 2x2 absolute value, and a PSD test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,26 +81,21 @@ def _svd(a: np.ndarray):
     # the spectrum amplifies roundoff at small singular values to
     # sqrt(eps) * sigma_max, which is fatal at exactly-singular witnesses.
     try:
-        return np.linalg.svd(a)
+        return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
 
 
 class _Moduli:
-    """|X| = V S V* and |X*| = W S W* from the one SVD X = W S V*; each is
-    formed on first use."""
+    """|X| = V S V* and |X*| = W S W* from the one SVD X = W S V*."""
 
     def __init__(self, a: np.ndarray):
         self.w, self.s, self.vh = _svd(a)
 
-    @cached_property
     def abs(self) -> np.ndarray:
-        s, vh = self.s, self.vh
-        if s.size < vh.shape[0]:
-            s = np.concatenate([s, np.zeros(vh.shape[0] - s.size)])
-        return _hermitian_part((vh.conj().T * s) @ vh)
+        vh = self.vh
+        return _hermitian_part((vh.conj().T * self.s) @ vh)
 
-    @cached_property
     def adj(self) -> np.ndarray:
         # Only asked for square X, where W and S conform.
         w = self.w
@@ -110,28 +104,21 @@ class _Moduli:
 
 def abs_op(x: ComplexMatrix) -> ComplexMatrix:
     """Operator absolute value |X| = (X*X)^(1/2); cols x cols, PSD."""
-    return ComplexMatrix(_Moduli(x.a).abs)
+    return ComplexMatrix(_Moduli(x.a).abs())
 
 
 def abs_adjoint(x: ComplexMatrix) -> ComplexMatrix:
     """|X*| = (XX*)^(1/2) for square X."""
     _require_square(x, "abs_adjoint")
-    return ComplexMatrix(_Moduli(x.a).adj)
+    return ComplexMatrix(_Moduli(x.a).adj())
 
 
 def polar(x: ComplexMatrix) -> PolarParts:
     """Polar decomposition X = U|X| with U vanishing on ker|X|."""
     _require_square(x, "polar")
     m = _Moduli(x.a)
-    w, s, vh = m.w, m.s, m.vh
-    absm = ComplexMatrix(m.abs)
-    sigma_max = float(s[0]) if s.size else 0.0
-    mask = s > POLAR_RANK_REL * sigma_max if sigma_max > 0.0 else s > np.inf
-    if mask.any():
-        u = w[:, mask] @ vh[mask, :]
-    else:
-        u = np.zeros_like(x.a)
-    return PolarParts(ComplexMatrix(u), absm)
+    mask = m.s > POLAR_RANK_REL * m.s[0]
+    return PolarParts(ComplexMatrix(m.w[:, mask] @ m.vh[mask, :]), ComplexMatrix(m.abs()))
 
 
 def polar_identity_residuals(x: ComplexMatrix, parts: PolarParts) -> dict:

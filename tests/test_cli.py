@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hsangle import ComplexMatrix, abs_op, witness_triple
+import hsangle
+from hsangle import ComplexMatrix, GeneratorSpec, abs_op, generate, scale, witness_triple
 from hsangle.cli import main
 
 
@@ -216,6 +220,28 @@ class TestScan:
     def test_unscannable_id_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--id", "CS_21", "--dim", "2", "--iters", "10")
         assert code == 2
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv", [["check", "--id", "T37"], ["angle"], ["--format", "text", "angle"]]
+    )
+    def test_result_outside_float64_exits_2(self, tmp_path, argv):
+        # Norms of 1e160-scaled operands overflow float64; run the CLI as a
+        # user does, outside the test run's warning filter.
+        x, y = (
+            write_matrix(tmp_path / f"{s}.json", scale(1e160, generate(GeneratorSpec("normal", 3, s))))
+            for s in (0, 1)
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsangle.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsangle.cli", *argv, x, y],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "outside float64" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestInputHandling:

@@ -117,6 +117,14 @@ class TestRegistry:
             rep = check("R33", x, y)
             assert rep.holds
 
+    @pytest.mark.parametrize("k", [500, 700, 900])
+    def test_normal_operands_stay_normal_at_large_scale(self, k):
+        # Unscaled, the commutator XX* - X*X or its norm overflows at these scales.
+        for dim in (1, 2, 3, 5, 8):
+            for seed in range(5):
+                x = generate(GeneratorSpec("normal", dim, seed))
+                assert is_normal(scale(2.0**k, x))
+
     def test_unknown_id(self):
         with pytest.raises(UnknownInequalityError):
             check("T99", identity(2), identity(2))

@@ -1,6 +1,7 @@
 """The one path from an operand pair to the registry sides: check, the
 scanner's ratios and the sharp-witness reproduction all read the same
-formulas, and an operand's two moduli come from its one SVD."""
+formulas, an operand's two moduli come from its one SVD, and each norm of
+an angle pair is computed once."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hsangle import (
     ComplexMatrix,
     GeneratorSpec,
     INEQUALITY_IDS,
+    angle_report,
     check,
+    cosine_expansion,
     generate,
     reproduce_witnesses,
+    sin_angle,
     witness_triple,
 )
-from hsangle import random_lab
+from hsangle import hs_geometry, inequality_suite, random_lab
 from hsangle.random_lab import SCAN_TARGETS, _NormalPairCodec, _RawPairCodec, _ratio_for
 
 
@@ -88,3 +92,42 @@ def test_repro_values_are_the_check_sides():
     t36, t37 = check("T36", x, y), check("T37", x, z)
     values = [c.value for c in reproduce_witnesses().checks]
     assert values == [t36.lhs, t36.rhs, t37.lhs, t37.rhs]
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """The arrays passed to hs_geometry._norm, under the name it has in
+    either module, since the test began."""
+    calls = []
+    norm = hs_geometry._norm
+
+    def counting(a):
+        calls.append(a)
+        return norm(a)
+
+    monkeypatch.setattr(hs_geometry, "_norm", counting)
+    monkeypatch.setattr(inequality_suite, "_norm", counting)
+    return calls
+
+
+# Each consumer needs the norm of each operand it reads exactly once:
+# 2 operands for the angle functions, 6 (X, Y and their four moduli) for the
+# angle checks over three pairs.
+@pytest.mark.parametrize(
+    "consumer, expected",
+    [
+        (lambda x, y: check("T214i", x, y), 6),
+        (lambda x, y: check("T214ii", x, y), 6),
+        (lambda x, y: check("T214iii", x, y), 6),
+        (angle_report, 2),
+        (sin_angle, 2),
+        (lambda x, y: cosine_expansion(x, y, 1), 2),
+    ],
+    ids=["T214i", "T214ii", "T214iii", "angle_report", "sin_angle", "cosine_expansion"],
+)
+def test_each_operand_norm_is_computed_once(consumer, expected, norm_calls):
+    for seed in range(3):
+        x, y = pair("ginibre", 3, seed)
+        norm_calls.clear()
+        consumer(x, y)
+        assert len(norm_calls) == expected
