@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError
+from .matrix_core import ComplexMatrix, ShapeError, _ct
 
 DEFAULT_PREDICATE_TOL = 1e-8
 
@@ -43,7 +43,7 @@ class AngleReport:
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> complex:
-    return complex(np.trace(y.conj().T @ x))
+    return complex(np.trace(_ct(y) @ x))
 
 
 def _norm(x: np.ndarray) -> float:
@@ -85,6 +85,60 @@ class _Pair:
     def sin(self) -> float:
         c = self.cos  # raises on a zero operand, before the divisions below
         return min(1.0, float(np.linalg.norm(self.x / self.nx - c * (self.y / self.ny))))
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """_norm of each matrix of a stack (n, d, d), bit for bit: the strided
+    dot products of the real and imaginary parts that np.linalg.norm takes,
+    as (1, d*d) @ (d*d, 1) matmuls."""
+    v = a.reshape(len(a), 1, a.shape[-2] * a.shape[-1])
+    re, im = v.real, v.imag
+    n = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
+    for i in np.flatnonzero(n == 0.0):
+        n[i] = _norm(a[i])
+    return n
+
+
+def _inners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.trace(_ct(y) @ x, axis1=-2, axis2=-1)
+
+
+def _min(a, b):
+    """min(a, b) as Python picks it, a unless b < a, elementwise."""
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    """max(a, b) as Python picks it, a unless b > a, elementwise."""
+    return np.where(b > a, b, a)
+
+
+class _PairStack:
+    """A stack of operand pairs x[i], y[i] as (n, d, d) arrays.  Each
+    quantity of _Pair is an (n,) array whose entries are bit-equal to _Pair's
+    for the single pairs; cos and sin presuppose nonzero operands."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x, self.y = x, y
+
+    nx = cached_property(lambda p: _norms(p.x))
+    ny = cached_property(lambda p: _norms(p.y))
+    inner = cached_property(lambda p: _inners(p.x, p.y))
+    nsum = property(lambda p: _norms(p.x + p.y))
+    ndiff = property(lambda p: _norms(p.x - p.y))
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        nx, ny = self.nx, self.ny
+        sx, sy = np.ldexp(1.0, np.frexp(nx)[1]), np.ldexp(1.0, np.frexp(ny)[1])
+        c = _inners(self.x / sx[:, None, None], self.y / sy[:, None, None]).real
+        return _min(1.0, _max(-1.0, c / ((nx / sx) * (ny / sy))))
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        x = self.x / self.nx[:, None, None]
+        y = self.y / self.ny[:, None, None]
+        return _min(1.0, _norms(x - self.cos[:, None, None] * y))
 
 
 def _same_shape(what: str, x: ComplexMatrix, y: ComplexMatrix) -> None:

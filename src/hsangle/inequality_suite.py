@@ -30,9 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, digest
+from .matrix_core import ComplexMatrix, ShapeError, _ct, digest
 from .spectral import _Moduli, is_psd
-from .hs_geometry import _Pair, _norm, angle, sin_angle
+from .hs_geometry import _Pair, _PairStack, _max, _min, _norm, _norms, angle, sin_angle
 
 SQRT2 = math.sqrt(2.0)
 # Sharp coefficient in the sum inequality T37.
@@ -77,37 +77,73 @@ class InequalityReport:
         }
 
 
-def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
+def _sq(v):
+    """v ** 2 of a float, or of each entry of an array.  Python's float ** 2
+    is libm pow, which differs from numpy's square in the last bit, so the
+    array form squares each entry as a Python float."""
+    if isinstance(v, np.ndarray):
+        return np.array([t ** 2 for t in v.tolist()])
+    return v ** 2
+
+
+def _cabs(z):
+    """abs of a complex, or of each entry of an array, as Python's abs(complex)
+    computes it (libm hypot); numpy's abs of a complex array differs."""
+    if isinstance(z, np.ndarray):
+        return np.hypot(z.real, z.imag)
+    return abs(z)
+
+
+def _normal_mask(a: np.ndarray, tol: float = NORMALITY_TOL) -> np.ndarray:
+    """is_normal of each matrix of a stack (n, d, d)."""
     # Decided on X / 2^e with 2^e near max |x_ij|, so that the commutator
     # cannot overflow; the scaling is exact.  2^-2e is capped against overflow.
-    e = math.frexp(np.abs(x.a).max())[1]
-    a = x.a * math.ldexp(1.0, -e)
-    dev = np.linalg.norm(a @ a.conj().T - a.conj().T @ a)
-    return bool(dev <= tol * (math.ldexp(1.0, min(-2 * e, 1000)) + np.linalg.norm(a) ** 2))
+    e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
+    a = a * np.ldexp(1.0, -e)[:, None, None]
+    dev = _norms(a @ _ct(a) - _ct(a) @ a)
+    return dev <= tol * (np.ldexp(1.0, np.minimum(-2 * e, 1000)) + _sq(_norms(a)))
 
 
-class _Operands(_Pair):
-    """The operand pair X, Y plus the pairs of their moduli, abs = (|X|, |Y|)
-    and adj = (|X*|, |Y*|), formed on first use from one SVD per operand."""
+def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
+    return bool(_normal_mask(x.a[None], tol)[0])
+
+
+class _WithModuli:
+    """Adds to a pair of operands X, Y the pairs of their moduli, abs =
+    (|X|, |Y|) and adj = (|X*|, |Y*|), of the same pair type, formed on first
+    use from one SVD per operand."""
 
     _moduli = cached_property(lambda p: (_Moduli(p.x), _Moduli(p.y)))
-    abs = cached_property(lambda p: _Pair(p._moduli[0].abs(), p._moduli[1].abs()))
-    adj = cached_property(lambda p: _Pair(p._moduli[0].adj(), p._moduli[1].adj()))
+    abs = cached_property(lambda p: p._pair(p._moduli[0].abs(), p._moduli[1].abs()))
+    adj = cached_property(lambda p: p._pair(p._moduli[0].adj(), p._moduli[1].adj()))
 
 
-# (lhs, rhs) of each registry entry, as a formula over _Operands.
+class _Operands(_WithModuli, _Pair):
+    """One operand pair X, Y with its moduli."""
+
+    _pair = _Pair
+
+
+class _OperandStack(_WithModuli, _PairStack):
+    """A stack of operand pairs with their moduli; two stacked SVDs in all."""
+
+    _pair = _PairStack
+
+
+# (lhs, rhs) of each registry entry, as a formula over _Operands or, entry by
+# entry bit-equal, over _OperandStack.
 _REGISTRY = {
-    "CS_21": lambda p: (abs(p.inner), p.nx * p.ny),
-    "T213": lambda p: (abs(p.inner) ** 2, p.adj.inner.real * p.abs.inner.real),
-    "T214i": lambda p: (p.cos ** 2, p.adj.cos * p.abs.cos),
+    "CS_21": lambda p: (_cabs(p.inner), p.nx * p.ny),
+    "T213": lambda p: (_sq(_cabs(p.inner)), p.adj.inner.real * p.abs.inner.real),
+    "T214i": lambda p: (_sq(p.cos), p.adj.cos * p.abs.cos),
     # Cosines of PSD pairs are nonnegative; clamp roundoff before the sqrt.
-    "T214ii": lambda p: (abs(p.cos), math.sqrt(max(0.0, min(p.adj.cos, p.abs.cos)))),
-    "T214iii": lambda p: (p.adj.sin ** 2 + p.abs.sin ** 2, 2.0 * p.sin ** 2),
-    "T31": lambda p: (p.adj.ndiff ** 2 + p.abs.ndiff ** 2, 2.0 * p.ndiff ** 2),
+    "T214ii": lambda p: (abs(p.cos), np.sqrt(_max(0.0, _min(p.adj.cos, p.abs.cos)))),
+    "T214iii": lambda p: (_sq(p.adj.sin) + _sq(p.abs.sin), 2.0 * _sq(p.sin)),
+    "T31": lambda p: (_sq(p.adj.ndiff) + _sq(p.abs.ndiff), 2.0 * _sq(p.ndiff)),
     "C32": lambda p: (p.abs.ndiff, SQRT2 * p.ndiff),
     "R33": lambda p: (p.abs.ndiff, p.ndiff),
-    "T34": lambda p: (p.nsum ** 2, p.adj.nsum * p.abs.nsum),
-    "T35": lambda p: (p.abs.ndiff ** 2, p.nsum * p.ndiff),
+    "T34": lambda p: (_sq(p.nsum), p.adj.nsum * p.abs.nsum),
+    "T35": lambda p: (_sq(p.abs.ndiff), p.nsum * p.ndiff),
     "L31": lambda p: (
         p.nx * p.ny * p.abs.cos,
         p.abs.cos * (p.nx * p.nx + p.ny * p.ny) - p.nx * p.ny * p.abs.cos * p.abs.cos,
@@ -165,6 +201,28 @@ def check(
     return InequalityReport(inequality_id, lhs, rhs, slack, bool(slack >= -tol * scale), scale, dig)
 
 
+def _check_stack(inequality_id: str, x: np.ndarray, y: np.ndarray, tol: float):
+    """check over a stack of operand pairs (n, d, d) of a registry id: the
+    arrays holds and slack/scale, entry by entry bit-equal to check's, with
+    no digest."""
+    if inequality_id in NORMAL_ONLY_IDS:
+        for name, a in (("X", x), ("Y", y)):
+            if not _normal_mask(a).all():
+                raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
+    pair = _OperandStack(x, y)
+    lhs, rhs = np.zeros(len(x)), np.zeros(len(x))
+    keep = slice(None)
+    if inequality_id in ANGLE_IDS:
+        # check's zero-operand rule: such a trial holds with both sides 0.
+        keep = (pair.nx != 0.0) & (pair.ny != 0.0)
+        if not keep.all():
+            pair = _OperandStack(x[keep], y[keep])
+    lhs[keep], rhs[keep] = _REGISTRY[inequality_id](pair)
+    scale = _max(_max(abs(lhs), abs(rhs)), 1.0)
+    slack = rhs - lhs
+    return slack >= -tol * scale, slack / scale
+
+
 def _products(what: str, x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix):
     """The products XZ, ZY, X*Z and ZY* of conformable square operands."""
     xa, ya, za = x.a, y.a, z.a
@@ -194,10 +252,10 @@ def adjoint_link_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) 
     Undefined (raises) when any of the four products vanishes.
     """
     xz, zy, xsz, zys = _products("adjoint_link_residual", x, y, z)
-    for name, p in (("XZ", xz), ("ZY", zy), ("X*Z", xsz), ("ZY*", zys)):
-        if np.linalg.norm(p) == 0.0:
-            raise DegenerateIdentityError(f"product {name} is zero; the identity degenerates")
     p1, p2 = _Pair(xz, zy), _Pair(xsz, zys)
+    for name, n in (("XZ", p1.nx), ("ZY", p1.ny), ("X*Z", p2.nx), ("ZY*", p2.ny)):
+        if n == 0.0:
+            raise DegenerateIdentityError(f"product {name} is zero; the identity degenerates")
     s1 = p1.nx * p1.ny * p1.cos
     s2 = p2.nx * p2.ny * p2.cos
     return abs(s1 - s2) / (1.0 + max(abs(s1), abs(s2)))

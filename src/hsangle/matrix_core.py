@@ -109,6 +109,11 @@ class ComplexVector:
         return ComplexMatrix(self.v.reshape(-1, 1))
 
 
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def identity(n: int) -> ComplexMatrix:
     return ComplexMatrix(np.eye(n, dtype=np.complex128))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .matrix_core import ComplexMatrix
+from .matrix_core import ComplexMatrix, _ct
 from .inequality_suite import (
     _REGISTRY,
     INEQUALITY_IDS,
@@ -38,6 +38,7 @@ from .inequality_suite import (
     InequalityReport,
     UnknownInequalityError,
     _Operands,
+    _check_stack,
     check,
 )
 
@@ -49,6 +50,9 @@ ENSEMBLE_KINDS = ("ginibre", "hermitian", "normal", "psd", "rank_deficient", "un
 NORMAL_ENSEMBLE_KINDS = ("hermitian", "normal", "psd", "unitary")
 
 MAX_DIM = 64
+# run_property_suite stacks no more entries per operand than one
+# MAX_DIM x MAX_DIM matrix holds.
+_STACK_ENTRIES = MAX_DIM * MAX_DIM
 
 
 def mix64(z: int) -> int:
@@ -75,7 +79,7 @@ def derive_seed(master_seed: int, label: str, index: int) -> int:
 
 
 def _mix64_vec(x: np.ndarray) -> np.ndarray:
-    z = x.copy()
+    z = np.array(x, dtype=np.uint64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -84,11 +88,20 @@ def _mix64_vec(x: np.ndarray) -> np.ndarray:
     return z
 
 
-class CounterRng:
-    """Counter-based splitmix64 stream; see the module docstring."""
+def _derive_seeds(master, label: str, index) -> np.ndarray:
+    """derive_seed over uint64 arrays of master seeds or of indices."""
+    h = _mix64_vec(master)
+    h = _mix64_vec(h ^ np.uint64(fnv1a64(label.encode("utf-8"))))
+    return _mix64_vec(h ^ index)
 
-    def __init__(self, seed: int):
-        self._seed = np.uint64(seed & _MASK64)
+
+class CounterRng:
+    """Counter-based splitmix64 stream; see the module docstring.  Given a
+    uint64 array of seeds, it draws their streams side by side, one row per
+    seed."""
+
+    def __init__(self, seed):
+        self._seed = np.asarray(seed & _MASK64, dtype=np.uint64)[..., None]
         self._index = 0
 
     def raw(self, n: int) -> np.ndarray:
@@ -103,16 +116,16 @@ class CounterRng:
     def normals(self, n: int) -> np.ndarray:
         pairs = (n + 1) // 2
         u = self.uniforms(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[0::2]))
-        ang = (2.0 * math.pi) * u[1::2]
-        z = np.empty(2 * pairs)
-        z[0::2] = r * np.cos(ang)
-        z[1::2] = r * np.sin(ang)
-        return z[:n]
+        r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+        ang = (2.0 * math.pi) * u[..., 1::2]
+        z = np.empty(u.shape)
+        z[..., 0::2] = r * np.cos(ang)
+        z[..., 1::2] = r * np.sin(ang)
+        return z[..., :n]
 
     def complex_normals(self, n: int) -> np.ndarray:
         z = self.normals(2 * n)
-        return (z[0::2] + 1j * z[1::2]) / SQRT2
+        return (z[..., 0::2] + 1j * z[..., 1::2]) / SQRT2
 
 
 @dataclass(frozen=True)
@@ -132,47 +145,59 @@ class GeneratorSpec:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def _ginibre(rng: CounterRng, dim: int) -> np.ndarray:
-    return rng.complex_normals(dim * dim).reshape(dim, dim)
+def _gaussian(rng: CounterRng, rows: int, cols: int) -> np.ndarray:
+    z = rng.complex_normals(rows * cols)
+    return z.reshape(z.shape[:-1] + (rows, cols))
 
 
 def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
-    """The QR factor Q of a with the phases of diag(R) moved into it; Haar
-    distributed when a is Ginibre."""
+    """The QR factor Q of a, or of each matrix of a stack, with the phases of
+    diag(R) moved into it; Haar distributed when a is Ginibre."""
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     phases = np.where(np.abs(d) == 0.0, 1.0 + 0.0j, d / np.abs(d))
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def _normal(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """V diag(d) V* for unitary V."""
-    return (v * d) @ v.conj().T
+    """V diag(d) V* for unitary V, or for each V and d of a stack."""
+    d = d[..., None, :]
+    if v.shape[-1] > 1:
+        return (v * d) @ _ct(v)
+    # At dim 1, numpy multiplies a lone (1, 1) by (1,) without FMA but a
+    # stack of them with it; spelled out in real arithmetic, the product
+    # keeps the bits of a single draw.
+    vd = np.empty(v.shape, dtype=np.complex128)
+    vd.real = v.real * d.real - v.imag * d.imag
+    vd.imag = v.real * d.imag + v.imag * d.real
+    return vd @ _ct(v)
+
+
+def _draw(kind: str, dim: int, seeds: np.ndarray) -> np.ndarray:
+    """One matrix of the ensemble per uint64 seed, as an (n, dim, dim) stack;
+    each matrix is bit-equal to the one drawn from its seed alone."""
+    rng = CounterRng(seeds)
+    if kind == "ginibre":
+        return _gaussian(rng, dim, dim)
+    if kind == "hermitian":
+        g = _gaussian(rng, dim, dim)
+        return (g + _ct(g)) / 2.0
+    if kind == "normal":
+        v = _phase_fixed_q(_gaussian(rng, dim, dim))
+        return _normal(v, rng.complex_normals(dim))
+    if kind == "psd":
+        g = _gaussian(rng, dim, dim)
+        return _ct(g) @ g / dim
+    if kind == "rank_deficient":
+        r = (dim + 1) // 2
+        left = _gaussian(rng, dim, r)
+        return left @ _gaussian(rng, r, dim)
+    return _phase_fixed_q(_gaussian(rng, dim, dim))  # unitary
 
 
 def generate(spec: GeneratorSpec) -> ComplexMatrix:
     """Draw one matrix; deterministic in spec.seed."""
-    rng = CounterRng(spec.seed)
-    dim = spec.dim
-    if spec.kind == "ginibre":
-        a = _ginibre(rng, dim)
-    elif spec.kind == "hermitian":
-        g = _ginibre(rng, dim)
-        a = (g + g.conj().T) / 2.0
-    elif spec.kind == "normal":
-        v = _phase_fixed_q(_ginibre(rng, dim))
-        a = _normal(v, rng.complex_normals(dim))
-    elif spec.kind == "psd":
-        g = _ginibre(rng, dim)
-        a = g.conj().T @ g / dim
-    elif spec.kind == "rank_deficient":
-        r = (dim + 1) // 2
-        left = rng.complex_normals(dim * r).reshape(dim, r)
-        right = rng.complex_normals(r * dim).reshape(r, dim)
-        a = left @ right
-    else:  # unitary
-        a = _phase_fixed_q(_ginibre(rng, dim))
-    return ComplexMatrix(a)
+    return ComplexMatrix(_draw(spec.kind, spec.dim, np.array([spec.seed], dtype=np.uint64))[0])
 
 
 @dataclass(frozen=True)
@@ -214,7 +239,8 @@ def applicable_specs(inequality_id: str, specs) -> list:
 def run_single_trial(
     inequality_id: str, specs, trial_seed: int, tol: float
 ) -> InequalityReport:
-    """One trial: pick a spec from the pool by seed, draw a pair, check."""
+    """One trial: pick a spec from the pool by seed, draw a pair, check.
+    Replays any trial of run_property_suite bit for bit."""
     pool = list(specs)
     spec = pool[trial_seed % len(pool)]
     x = generate(GeneratorSpec(spec.kind, spec.dim, derive_seed(trial_seed, "operand-x", 0)))
@@ -228,7 +254,9 @@ def run_property_suite(
     """Randomized verification: `trials` seeded trials per id over the spec pool.
 
     Per-trial seeds are ``derive_seed(master_seed, "trial:" + id, i)``, so the
-    outcome does not depend on execution order.
+    outcome does not depend on execution order.  The trials of each spec are
+    drawn and checked as stacks, and each trial's holds and slack/scale are
+    bit-equal to those of run_single_trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -236,21 +264,27 @@ def run_property_suite(
     for iid in ids:
         if iid not in INEQUALITY_IDS:
             raise UnknownInequalityError(f"unknown inequality id {iid!r}")
+    master, index = np.uint64(master_seed & _MASK64), np.arange(trials, dtype=np.uint64)
     reports = []
     for iid in ids:
         pool = applicable_specs(iid, specs)
-        violations = 0
-        worst = math.inf
-        worst_seed = 0
-        for i in range(trials):
-            ts = derive_seed(master_seed, "trial:" + iid, i)
-            rep = run_single_trial(iid, pool, ts, tol)
-            if not rep.holds:
-                violations += 1
-            rel = rep.slack / rep.scale
-            if rel < worst:
-                worst, worst_seed = rel, ts
+        seeds = _derive_seeds(master, "trial:" + iid, index)
+        holds, rel = np.empty(trials, dtype=bool), np.empty(trials)
+        which = seeds % np.uint64(len(pool))
+        for k, spec in enumerate(pool):
+            group = np.flatnonzero(which == k)
+            step = _STACK_ENTRIES // spec.dim**2
+            for start in range(0, len(group), step):
+                trial = group[start : start + step]
+                ts = seeds[trial]
+                x = _draw(spec.kind, spec.dim, _derive_seeds(ts, "operand-x", np.uint64(0)))
+                y = _draw(spec.kind, spec.dim, _derive_seeds(ts, "operand-y", np.uint64(0)))
+                holds[trial], rel[trial] = _check_stack(iid, x, y, tol)
+        # The first smallest slack/scale in trial order; a NaN is never the worst.
+        i = int(np.argmin(np.where(np.isnan(rel), math.inf, rel)))
+        worst, worst_seed = (float(rel[i]), int(seeds[i])) if rel[i] < math.inf else (math.inf, 0)
         kinds = tuple(dict.fromkeys(s.kind for s in pool))
+        violations = int(np.count_nonzero(~holds))
         reports.append(SuiteReport(iid, trials, violations, worst, worst_seed, kinds))
     return reports
 

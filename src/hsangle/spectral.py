@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, ValidationError
+from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _ct
 
 # Relative tolerance for accepting an input as Hermitian.
 HERMITIAN_TOL = 1e-10
@@ -46,7 +46,7 @@ def _require_square(x: ComplexMatrix, what: str):
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    return (a + _ct(a)) / 2.0
 
 
 def hermitian_eig(h: ComplexMatrix) -> HermitianEigen:
@@ -87,19 +87,20 @@ def _svd(a: np.ndarray):
 
 
 class _Moduli:
-    """|X| = V S V* and |X*| = W S W* from the one SVD X = W S V*."""
+    """|X| = V S V* and |X*| = W S W* from the one SVD X = W S V*; for a
+    stack of matrices, one stacked SVD gives the moduli of each."""
 
     def __init__(self, a: np.ndarray):
         self.w, self.s, self.vh = _svd(a)
 
     def abs(self) -> np.ndarray:
         vh = self.vh
-        return _hermitian_part((vh.conj().T * self.s) @ vh)
+        return _hermitian_part((_ct(vh) * self.s[..., None, :]) @ vh)
 
     def adj(self) -> np.ndarray:
         # Only asked for square X, where W and S conform.
         w = self.w
-        return _hermitian_part((w * self.s) @ w.conj().T)
+        return _hermitian_part((w * self.s[..., None, :]) @ _ct(w))
 
 
 def abs_op(x: ComplexMatrix) -> ComplexMatrix:

@@ -210,6 +210,13 @@ class TestAdjointLink:
         with pytest.raises(DegenerateIdentityError):
             adjoint_link_residual(zeros(2, 2), identity(2), identity(2))
 
+    def test_tiny_products_are_not_zero(self):
+        # norm(1e-170 I) underflows in np.linalg.norm's sum of squares, but
+        # the product is nonzero and the identity holds.
+        tiny = scale(1e-170, identity(2))
+        assert adjoint_link_residual(tiny, identity(2), identity(2)) <= 1e-13
+        assert adjoint_link_residual(identity(2), tiny, identity(2)) <= 1e-13
+
 
 class TestAngleTriangle:
     def test_bridge_equals_endpoint(self):

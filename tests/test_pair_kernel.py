@@ -3,22 +3,27 @@ scanner's ratios and the sharp-witness reproduction all read the same
 formulas, an operand's two moduli come from its one SVD, and each norm of
 an angle pair is computed once."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hsangle import (
+    ENSEMBLE_KINDS,
     ComplexMatrix,
     GeneratorSpec,
     INEQUALITY_IDS,
     angle_report,
+    applicable_specs,
     check,
     cosine_expansion,
+    derive_seed,
     generate,
     reproduce_witnesses,
     sin_angle,
     witness_triple,
 )
-from hsangle import hs_geometry, inequality_suite, random_lab
+from hsangle import cli, hs_geometry, inequality_suite, matrix_core, random_lab
 from hsangle.random_lab import SCAN_TARGETS, _NormalPairCodec, _RawPairCodec, _ratio_for
 
 
@@ -50,6 +55,27 @@ def test_check_makes_one_svd_per_operand_and_none_for_cs21(inequality_id, svd_ca
         svd_calls.clear()
         check(inequality_id, x, y)
         assert len(svd_calls) == (0 if inequality_id == "CS_21" else 2)
+
+
+def test_verify_makes_two_svds_per_trial_in_two_calls_per_stack(svd_calls, monkeypatch, capsys):
+    digests = []
+    for module in (inequality_suite, matrix_core):
+        monkeypatch.setattr(module, "digest", lambda *mats: digests.append(mats))
+    trials, dims, seed = 300, (1, 2, 3), 5
+    assert cli.main(["verify", "--trials", str(trials), "--dims", "1..3", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    # One stack per (id, spec) that some trial picks; at these dims no stack
+    # reaches the size cap.
+    specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
+    stacks = 0
+    for iid in INEQUALITY_IDS:
+        if iid != "CS_21":
+            n = len(applicable_specs(iid, specs))
+            stacks += len({derive_seed(seed, "trial:" + iid, i) % n for i in range(trials)})
+    matrices = sum(math.prod(a.shape[:-2]) for a in svd_calls)
+    assert matrices == 2 * trials * (len(INEQUALITY_IDS) - 1)
+    assert len(svd_calls) <= 2 * stacks
+    assert digests == []
 
 
 @pytest.mark.parametrize("inequality_id", ["T36", "T37"])

@@ -7,6 +7,7 @@ from hsangle import (
     ComplexMatrix,
     CounterRng,
     ENSEMBLE_KINDS,
+    INEQUALITY_IDS,
     GeneratorSpec,
     UnknownInequalityError,
     applicable_specs,
@@ -133,10 +134,13 @@ class TestPropertySuite:
         assert report.ensembles == ("ginibre",)
 
     def test_worst_seed_replays(self):
-        specs = self.specs()
-        (report,) = run_property_suite(["T35"], specs, 200, 1e-9, 99)
-        rep = run_single_trial("T35", applicable_specs("T35", specs), report.worst_seed, 1e-9)
-        assert rep.slack / rep.scale == report.worst_slack
+        for dims, trials in ((range(1, 9), 200), ((32, 64), 6)):
+            specs = self.specs(dims)
+            for report in run_property_suite(INEQUALITY_IDS, specs, trials, 1e-9, 99):
+                iid = report.inequality_id
+                rep = run_single_trial(iid, applicable_specs(iid, specs), report.worst_seed, 1e-9)
+                replayed = np.float64(rep.slack / rep.scale)
+                assert replayed.tobytes() == np.float64(report.worst_slack).tobytes()
 
     def test_r33_restricted_to_normal_ensembles(self):
         (report,) = run_property_suite(["R33"], self.specs(), 100, 1e-9, 5)
