@@ -42,65 +42,24 @@ class AngleReport:
         }
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> complex:
-    return complex(np.trace(_ct(y) @ x))
-
-
-def _norm(x: np.ndarray) -> float:
-    n = float(np.linalg.norm(x))
-    if n == 0.0:
-        # squared subnormals underflow; rescale so zero detection stays exact
-        m = float(np.max(np.abs(x)))
-        if m > 0.0:
-            return m * float(np.linalg.norm(x / m))
-    return n
-
-
-class _Pair:
-    """One operand pair x, y as arrays.  The norms nx, ny, the inner product
-    <x, y>, the cosine and the sine are each computed once, on first use;
-    nsum = norm(x + y) and ndiff = norm(x - y) on each read."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x, self.y = x, y
-
-    nx = cached_property(lambda p: _norm(p.x))
-    ny = cached_property(lambda p: _norm(p.y))
-    inner = cached_property(lambda p: _inner(p.x, p.y))
-    nsum = property(lambda p: _norm(p.x + p.y))
-    ndiff = property(lambda p: _norm(p.x - p.y))
-
-    @cached_property
-    def cos(self) -> float:
-        nx, ny = self.nx, self.ny
-        if nx == 0.0 or ny == 0.0:
-            raise ZeroOperandError("angle undefined for a zero operand")
-        # Scale each operand by a power of two near its norm, so that neither
-        # the inner product nor nx * ny underflows; the scaling itself is exact.
-        sx, sy = math.ldexp(1.0, math.frexp(nx)[1]), math.ldexp(1.0, math.frexp(ny)[1])
-        c = _inner(self.x / sx, self.y / sy).real / ((nx / sx) * (ny / sy))
-        return min(1.0, max(-1.0, c))
-
-    @cached_property
-    def sin(self) -> float:
-        c = self.cos  # raises on a zero operand, before the divisions below
-        return min(1.0, float(np.linalg.norm(self.x / self.nx - c * (self.y / self.ny))))
-
-
 def _norms(a: np.ndarray) -> np.ndarray:
-    """_norm of each matrix of a stack (n, d, d), bit for bit: the strided
-    dot products of the real and imaginary parts that np.linalg.norm takes,
-    as (1, d*d) @ (d*d, 1) matmuls."""
-    v = a.reshape(len(a), 1, a.shape[-2] * a.shape[-1])
-    re, im = v.real, v.imag
-    n = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0])
-    for i in np.flatnonzero(n == 0.0):
-        n[i] = _norm(a[i])
-    return n
+    """The norm of each matrix of a stack (..., r, c), bit for bit
+    np.linalg.norm's: the strided dot products of the real and imaginary
+    parts that it takes, one vecdot over the stack for each."""
+    v = a.reshape(-1, a.shape[-2] * a.shape[-1])
+    n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    if not n.all():
+        # squared subnormals underflow; rescale so zero detection stays exact
+        for i in np.flatnonzero(n == 0.0):
+            m = np.abs(v[i]).max()
+            if m > 0.0:
+                n[i] = m * np.linalg.norm(v[i] / m)
+    return n.reshape(a.shape[:-2])
 
 
 def _inners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.trace(_ct(y) @ x, axis1=-2, axis2=-1)
+    """<x, y> = tr(y* x) of a pair of matrices, or of each pair of two stacks."""
+    return (_ct(y) @ x).trace(axis1=-2, axis2=-1)
 
 
 def _min(a, b):
@@ -114,31 +73,37 @@ def _max(a, b):
 
 
 class _PairStack:
-    """A stack of operand pairs x[i], y[i] as (n, d, d) arrays.  Each
-    quantity of _Pair is an (n,) array whose entries are bit-equal to _Pair's
-    for the single pairs; cos and sin presuppose nonzero operands."""
+    """A stack of operand pairs as one array xy of shape (2, n, d, d), with
+    x = xy[0] and y = xy[1]; a single pair is a stack of one.  The norms of
+    both operands (one _norms call), the inner products <x, y>, the cosines
+    and the sines are (n,) arrays, each computed once, on first use; nsum =
+    norm(x + y) and ndiff = norm(x - y) on each read.  cos and sin
+    presuppose nonzero operands."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x, self.y = x, y
+    def __init__(self, xy: np.ndarray):
+        self.xy = xy
 
-    nx = cached_property(lambda p: _norms(p.x))
-    ny = cached_property(lambda p: _norms(p.y))
-    inner = cached_property(lambda p: _inners(p.x, p.y))
-    nsum = property(lambda p: _norms(p.x + p.y))
-    ndiff = property(lambda p: _norms(p.x - p.y))
+    norms = cached_property(lambda p: _norms(p.xy))
+    nx = property(lambda p: p.norms[0])
+    ny = property(lambda p: p.norms[1])
+    inner = cached_property(lambda p: _inners(p.xy[0], p.xy[1]))
+    nsum = property(lambda p: _norms(p.xy[0] + p.xy[1]))
+    ndiff = property(lambda p: _norms(p.xy[0] - p.xy[1]))
 
     @cached_property
     def cos(self) -> np.ndarray:
-        nx, ny = self.nx, self.ny
-        sx, sy = np.ldexp(1.0, np.frexp(nx)[1]), np.ldexp(1.0, np.frexp(ny)[1])
-        c = _inners(self.x / sx[:, None, None], self.y / sy[:, None, None]).real
-        return _min(1.0, _max(-1.0, c / ((nx / sx) * (ny / sy))))
+        # Scale each operand by a power of two near its norm, so that neither
+        # the inner product nor nx * ny underflows; the scaling itself is exact.
+        s = np.ldexp(1.0, np.frexp(self.norms)[1])
+        xy, n = self.xy / s[..., None, None], self.norms / s
+        # Against a constant, fmin and fmax pick as Python's min and max do,
+        # a NaN included: min(1.0, max(-1.0, c)).
+        return np.fmin(1.0, np.fmax(-1.0, _inners(xy[0], xy[1]).real / (n[0] * n[1])))
 
     @cached_property
     def sin(self) -> np.ndarray:
-        x = self.x / self.nx[:, None, None]
-        y = self.y / self.ny[:, None, None]
-        return _min(1.0, _norms(x - self.cos[:, None, None] * y))
+        u = self.xy / self.norms[..., None, None]
+        return np.fmin(1.0, _norms(u[0] - self.cos[:, None, None] * u[1]))
 
 
 def _same_shape(what: str, x: ComplexMatrix, y: ComplexMatrix) -> None:
@@ -148,21 +113,31 @@ def _same_shape(what: str, x: ComplexMatrix, y: ComplexMatrix) -> None:
         )
 
 
+def _angle_pairs(what: str, *pairs) -> _PairStack:
+    """The stack of the pairs (x, y), all of one shape, whose angles are
+    undefined for a zero operand."""
+    for x, y in pairs:
+        _same_shape(what, x, y)
+    p = _PairStack(np.array([[x.a for x, _ in pairs], [y.a for _, y in pairs]]))
+    if not p.norms.all():
+        raise ZeroOperandError("angle undefined for a zero operand")
+    return p
+
+
 def hs_inner(x: ComplexMatrix, y: ComplexMatrix) -> complex:
     """<X,Y> = tr(Y*X); conjugate-linear in Y."""
     _same_shape("hs_inner", x, y)
-    return _inner(x.a, y.a)
+    return complex(_inners(x.a, y.a))
 
 
 def hs_norm(x: ComplexMatrix) -> float:
     """sqrt of the sum of squared entry moduli; zero only for the zero matrix."""
-    return _norm(x.a)
+    return float(_norms(x.a))
 
 
 def cos_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
     """Re<X,Y>/(norm(X) norm(Y)), clamped into [-1, 1] against roundoff."""
-    _same_shape("cos_angle", x, y)
-    return _Pair(x.a, y.a).cos
+    return _angle_pairs("cos_angle", (x, y)).cos.item()
 
 
 def sin_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
@@ -172,8 +147,7 @@ def sin_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
     to machine precision near parallel pairs, where the naive form bottoms
     out at sqrt(eps) ~ 1e-8.
     """
-    _same_shape("sin_angle", x, y)
-    return _Pair(x.a, y.a).sin
+    return _angle_pairs("sin_angle", (x, y)).sin.item()
 
 
 def angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
@@ -182,9 +156,8 @@ def angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
 
 
 def angle_report(x: ComplexMatrix, y: ComplexMatrix) -> AngleReport:
-    _same_shape("angle_report", x, y)
-    p = _Pair(x.a, y.a)
-    return AngleReport(p.cos, p.sin, p.inner, p.nx, p.ny)
+    p = _angle_pairs("angle_report", (x, y))
+    return AngleReport(*(v.item() for v in (p.cos, p.sin, p.inner, p.nx, p.ny)))
 
 
 def is_weak_orthogonal(
@@ -205,6 +178,6 @@ def cosine_expansion(x: ComplexMatrix, y: ComplexMatrix, sign: int) -> float:
     """norm(X)^2 + norm(Y)^2 +- 2 norm(X) norm(Y) cos; equals norm(X +- Y)^2."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _same_shape("cosine_expansion", x, y)
-    p = _Pair(x.a, y.a)
-    return p.nx * p.nx + p.ny * p.ny + 2.0 * sign * p.nx * p.ny * p.cos
+    p = _angle_pairs("cosine_expansion", (x, y))
+    nx, ny, c = (v.item() for v in (p.nx, p.ny, p.cos))
+    return nx * nx + ny * ny + 2.0 * sign * nx * ny * c

@@ -32,7 +32,7 @@ import numpy as np
 
 from .matrix_core import ComplexMatrix, ShapeError, _ct, digest
 from .spectral import _Moduli, is_psd
-from .hs_geometry import _Pair, _PairStack, _max, _min, _norm, _norms, angle, sin_angle
+from .hs_geometry import _PairStack, _angle_pairs, _max, _min, _norms
 
 SQRT2 = math.sqrt(2.0)
 # Sharp coefficient in the sum inequality T37.
@@ -77,29 +77,24 @@ class InequalityReport:
         }
 
 
-def _sq(v):
-    """v ** 2 of a float, or of each entry of an array.  Python's float ** 2
-    is libm pow, which differs from numpy's square in the last bit, so the
-    array form squares each entry as a Python float."""
-    if isinstance(v, np.ndarray):
-        return np.array([t ** 2 for t in v.tolist()])
-    return v ** 2
+def _sq(v: np.ndarray) -> np.ndarray:
+    """v ** 2 of each entry, squared as a Python float: float ** 2 is libm
+    pow, which differs from numpy's square in the last bit."""
+    return np.array([t ** 2 for t in v.ravel().tolist()]).reshape(v.shape)
 
 
-def _cabs(z):
-    """abs of a complex, or of each entry of an array, as Python's abs(complex)
-    computes it (libm hypot); numpy's abs of a complex array differs."""
-    if isinstance(z, np.ndarray):
-        return np.hypot(z.real, z.imag)
-    return abs(z)
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """abs of each complex entry as Python's abs(complex) computes it (libm
+    hypot); numpy's abs of a complex array differs in the last bit."""
+    return np.hypot(z.real, z.imag)
 
 
 def _normal_mask(a: np.ndarray, tol: float = NORMALITY_TOL) -> np.ndarray:
-    """is_normal of each matrix of a stack (n, d, d)."""
+    """is_normal of each matrix of a stack (..., d, d)."""
     # Decided on X / 2^e with 2^e near max |x_ij|, so that the commutator
     # cannot overflow; the scaling is exact.  2^-2e is capped against overflow.
     e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
-    a = a * np.ldexp(1.0, -e)[:, None, None]
+    a = a * np.ldexp(1.0, -e)[..., None, None]
     dev = _norms(a @ _ct(a) - _ct(a) @ a)
     return dev <= tol * (np.ldexp(1.0, np.minimum(-2 * e, 1000)) + _sq(_norms(a)))
 
@@ -108,30 +103,17 @@ def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
     return bool(_normal_mask(x.a[None], tol)[0])
 
 
-class _WithModuli:
-    """Adds to a pair of operands X, Y the pairs of their moduli, abs =
-    (|X|, |Y|) and adj = (|X*|, |Y*|), of the same pair type, formed on first
-    use from one SVD per operand."""
+class _OperandStack(_PairStack):
+    """A stack of operand pairs with the pairs of their moduli, abs =
+    (|X|, |Y|) and adj = (|X*|, |Y*|), formed on first use from one SVD call
+    over both operands of every pair."""
 
-    _moduli = cached_property(lambda p: (_Moduli(p.x), _Moduli(p.y)))
-    abs = cached_property(lambda p: p._pair(p._moduli[0].abs(), p._moduli[1].abs()))
-    adj = cached_property(lambda p: p._pair(p._moduli[0].adj(), p._moduli[1].adj()))
-
-
-class _Operands(_WithModuli, _Pair):
-    """One operand pair X, Y with its moduli."""
-
-    _pair = _Pair
+    _moduli = cached_property(lambda p: _Moduli(p.xy))
+    abs = cached_property(lambda p: _PairStack(p._moduli.abs()))
+    adj = cached_property(lambda p: _PairStack(p._moduli.adj()))
 
 
-class _OperandStack(_WithModuli, _PairStack):
-    """A stack of operand pairs with their moduli; two stacked SVDs in all."""
-
-    _pair = _PairStack
-
-
-# (lhs, rhs) of each registry entry, as a formula over _Operands or, entry by
-# entry bit-equal, over _OperandStack.
+# (lhs, rhs) of each registry entry, as (n,) arrays over an _OperandStack.
 _REGISTRY = {
     "CS_21": lambda p: (_cabs(p.inner), p.nx * p.ny),
     "T213": lambda p: (_sq(_cabs(p.inner)), p.adj.inner.real * p.abs.inner.real),
@@ -165,6 +147,24 @@ ANGLE_IDS = frozenset({"T214i", "T214ii", "T214iii", "L31", "L32"})
 NORMAL_ONLY_IDS = frozenset({"R33"})
 
 
+def _sides(inequality_id: str, xy: np.ndarray):
+    """The sides lhs, rhs of a registry id, as (n,) arrays, over a stack xy
+    (2, n, d, d) of operand pairs: x = xy[0] and y = xy[1]."""
+    if inequality_id in NORMAL_ONLY_IDS:
+        for name, normal in zip("XY", _normal_mask(xy)):
+            if not normal.all():
+                raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
+    sides, pair = _REGISTRY[inequality_id], _OperandStack(xy)
+    if inequality_id not in ANGLE_IDS or pair.norms.all():
+        return sides(pair)
+    # The angle ids presuppose nonzero operands; with a zero operand the
+    # statement holds trivially, with both sides 0.
+    keep = pair.norms.all(axis=0)
+    lhs, rhs = np.zeros(len(keep)), np.zeros(len(keep))
+    lhs[keep], rhs[keep] = sides(_OperandStack(xy[:, keep]))
+    return lhs, rhs
+
+
 def check(
     inequality_id: str, x: ComplexMatrix, y: ComplexMatrix, tol: float = DEFAULT_CHECK_TOL
 ) -> InequalityReport:
@@ -173,51 +173,27 @@ def check(
     holds is slack >= -tol * scale with scale = max(|lhs|, |rhs|, 1); the
     sides grow quadratically with the operand norms, so the test is relative.
     """
-    try:
-        sides = _REGISTRY[inequality_id]
-    except KeyError:
+    if inequality_id not in _REGISTRY:
         raise UnknownInequalityError(
             f"unknown inequality id {inequality_id!r}; known: {', '.join(INEQUALITY_IDS)}"
-        ) from None
+        )
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ShapeError(
             f"check requires square matrices of equal dimension, got "
             f"{x.rows}x{x.cols} and {y.rows}x{y.cols}"
         )
-    if inequality_id in NORMAL_ONLY_IDS:
-        for name, m in (("X", x), ("Y", y)):
-            if not is_normal(m):
-                raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
-    dig = digest(x, y)
-    pair = _Operands(x.a, y.a)
-    if inequality_id in ANGLE_IDS and (pair.nx == 0.0 or pair.ny == 0.0):
-        # The angle ids presuppose nonzero operands; with a zero operand the
-        # statement holds trivially and there is nothing to compute.
-        return InequalityReport(inequality_id, 0.0, 0.0, 0.0, True, 1.0, dig)
-    lhs, rhs = sides(pair)
-    lhs, rhs = float(lhs), float(rhs)
+    lhs, rhs = (side.item() for side in _sides(inequality_id, np.array(((x.a,), (y.a,)))))
     scale = max(abs(lhs), abs(rhs), 1.0)
     slack = rhs - lhs
-    return InequalityReport(inequality_id, lhs, rhs, slack, bool(slack >= -tol * scale), scale, dig)
+    holds = slack >= -tol * scale
+    return InequalityReport(inequality_id, lhs, rhs, slack, holds, scale, digest(x, y))
 
 
 def _check_stack(inequality_id: str, x: np.ndarray, y: np.ndarray, tol: float):
-    """check over a stack of operand pairs (n, d, d) of a registry id: the
-    arrays holds and slack/scale, entry by entry bit-equal to check's, with
-    no digest."""
-    if inequality_id in NORMAL_ONLY_IDS:
-        for name, a in (("X", x), ("Y", y)):
-            if not _normal_mask(a).all():
-                raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
-    pair = _OperandStack(x, y)
-    lhs, rhs = np.zeros(len(x)), np.zeros(len(x))
-    keep = slice(None)
-    if inequality_id in ANGLE_IDS:
-        # check's zero-operand rule: such a trial holds with both sides 0.
-        keep = (pair.nx != 0.0) & (pair.ny != 0.0)
-        if not keep.all():
-            pair = _OperandStack(x[keep], y[keep])
-    lhs[keep], rhs[keep] = _REGISTRY[inequality_id](pair)
+    """check over stacks x, y (n, d, d) of a registry id: the arrays holds
+    and slack/scale, entry by entry bit-equal to check's."""
+    lhs, rhs = _sides(inequality_id, np.array((x, y)))
+    # _max picks as check's max(|lhs|, |rhs|, 1.0) does.
     scale = _max(_max(abs(lhs), abs(rhs)), 1.0)
     slack = rhs - lhs
     return slack >= -tol * scale, slack / scale
@@ -252,12 +228,12 @@ def adjoint_link_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) 
     Undefined (raises) when any of the four products vanishes.
     """
     xz, zy, xsz, zys = _products("adjoint_link_residual", x, y, z)
-    p1, p2 = _Pair(xz, zy), _Pair(xsz, zys)
-    for name, n in (("XZ", p1.nx), ("ZY", p1.ny), ("X*Z", p2.nx), ("ZY*", p2.ny)):
+    p = _PairStack(np.array([[xz, xsz], [zy, zys]]))
+    nx, ny = p.norms.tolist()
+    for name, n in (("XZ", nx[0]), ("ZY", ny[0]), ("X*Z", nx[1]), ("ZY*", ny[1])):
         if n == 0.0:
             raise DegenerateIdentityError(f"product {name} is zero; the identity degenerates")
-    s1 = p1.nx * p1.ny * p1.cos
-    s2 = p2.nx * p2.ny * p2.cos
+    s1, s2 = (p.nx * p.ny * p.cos).tolist()
     return abs(s1 - s2) / (1.0 + max(abs(s1), abs(s2)))
 
 
@@ -268,9 +244,9 @@ def angle_triangle_slack(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix):
         sin(X,Z) + sin(Z,Y) - sin(X,Y)  and  theta(X,Z) + theta(Z,Y) - theta(X,Y).
     Both are nonnegative up to roundoff.
     """
-    sin_slack = sin_angle(x, z) + sin_angle(z, y) - sin_angle(x, y)
-    theta_slack = angle(x, z) + angle(z, y) - angle(x, y)
-    return sin_slack, theta_slack
+    p = _angle_pairs("angle_triangle_slack", (x, z), (z, y), (x, y))
+    (s1, s2, s), (c1, c2, c) = p.sin.tolist(), p.cos.tolist()
+    return s1 + s2 - s, math.acos(c1) + math.acos(c2) - math.acos(c)
 
 
 def t213_equality_holds(
@@ -288,6 +264,7 @@ def t213_equality_holds(
     p = y.a.conj().T @ x.a
     t = complex(np.trace(p))
     if t == 0:
-        return _norm(p) <= tol * (1.0 + _norm(x.a) * _norm(y.a))
+        n = _norms(np.array((p, x.a, y.a)))
+        return bool(n[0] <= tol * (1.0 + n[1] * n[2]))
     zeta = t.conjugate() / abs(t)
     return is_psd(ComplexMatrix(zeta * p), tol)

@@ -37,7 +37,7 @@ from .inequality_suite import (
     SUM_SHARP_CONSTANT,
     InequalityReport,
     UnknownInequalityError,
-    _Operands,
+    _OperandStack,
     _check_stack,
     check,
 )
@@ -50,6 +50,8 @@ ENSEMBLE_KINDS = ("ginibre", "hermitian", "normal", "psd", "rank_deficient", "un
 NORMAL_ENSEMBLE_KINDS = ("hermitian", "normal", "psd", "unitary")
 
 MAX_DIM = 64
+# The labels under which a trial seed derives the seeds of its X and Y.
+_OPERAND_LABELS = ("operand-x", "operand-y")
 # run_property_suite stacks no more entries per operand than one
 # MAX_DIM x MAX_DIM matrix holds.
 _STACK_ENTRIES = MAX_DIM * MAX_DIM
@@ -155,7 +157,9 @@ def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
     diag(R) moved into it; Haar distributed when a is Ginibre."""
     q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = np.where(np.abs(d) == 0.0, 1.0 + 0.0j, d / np.abs(d))
+    m = np.abs(d)
+    # A zero on the diagonal (a singular a) keeps the phase 1.
+    phases = np.divide(d, m, out=np.ones_like(d), where=m != 0.0)
     return q * phases[..., None, :]
 
 
@@ -174,8 +178,9 @@ def _normal(v: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _draw(kind: str, dim: int, seeds: np.ndarray) -> np.ndarray:
-    """One matrix of the ensemble per uint64 seed, as an (n, dim, dim) stack;
-    each matrix is bit-equal to the one drawn from its seed alone."""
+    """One matrix of the ensemble per uint64 seed of an array of seeds, as a
+    stack (*seeds.shape, dim, dim); each matrix is bit-equal to the one drawn
+    from its seed alone."""
     rng = CounterRng(seeds)
     if kind == "ginibre":
         return _gaussian(rng, dim, dim)
@@ -243,9 +248,9 @@ def run_single_trial(
     Replays any trial of run_property_suite bit for bit."""
     pool = list(specs)
     spec = pool[trial_seed % len(pool)]
-    x = generate(GeneratorSpec(spec.kind, spec.dim, derive_seed(trial_seed, "operand-x", 0)))
-    y = generate(GeneratorSpec(spec.kind, spec.dim, derive_seed(trial_seed, "operand-y", 0)))
-    return check(inequality_id, x, y, tol)
+    seeds = [[derive_seed(trial_seed, label, 0)] for label in _OPERAND_LABELS]
+    xy = _draw(spec.kind, spec.dim, np.array(seeds, dtype=np.uint64))
+    return check(inequality_id, ComplexMatrix(xy[0, 0]), ComplexMatrix(xy[1, 0]), tol)
 
 
 def run_property_suite(
@@ -276,10 +281,9 @@ def run_property_suite(
             step = _STACK_ENTRIES // spec.dim**2
             for start in range(0, len(group), step):
                 trial = group[start : start + step]
-                ts = seeds[trial]
-                x = _draw(spec.kind, spec.dim, _derive_seeds(ts, "operand-x", np.uint64(0)))
-                y = _draw(spec.kind, spec.dim, _derive_seeds(ts, "operand-y", np.uint64(0)))
-                holds[trial], rel[trial] = _check_stack(iid, x, y, tol)
+                ts = [_derive_seeds(seeds[trial], label, np.uint64(0)) for label in _OPERAND_LABELS]
+                xy = _draw(spec.kind, spec.dim, np.stack(ts))
+                holds[trial], rel[trial] = _check_stack(iid, xy[0], xy[1], tol)
         # The first smallest slack/scale in trial order; a NaN is never the worst.
         i = int(np.argmin(np.where(np.isnan(rel), math.inf, rel)))
         worst, worst_seed = (float(rel[i]), int(seeds[i])) if rel[i] < math.inf else (math.inf, 0)
@@ -395,9 +399,9 @@ def _ratio_for(inequality_id: str):
     rel = 1e-12 if inequality_id in ("C32", "R33") else 0.0
 
     def ratio(x, y):
-        pair = _Operands(x, y)
-        lhs, rhs = sides(pair)
-        if rhs == 0.0 or (rel and rhs <= target * rel * max(pair.nx, pair.ny, 1.0)):
+        pair = _OperandStack(np.array(((x,), (y,))))
+        lhs, rhs = (side.item() for side in sides(pair))
+        if rhs == 0.0 or (rel and rhs <= target * rel * max(*pair.norms.ravel().tolist(), 1.0)):
             return -math.inf
         return target * lhs / rhs
 

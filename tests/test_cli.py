@@ -170,24 +170,36 @@ class TestVerify:
         assert code == 2
         assert "trials" in err
 
-    # sha256 of the stdout, captured when both moduli of an operand came from
-    # its one SVD.  A change that moves any output bit must re-baseline these
-    # on purpose and state the largest worst_slack drift.
+    # sha256 of the stdout.  The verify pins were captured when both moduli
+    # of an operand came from its one SVD, the scan and repro pins when the
+    # scanner still evaluated single pairs through their own pair type.  A
+    # change that moves any output bit must re-baseline these on purpose and
+    # state the largest drift.
     @pytest.mark.parametrize(
         "argv, sha256",
         [
             (
-                ("--trials", "30", "--dims", "1..8", "--seed", "7"),
+                ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
                 "b51961d745eed6a948289949d577ec37c0f4380669d2cdc3cd32b36be4ac3c89",
             ),
             (
-                ("--trials", "2", "--dims", "32,64", "--seed", "7"),
+                ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
                 "fd3271629fd71a9d1da5b245d9abf2455dbd5cb2c35caa41f1c9ef43e982dd61",
             ),
+            (
+                ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
+                "b37a918bae48277db13818ff8d354002a0195ac1dcea5def4f2eb01ebc189e22",
+            ),
+            # The normal-pair codec and the C32/R33 degenerate-denominator guard.
+            (
+                ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
+                "c0b1bf837038f593950cf453cf39ed4d983d464a7a2d2f9b96113d04bbc1c303",
+            ),
+            (("repro",), "b40e0e5a3725941c947d95d3089246fa710ec3b526f73d5d04b1eb1d74804588"),
         ],
     )
     def test_golden_output(self, capsys, argv, sha256):
-        code, out, _ = run_cli(capsys, "verify", *argv)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
@@ -227,11 +239,19 @@ class TestStrictJson:
         "argv", [["check", "--id", "T37"], ["angle"], ["--format", "text", "angle"]]
     )
     def test_result_outside_float64_exits_2(self, tmp_path, argv):
-        # Norms of 1e160-scaled operands overflow float64; run the CLI as a
-        # user does, outside the test run's warning filter.
+        # Norms of 1e160-scaled operands overflow float64.
+        self.assert_exits_2(tmp_path, argv, 1e160, 3)
+
+    def test_inner_product_modulus_outside_float64_exits_2(self, tmp_path):
+        # At 1e154 the parts of <X, Y> are finite but its modulus is not.
+        self.assert_exits_2(tmp_path, ["check", "--id", "CS_21"], 1e154, 2)
+
+    @staticmethod
+    def assert_exits_2(tmp_path, argv, factor, dim):
+        # Run the CLI as a user does, outside the test run's warning filter.
+        specs = (GeneratorSpec("normal", dim, s) for s in (0, 1))
         x, y = (
-            write_matrix(tmp_path / f"{s}.json", scale(1e160, generate(GeneratorSpec("normal", 3, s))))
-            for s in (0, 1)
+            write_matrix(tmp_path / f"{s.seed}.json", scale(factor, generate(s))) for s in specs
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsangle.__file__)))
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,15 @@ class TestSharpnessScan:
             assert np.linalg.norm(m @ m.conj().T - m.conj().T @ m) <= 1e-10 * (
                 1.0 + np.linalg.norm(m) ** 2
             )
+
+    def test_normal_codec_decodes_a_singular_point_without_warnings(self):
+        # A zero on the diagonal of R keeps the phase 1 instead of dividing
+        # 0 by 0; the pair is V diag(0) V*, so zero.
+        codec = random_lab._NormalPairCodec(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, y = codec.decode(np.zeros(codec.nparams))
+        assert not x.any() and not y.any()
 
     def test_witness_pair_reproduces_ratio(self):
         result = sharpness_scan("T37", 2, 5000, 3)
