@@ -42,6 +42,13 @@ class AngleReport:
         }
 
 
+def _ldexp(a: np.ndarray, e) -> np.ndarray:
+    """a * 2^e of a complex array, exactly, part by part: 2^e may overflow."""
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
+    return out
+
+
 def _norms(a: np.ndarray) -> np.ndarray:
     """The norm of each matrix of a stack (..., r, c), bit for bit
     np.linalg.norm's: the strided dot products of the real and imaginary
@@ -51,25 +58,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
     if not n.all():
         # squared subnormals underflow; rescale so zero detection stays exact
         for i in np.flatnonzero(n == 0.0):
-            m = np.abs(v[i]).max()
-            if m > 0.0:
-                n[i] = m * np.linalg.norm(v[i] / m)
+            e = np.frexp(np.abs(v[i]).max())[1]
+            n[i] = np.ldexp(np.linalg.norm(_ldexp(v[i], -e)), e)
     return n.reshape(a.shape[:-2])
 
 
 def _inners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x, y> = tr(y* x) of a pair of matrices, or of each pair of two stacks."""
     return (_ct(y) @ x).trace(axis1=-2, axis2=-1)
-
-
-def _min(a, b):
-    """min(a, b) as Python picks it, a unless b < a, elementwise."""
-    return np.where(b < a, b, a)
-
-
-def _max(a, b):
-    """max(a, b) as Python picks it, a unless b > a, elementwise."""
-    return np.where(b > a, b, a)
 
 
 class _PairStack:
@@ -91,18 +87,22 @@ class _PairStack:
     ndiff = property(lambda p: _norms(p.xy[0] - p.xy[1]))
 
     @cached_property
+    def _scaled(self):
+        """xy and the norms, each operand scaled exactly by a power of two near
+        its norm, so that neither the inner product nor nx * ny underflows."""
+        e = np.frexp(self.norms)[1]
+        return _ldexp(self.xy, -e[..., None, None]), np.ldexp(self.norms, -e)
+
+    @cached_property
     def cos(self) -> np.ndarray:
-        # Scale each operand by a power of two near its norm, so that neither
-        # the inner product nor nx * ny underflows; the scaling itself is exact.
-        s = np.ldexp(1.0, np.frexp(self.norms)[1])
-        xy, n = self.xy / s[..., None, None], self.norms / s
-        # Against a constant, fmin and fmax pick as Python's min and max do,
-        # a NaN included: min(1.0, max(-1.0, c)).
+        xy, n = self._scaled
+        # Clamped into [-1, 1] against roundoff.
         return np.fmin(1.0, np.fmax(-1.0, _inners(xy[0], xy[1]).real / (n[0] * n[1])))
 
     @cached_property
     def sin(self) -> np.ndarray:
-        u = self.xy / self.norms[..., None, None]
+        xy, n = self._scaled
+        u = xy / n[..., None, None]
         return np.fmin(1.0, _norms(u[0] - self.cos[:, None, None] * u[1]))
 
 

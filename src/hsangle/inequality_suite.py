@@ -32,7 +32,7 @@ import numpy as np
 
 from .matrix_core import ComplexMatrix, ShapeError, _ct, digest
 from .spectral import _Moduli, is_psd
-from .hs_geometry import _PairStack, _angle_pairs, _max, _min, _norms
+from .hs_geometry import _PairStack, _angle_pairs, _ldexp, _norms
 
 SQRT2 = math.sqrt(2.0)
 # Sharp coefficient in the sum inequality T37.
@@ -77,26 +77,14 @@ class InequalityReport:
         }
 
 
-def _sq(v: np.ndarray) -> np.ndarray:
-    """v ** 2 of each entry, squared as a Python float: float ** 2 is libm
-    pow, which differs from numpy's square in the last bit."""
-    return np.array([t ** 2 for t in v.ravel().tolist()]).reshape(v.shape)
-
-
-def _cabs(z: np.ndarray) -> np.ndarray:
-    """abs of each complex entry as Python's abs(complex) computes it (libm
-    hypot); numpy's abs of a complex array differs in the last bit."""
-    return np.hypot(z.real, z.imag)
-
-
 def _normal_mask(a: np.ndarray, tol: float = NORMALITY_TOL) -> np.ndarray:
     """is_normal of each matrix of a stack (..., d, d)."""
     # Decided on X / 2^e with 2^e near max |x_ij|, so that the commutator
     # cannot overflow; the scaling is exact.  2^-2e is capped against overflow.
     e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
-    a = a * np.ldexp(1.0, -e)[..., None, None]
+    a = _ldexp(a, -e[..., None, None])
     dev = _norms(a @ _ct(a) - _ct(a) @ a)
-    return dev <= tol * (np.ldexp(1.0, np.minimum(-2 * e, 1000)) + _sq(_norms(a)))
+    return dev <= tol * (np.ldexp(1.0, np.minimum(-2 * e, 1000)) + np.square(_norms(a)))
 
 
 def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
@@ -115,17 +103,17 @@ class _OperandStack(_PairStack):
 
 # (lhs, rhs) of each registry entry, as (n,) arrays over an _OperandStack.
 _REGISTRY = {
-    "CS_21": lambda p: (_cabs(p.inner), p.nx * p.ny),
-    "T213": lambda p: (_sq(_cabs(p.inner)), p.adj.inner.real * p.abs.inner.real),
-    "T214i": lambda p: (_sq(p.cos), p.adj.cos * p.abs.cos),
+    "CS_21": lambda p: (abs(p.inner), p.nx * p.ny),
+    "T213": lambda p: (np.square(abs(p.inner)), p.adj.inner.real * p.abs.inner.real),
+    "T214i": lambda p: (np.square(p.cos), p.adj.cos * p.abs.cos),
     # Cosines of PSD pairs are nonnegative; clamp roundoff before the sqrt.
-    "T214ii": lambda p: (abs(p.cos), np.sqrt(_max(0.0, _min(p.adj.cos, p.abs.cos)))),
-    "T214iii": lambda p: (_sq(p.adj.sin) + _sq(p.abs.sin), 2.0 * _sq(p.sin)),
-    "T31": lambda p: (_sq(p.adj.ndiff) + _sq(p.abs.ndiff), 2.0 * _sq(p.ndiff)),
+    "T214ii": lambda p: (abs(p.cos), np.sqrt(np.maximum(0.0, np.minimum(p.adj.cos, p.abs.cos)))),
+    "T214iii": lambda p: (np.square(p.adj.sin) + np.square(p.abs.sin), 2.0 * np.square(p.sin)),
+    "T31": lambda p: (np.square(p.adj.ndiff) + np.square(p.abs.ndiff), 2.0 * np.square(p.ndiff)),
     "C32": lambda p: (p.abs.ndiff, SQRT2 * p.ndiff),
     "R33": lambda p: (p.abs.ndiff, p.ndiff),
-    "T34": lambda p: (_sq(p.nsum), p.adj.nsum * p.abs.nsum),
-    "T35": lambda p: (_sq(p.abs.ndiff), p.nsum * p.ndiff),
+    "T34": lambda p: (np.square(p.nsum), p.adj.nsum * p.abs.nsum),
+    "T35": lambda p: (np.square(p.abs.ndiff), p.nsum * p.ndiff),
     "L31": lambda p: (
         p.nx * p.ny * p.abs.cos,
         p.abs.cos * (p.nx * p.nx + p.ny * p.ny) - p.nx * p.ny * p.abs.cos * p.abs.cos,
@@ -189,12 +177,11 @@ def check(
     return InequalityReport(inequality_id, lhs, rhs, slack, holds, scale, digest(x, y))
 
 
-def _check_stack(inequality_id: str, x: np.ndarray, y: np.ndarray, tol: float):
-    """check over stacks x, y (n, d, d) of a registry id: the arrays holds
-    and slack/scale, entry by entry bit-equal to check's."""
-    lhs, rhs = _sides(inequality_id, np.array((x, y)))
-    # _max picks as check's max(|lhs|, |rhs|, 1.0) does.
-    scale = _max(_max(abs(lhs), abs(rhs)), 1.0)
+def _check_stack(inequality_id: str, xy: np.ndarray, tol: float):
+    """check over a stack xy (2, n, d, d) of operand pairs of a registry id:
+    the arrays holds and slack/scale, entry by entry bit-equal to check's."""
+    lhs, rhs = _sides(inequality_id, xy)
+    scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
     slack = rhs - lhs
     return slack >= -tol * scale, slack / scale
 
@@ -215,11 +202,16 @@ def commutation_identity_residual(x: ComplexMatrix, y: ComplexMatrix, z: Complex
 
     normalized by 1 + lhs.
     """
-    xz, zy, xsz, zys = _products("commutation_identity_residual", x, y, z)
+    products = _products("commutation_identity_residual", x, y, z)
+    # Over the products scaled by 2^-k, with 2^k near their largest entry, no
+    # square overflows; the scaling is exact, so 1 + lhs becomes 2^-2k + lhs
+    # of the scaled sides.  2^-2k is capped against overflow.
+    k = math.frexp(max(np.abs(p).max() for p in products))[1]
+    xz, zy, xsz, zys = (_ldexp(p, -k) for p in products)
     n = np.linalg.norm
     lhs = n(xz - zy) ** 2 + n(xsz) ** 2 + n(zys) ** 2
     rhs = n(xz) ** 2 + n(zy) ** 2 + n(xsz - zys) ** 2
-    return abs(lhs - rhs) / (1.0 + lhs)
+    return abs(lhs - rhs) / (math.ldexp(1.0, min(-2 * k, 1000)) + lhs)
 
 
 def adjoint_link_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) -> float:

@@ -164,17 +164,8 @@ def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
 
 
 def _normal(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """V diag(d) V* for unitary V, or for each V and d of a stack."""
-    d = d[..., None, :]
-    if v.shape[-1] > 1:
-        return (v * d) @ _ct(v)
-    # At dim 1, numpy multiplies a lone (1, 1) by (1,) without FMA but a
-    # stack of them with it; spelled out in real arithmetic, the product
-    # keeps the bits of a single draw.
-    vd = np.empty(v.shape, dtype=np.complex128)
-    vd.real = v.real * d.real - v.imag * d.imag
-    vd.imag = v.real * d.imag + v.imag * d.real
-    return vd @ _ct(v)
+    """V diag(d) V* for each unitary V and vector d of a stack."""
+    return (v * d[..., None, :]) @ _ct(v)
 
 
 def _draw(kind: str, dim: int, seeds: np.ndarray) -> np.ndarray:
@@ -283,7 +274,7 @@ def run_property_suite(
                 trial = group[start : start + step]
                 ts = [_derive_seeds(seeds[trial], label, np.uint64(0)) for label in _OPERAND_LABELS]
                 xy = _draw(spec.kind, spec.dim, np.stack(ts))
-                holds[trial], rel[trial] = _check_stack(iid, xy[0], xy[1], tol)
+                holds[trial], rel[trial] = _check_stack(iid, xy, tol)
         # The first smallest slack/scale in trial order; a NaN is never the worst.
         i = int(np.argmin(np.where(np.isnan(rel), math.inf, rel)))
         worst, worst_seed = (float(rel[i]), int(seeds[i])) if rel[i] < math.inf else (math.inf, 0)
@@ -399,7 +390,7 @@ def _ratio_for(inequality_id: str):
     rel = 1e-12 if inequality_id in ("C32", "R33") else 0.0
 
     def ratio(x, y):
-        pair = _OperandStack(np.array(((x,), (y,))))
+        pair = _OperandStack(np.array((x, y)))
         lhs, rhs = (side.item() for side in sides(pair))
         if rhs == 0.0 or (rel and rhs <= target * rel * max(*pair.norms.ravel().tolist(), 1.0)):
             return -math.inf
@@ -408,43 +399,19 @@ def _ratio_for(inequality_id: str):
     return ratio
 
 
-class _RawPairCodec:
-    """Parameters are [re X, im X, re Y, im Y], each dim^2 row-major."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.block = dim * dim
-        self.nparams = 4 * self.block
-
-    def decode(self, p: np.ndarray):
-        d, b = self.dim, self.block
-        x = (p[0:b] + 1j * p[b : 2 * b]).reshape(d, d)
-        y = (p[2 * b : 3 * b] + 1j * p[3 * b : 4 * b]).reshape(d, d)
-        return x, y
+def _raw_pair(p: np.ndarray, dim: int) -> np.ndarray:
+    """The pair stack (2, 1, dim, dim) of the parameters [re X, im X, re Y,
+    im Y], each dim^2 row-major."""
+    q = p[: 4 * dim * dim].reshape(2, 2, 1, dim, dim)
+    return q[:, 0] + 1j * q[:, 1]
 
 
-class _NormalPairCodec:
-    """Parameters for a pair constrained to the normal matrices:
-    X = V diag(d) V* with V the phase-fixed QR factor of a free matrix A.
-    Layout: [re A_x, im A_x, re A_y, im A_y, re d_x, im d_x, re d_y, im d_y].
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.block = dim * dim
-        self.nparams = 4 * self.block + 4 * dim
-
-    def _unitary(self, re, im):
-        return _phase_fixed_q((re + 1j * im).reshape(self.dim, self.dim))
-
-    def decode(self, p: np.ndarray):
-        b, d = self.block, self.dim
-        vx = self._unitary(p[0:b], p[b : 2 * b])
-        vy = self._unitary(p[2 * b : 3 * b], p[3 * b : 4 * b])
-        o = 4 * b
-        dx = p[o : o + d] + 1j * p[o + d : o + 2 * d]
-        dy = p[o + 2 * d : o + 3 * d] + 1j * p[o + 3 * d : o + 4 * d]
-        return _normal(vx, dx), _normal(vy, dy)
+def _normal_pair(p: np.ndarray, dim: int) -> np.ndarray:
+    """The pair stack (2, 1, dim, dim) of normal matrices V diag(d) V*, with
+    V the phase-fixed QR factor of a free matrix A.  Layout: [re A_x, im A_x,
+    re A_y, im A_y, re d_x, im d_x, re d_y, im d_y]."""
+    q = p[4 * dim * dim :].reshape(2, 2, 1, dim)
+    return _normal(_phase_fixed_q(_raw_pair(p, dim)), q[:, 0] + 1j * q[:, 1])
 
 
 def sharpness_scan(
@@ -468,7 +435,8 @@ def sharpness_scan(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     target = SCAN_TARGETS[inequality_id]
-    codec = _NormalPairCodec(dim) if inequality_id == "R33" else _RawPairCodec(dim)
+    decode = _normal_pair if inequality_id == "R33" else _raw_pair
+    nparams = 4 * dim * dim + (4 * dim if decode is _normal_pair else 0)
     ratio_fn = _ratio_for(inequality_id)
     rng = CounterRng(derive_seed(master_seed, "scan:" + inequality_id, dim))
 
@@ -477,12 +445,11 @@ def sharpness_scan(
     def evaluate(p):
         nonlocal evals
         evals += 1
-        x, y = codec.decode(p)
-        return ratio_fn(x, y)
+        return ratio_fn(*decode(p, dim))
 
     best, best_params = -math.inf, None
     while evals < iterations:
-        start, current = rng.normals(codec.nparams), -math.inf
+        start, current = rng.normals(nparams), -math.inf
         for _ in range(_SCAN_POLISH_CHAIN):
             remaining = iterations - evals
             if remaining < 1:
@@ -503,7 +470,7 @@ def sharpness_scan(
             if value <= current + 1e-15:
                 break
             current, start = value, result.x
-    wx, wy = codec.decode(best_params)
+    wx, wy = decode(best_params, dim)[:, 0]
     return ScanResult(
         inequality_id, float(best), target, ComplexMatrix(wx), ComplexMatrix(wy), iterations
     )

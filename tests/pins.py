@@ -1,0 +1,85 @@
+"""sha256 pins of the CLI's stdout and of generate's bits, computed at one
+pinned dispatch level.
+
+numpy's SIMD loops (AVX2 or AVX-512) and OpenBLAS's kernels decide the last
+bits of the results, so the pins are defined with both pinned: numpy
+dispatches no further than X86_V3, OpenBLAS runs its Haswell kernels on one
+thread.  pinned_digests() computes every pin in one subprocess at that
+level, with RuntimeWarnings as errors as in the test run.  Run as a
+script, this prints the digests as one JSON object:
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 NPY_ENABLE_CPU_FEATURES=X86_V3 \
+        OPENBLAS_CORETYPE=Haswell python tests/pins.py
+"""
+
+import contextlib
+import functools
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PINNED_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "NPY_ENABLE_CPU_FEATURES": "X86_V3",
+    "OPENBLAS_CORETYPE": "Haswell",
+}
+# numpy refuses to import when asked to enable a feature the CPU lacks, with
+# this in its message.
+UNSUPPORTED = "not supported by your machine"
+
+CLI_PINS = (
+    ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
+    ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
+    ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
+    ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
+    ("repro",),
+)
+GENERATE = "generate"
+
+
+def _digests() -> dict:
+    """sha256 of each CLI_PINS run's stdout, keyed by its joined argv, and of
+    the bits of generate over every ensemble, keyed GENERATE."""
+    from hsangle import ENSEMBLE_KINDS, GeneratorSpec, cli, generate
+
+    out = {}
+    for argv in CLI_PINS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(list(argv))
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}")
+        out[" ".join(argv)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    h = hashlib.sha256()
+    for kind in ENSEMBLE_KINDS:
+        for dim in (1, 2, 3, 4, 5, 6, 7, 8, 17, 32, 64):
+            for seed in (0, 1, 2**64 - 1):
+                h.update(generate(GeneratorSpec(kind, dim, seed)).a.tobytes())
+    out[GENERATE] = h.hexdigest()
+    return out
+
+
+@functools.cache
+def pinned_digests():
+    """The digests at the pinned dispatch level, or None on a machine that
+    cannot enable X86_V3."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env.update(PINNED_ENV)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", __file__],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    if proc.returncode != 0 and UNSUPPORTED in proc.stderr:
+        return None
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+if __name__ == "__main__":
+    print(json.dumps(_digests(), indent=1))

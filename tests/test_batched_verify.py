@@ -6,7 +6,6 @@ built on run_single_trial, the replay oracle: the JSON of both must be
 byte-identical, and so must every trial's holds and slack/scale.
 """
 
-import hashlib
 import json
 import math
 
@@ -28,6 +27,7 @@ from hsangle import (
 )
 from hsangle.inequality_suite import _check_stack
 from hsangle.random_lab import _draw
+from pins import GENERATE, pinned_digests
 
 
 def per_trial_suite(ids, specs, trials, tol, master_seed):
@@ -80,8 +80,8 @@ def test_each_stacked_trial_is_bit_equal_to_check(inequality_id):
     for kind in kinds:
         for dim in (1, 2, 3, 5, 8):
             seeds = np.arange(30, dtype=np.uint64) * np.uint64(2654435761) + np.uint64(dim)
-            x, y = _draw(kind, dim, seeds), _draw(kind, dim, seeds + np.uint64(1))
-            holds, rel = _check_stack(inequality_id, x, y, 1e-9)
+            xy = _draw(kind, dim, np.stack((seeds, seeds + np.uint64(1))))
+            holds, rel = _check_stack(inequality_id, xy, 1e-9)
             for i in range(len(seeds)):
                 spec = (GeneratorSpec(kind, dim, int(s)) for s in (seeds[i], seeds[i] + np.uint64(1)))
                 rep = check(inequality_id, *map(generate, spec))
@@ -96,14 +96,13 @@ def test_zero_operands_follow_check(inequality_id):
     kind = "normal" if inequality_id == "R33" else "ginibre"
     a = _draw(kind, 3, np.arange(4, dtype=np.uint64))
     zero = np.zeros_like(a[0])
-    x = np.stack([zero, a[0], zero, a[1]])
-    y = np.stack([a[2], zero, zero, a[3]])
-    holds, rel = _check_stack(inequality_id, x, y, 1e-9)
-    for i in range(len(x)):
-        rep = check(inequality_id, ComplexMatrix(x[i]), ComplexMatrix(y[i]))
+    xy = np.array([[zero, a[0], zero, a[1]], [a[2], zero, zero, a[3]]])
+    holds, rel = _check_stack(inequality_id, xy, 1e-9)
+    for i in range(xy.shape[1]):
+        rep = check(inequality_id, ComplexMatrix(xy[0, i]), ComplexMatrix(xy[1, i]))
         assert holds[i] == rep.holds
         assert rel[i].tobytes() == np.float64(rep.slack / rep.scale).tobytes()
-    holds, rel = _check_stack(inequality_id, x[2:3], y[2:3], 1e-9)
+    holds, rel = _check_stack(inequality_id, xy[:, 2:3], 1e-9)
     assert holds.tolist() == [True] and rel.tolist() == [0.0]
 
 
@@ -117,11 +116,10 @@ def test_stacked_draw_equals_generate(kind, dim):
 
 
 def test_generate_keeps_its_bits():
-    # sha256 captured when generate drew one matrix at a time; a change to
-    # any ensemble's bits must re-baseline this and the verify digests.
-    h = hashlib.sha256()
-    for kind in ENSEMBLE_KINDS:
-        for dim in (1, 2, 3, 4, 5, 6, 7, 8, 17, 32, 64):
-            for seed in (0, 1, 2**64 - 1):
-                h.update(generate(GeneratorSpec(kind, dim, seed)).a.tobytes())
-    assert h.hexdigest() == "90c02f4ed95c7b11e92188d363949e13cf732dfc6f54bdddc974403c47ebf01c"
+    # sha256 of every ensemble's draws, computed by tests/pins.py at its
+    # pinned dispatch level; a change to any ensemble's bits must
+    # re-baseline this and the verify digests.
+    digests = pinned_digests()
+    if digests is None:
+        pytest.skip("this machine cannot enable numpy's X86_V3 dispatch")
+    assert digests[GENERATE] == "68f6d7a3e803574d356ed4466fa6531d39b1cc9a36823247d9210324952fdc2d"

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +9,7 @@ import pytest
 import hsangle
 from hsangle import ComplexMatrix, GeneratorSpec, abs_op, generate, scale, witness_triple
 from hsangle.cli import main
+from pins import pinned_digests
 
 
 def write_matrix(path, m):
@@ -170,38 +170,37 @@ class TestVerify:
         assert code == 2
         assert "trials" in err
 
-    # sha256 of the stdout.  The verify pins were captured when both moduli
-    # of an operand came from its one SVD, the scan and repro pins when the
-    # scanner still evaluated single pairs through their own pair type.  A
-    # change that moves any output bit must re-baseline these on purpose and
-    # state the largest drift.
+    # sha256 of the stdout, computed by tests/pins.py at its pinned dispatch
+    # level.  A change that moves any output bit must re-baseline these on
+    # purpose and state the largest drift.
     @pytest.mark.parametrize(
         "argv, sha256",
         [
             (
                 ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
-                "b51961d745eed6a948289949d577ec37c0f4380669d2cdc3cd32b36be4ac3c89",
+                "354685c3ba67eebb9c538c2ff197c644403bd9641391d5cde4eae546e85d5ba4",
             ),
             (
                 ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
-                "fd3271629fd71a9d1da5b245d9abf2455dbd5cb2c35caa41f1c9ef43e982dd61",
+                "b53fa32bf27513090ea94533296fef799788c5820955d99231e0cffd46e99d66",
             ),
             (
                 ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
                 "b37a918bae48277db13818ff8d354002a0195ac1dcea5def4f2eb01ebc189e22",
             ),
-            # The normal-pair codec and the C32/R33 degenerate-denominator guard.
+            # The normal-pair decoder and the C32/R33 degenerate-denominator guard.
             (
                 ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
-                "c0b1bf837038f593950cf453cf39ed4d983d464a7a2d2f9b96113d04bbc1c303",
+                "0d11cbc60000c03518d9c735449e4cc4e421c5ee63b16e93de711960a7f6783b",
             ),
             (("repro",), "b40e0e5a3725941c947d95d3089246fa710ec3b526f73d5d04b1eb1d74804588"),
         ],
     )
-    def test_golden_output(self, capsys, argv, sha256):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    def test_golden_output(self, argv, sha256):
+        digests = pinned_digests()
+        if digests is None:
+            pytest.skip("this machine cannot enable numpy's X86_V3 dispatch")
+        assert digests[" ".join(argv)] == sha256
 
 
 class TestRepro:
@@ -246,10 +245,14 @@ class TestStrictJson:
         # At 1e154 the parts of <X, Y> are finite but its modulus is not.
         self.assert_exits_2(tmp_path, ["check", "--id", "CS_21"], 1e154, 2)
 
+    def test_squared_inner_product_outside_float64_exits_2(self, tmp_path):
+        # At 1e154 |<X, Y>| is finite but its square, a side of T213, is not.
+        self.assert_exits_2(tmp_path, ["check", "--id", "T213"], 1e154, 2, "ginibre")
+
     @staticmethod
-    def assert_exits_2(tmp_path, argv, factor, dim):
+    def assert_exits_2(tmp_path, argv, factor, dim, kind="normal"):
         # Run the CLI as a user does, outside the test run's warning filter.
-        specs = (GeneratorSpec("normal", dim, s) for s in (0, 1))
+        specs = (GeneratorSpec(kind, dim, s) for s in (0, 1))
         x, y = (
             write_matrix(tmp_path / f"{s.seed}.json", scale(factor, generate(s))) for s in specs
         )
@@ -261,6 +264,7 @@ class TestStrictJson:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "outside float64" in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error:")
         assert "Traceback" not in proc.stderr
 
 

@@ -94,6 +94,17 @@ class TestNorm:
         assert hs_norm(zeros(3, 3)) == 0.0
         assert hs_norm(ComplexMatrix.from_rows([[0, 1e-300], [0, 0]])) > 0.0
 
+    def test_subnormal_entries(self):
+        # The largest entry is subnormal, so the power of two that scales it
+        # up to 1 overflows; the norm and both angles must still come out.
+        x = ComplexMatrix.from_rows([[1e-310 + 2e-310j]])
+        padded = ComplexMatrix.from_rows([[1e-310 + 2e-310j, 0.0]])
+        y = ComplexMatrix.from_rows([[1e-310]])
+        for m in (x, padded):
+            assert hs_norm(m) == pytest.approx(math.sqrt(5.0) * 1e-310, rel=1e-12)
+        assert cos_angle(x, y) == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-12)
+        assert sin_angle(x, y) == pytest.approx(2.0 / math.sqrt(5.0), rel=1e-12)
+
 
 class TestAngles:
     def test_self_and_negation(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,11 @@ class TestRegistry:
                 x = generate(GeneratorSpec("normal", dim, seed))
                 assert is_normal(scale(2.0**k, x))
 
+    def test_subnormal_operands_stay_normal(self):
+        # 2^-e near the largest entry overflows when that entry is subnormal.
+        assert is_normal(ComplexMatrix.from_rows([[1e-310 + 2e-310j]]))
+        assert is_normal(scale(2.0**-1030, generate(GeneratorSpec("normal", 3, 0))))
+
     def test_unknown_id(self):
         with pytest.raises(UnknownInequalityError):
             check("T99", identity(2), identity(2))
@@ -174,6 +180,25 @@ class TestCommutationIdentity:
         for _ in range(60):
             x, y, z = (random_matrix(rng, 6) for _ in range(3))
             assert commutation_identity_residual(x, y, z) <= 1e-12
+
+    def test_large_operands(self):
+        # Squared norms of the products of X = 1e160 I overflow unless the
+        # products are scaled first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residual = commutation_identity_residual(scale(1e160, identity(2)), identity(2), identity(2))
+        assert residual <= 1e-12
+
+    def test_in_range_residual_is_the_unscaled_formula(self):
+        # The power-of-two scaling is exact: the residual keeps its bits.
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            x, y, z = (random_matrix(rng, 4) for _ in range(3))
+            xz, zy, xsz, zys = x.a @ z.a, z.a @ y.a, x.a.conj().T @ z.a, z.a @ y.a.conj().T
+            n = np.linalg.norm
+            lhs = n(xz - zy) ** 2 + n(xsz) ** 2 + n(zys) ** 2
+            rhs = n(xz) ** 2 + n(zy) ** 2 + n(xsz - zys) ** 2
+            assert commutation_identity_residual(x, y, z) == abs(lhs - rhs) / (1.0 + lhs)
 
     def test_normal_pair_norm_transfer(self):
         rng = np.random.default_rng(66)

@@ -24,7 +24,7 @@ from hsangle import (
     witness_triple,
 )
 from hsangle import cli, hs_geometry, inequality_suite, matrix_core, random_lab
-from hsangle.random_lab import SCAN_TARGETS, _NormalPairCodec, _RawPairCodec, _ratio_for
+from hsangle.random_lab import SCAN_TARGETS, _normal_pair, _raw_pair, _ratio_for
 
 
 @pytest.fixture
@@ -110,12 +110,12 @@ def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypat
 def test_scan_ratio_is_target_times_lhs_over_rhs(inequality_id):
     target = SCAN_TARGETS[inequality_id]
     ratio = _ratio_for(inequality_id)
-    codec = _NormalPairCodec(3) if inequality_id == "R33" else _RawPairCodec(3)
+    decode, nparams = (_normal_pair, 48) if inequality_id == "R33" else (_raw_pair, 36)
     rng = np.random.default_rng(17)
     for _ in range(50):
-        x, y = codec.decode(rng.normal(size=codec.nparams))
-        rep = check(inequality_id, ComplexMatrix(x), ComplexMatrix(y))
-        assert abs(ratio(x, y) - target * rep.lhs / rep.rhs) <= 1e-12
+        xy = decode(rng.normal(size=nparams), 3)
+        rep = check(inequality_id, ComplexMatrix(xy[0, 0]), ComplexMatrix(xy[1, 0]))
+        assert abs(ratio(*xy) - target * rep.lhs / rep.rhs) <= 1e-12
 
 
 def test_repro_values_are_the_check_sides():

@@ -211,11 +211,10 @@ class TestSharpnessScan:
     def test_normal_codec_decodes_a_singular_point_without_warnings(self):
         # A zero on the diagonal of R keeps the phase 1 instead of dividing
         # 0 by 0; the pair is V diag(0) V*, so zero.
-        codec = random_lab._NormalPairCodec(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, y = codec.decode(np.zeros(codec.nparams))
-        assert not x.any() and not y.any()
+            xy = random_lab._normal_pair(np.zeros(24), 2)
+        assert xy.shape == (2, 1, 2, 2) and not xy.any()
 
     def test_witness_pair_reproduces_ratio(self):
         result = sharpness_scan("T37", 2, 5000, 3)
