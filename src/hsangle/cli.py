@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .matrix_core import ComplexMatrix, ValidationError
 from .spectral import EigensolverError, abs_op, franca_abs_2x2, polar, polar_identity_residuals
 from .hs_geometry import angle_report
@@ -218,8 +220,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An overflow on an accepted input ends in a non-finite result, which
+    # _emit maps to exit 2; numpy's warnings about it would only add noise.
     try:
-        return _COMMANDS[args.command](args, _tolerance(args.tol))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args, _tolerance(args.tol))
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

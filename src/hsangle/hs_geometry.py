@@ -49,17 +49,23 @@ def _ldexp(a: np.ndarray, e) -> np.ndarray:
     return out
 
 
+def _rownorms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def _norms(a: np.ndarray) -> np.ndarray:
     """The norm of each matrix of a stack (..., r, c), bit for bit
-    np.linalg.norm's: the strided dot products of the real and imaginary
-    parts that it takes, one vecdot over the stack for each."""
+    np.linalg.norm's when it is at least 2^-500: the strided dot products of
+    the real and imaginary parts that it takes, one vecdot over the stack
+    for each."""
     v = a.reshape(-1, a.shape[-2] * a.shape[-1])
-    n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-    if not n.all():
-        # squared subnormals underflow; rescale so zero detection stays exact
-        for i in np.flatnonzero(n == 0.0):
-            e = np.frexp(np.abs(v[i]).max())[1]
-            n[i] = np.ldexp(np.linalg.norm(_ldexp(v[i], -e)), e)
+    n = _rownorms(v)
+    tiny = n < 2.0**-500
+    if tiny.any():
+        # Below 2^-500 the squares lose bits to the subnormal range or
+        # underflow; rescale exactly by a power of two near the largest entry.
+        e = np.frexp(np.abs(v[tiny]).max(axis=1))[1]
+        n[tiny] = np.ldexp(_rownorms(_ldexp(v[tiny], -e[:, None])), e)
     return n.reshape(a.shape[:-2])
 
 

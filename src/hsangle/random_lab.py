@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .matrix_core import ComplexMatrix, _ct
 from .inequality_suite import (
@@ -357,8 +356,15 @@ SCAN_TARGETS = {
     "R33": 1.0,
 }
 
+# Restarts run in lockstep, each a chain of at most _SCAN_POLISH_CHAIN
+# Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations.
+_SCAN_RESTARTS = 6
 _SCAN_POLISH_CHAIN = 4
 _SCAN_POLISH_FEV = 6000
+# Nelder-Mead stop rules, and the steps of the initial simplex along each
+# axis (relative for a nonzero coordinate, absolute for a zero one).
+_SCAN_XATOL, _SCAN_FATOL = 1e-13, 1e-14
+_SCAN_NONZDELT, _SCAN_ZDELT = 0.05, 0.00025
 
 
 @dataclass(frozen=True)
@@ -383,7 +389,8 @@ class ScanResult:
 
 def _ratio_for(inequality_id: str):
     """The scan objective target * lhs / rhs of the registry entry, at most
-    the target and equal to it at a sharp pair.  A vanishing denominator
+    the target and equal to it at a sharp pair: ratio(x, y) maps the halves
+    (k, d, d) of a pair stack to the k ratios.  A vanishing denominator
     gives -inf; for C32 and R33 that is X - Y negligible against the
     operands."""
     sides, target = _REGISTRY[inequality_id], SCAN_TARGETS[inequality_id]
@@ -391,26 +398,28 @@ def _ratio_for(inequality_id: str):
 
     def ratio(x, y):
         pair = _OperandStack(np.array((x, y)))
-        lhs, rhs = (side.item() for side in sides(pair))
-        if rhs == 0.0 or (rel and rhs <= target * rel * max(*pair.norms.ravel().tolist(), 1.0)):
-            return -math.inf
-        return target * lhs / rhs
+        lhs, rhs = sides(pair)
+        floor = target * rel * np.maximum(pair.norms.max(axis=0), 1.0) if rel else 0.0
+        return np.divide(target * lhs, rhs, out=np.full(len(rhs), -math.inf), where=rhs > floor)
 
     return ratio
 
 
 def _raw_pair(p: np.ndarray, dim: int) -> np.ndarray:
-    """The pair stack (2, 1, dim, dim) of the parameters [re X, im X, re Y,
-    im Y], each dim^2 row-major."""
-    q = p[: 4 * dim * dim].reshape(2, 2, 1, dim, dim)
+    """The pair stack (2, k, dim, dim) of the k parameter rows of p (k, n),
+    or of one row (n,): [re X, im X, re Y, im Y], each dim^2 row-major."""
+    p = np.atleast_2d(p)
+    q = p[:, : 4 * dim * dim].reshape(len(p), 2, 2, dim, dim).transpose(1, 2, 0, 3, 4)
     return q[:, 0] + 1j * q[:, 1]
 
 
 def _normal_pair(p: np.ndarray, dim: int) -> np.ndarray:
-    """The pair stack (2, 1, dim, dim) of normal matrices V diag(d) V*, with
-    V the phase-fixed QR factor of a free matrix A.  Layout: [re A_x, im A_x,
-    re A_y, im A_y, re d_x, im d_x, re d_y, im d_y]."""
-    q = p[4 * dim * dim :].reshape(2, 2, 1, dim)
+    """The pair stack (2, k, dim, dim) of normal matrices V diag(d) V*, with
+    V the phase-fixed QR factor of a free matrix A, of the k parameter rows
+    of p (k, n), or of one row (n,).  Row layout: [re A_x, im A_x, re A_y,
+    im A_y, re d_x, im d_x, re d_y, im d_y]."""
+    p = np.atleast_2d(p)
+    q = p[:, 4 * dim * dim :].reshape(len(p), 2, 2, dim).transpose(1, 2, 0, 3)
     return _normal(_phase_fixed_q(_raw_pair(p, dim)), q[:, 0] + 1j * q[:, 1])
 
 
@@ -420,10 +429,17 @@ def sharpness_scan(
     """Maximize the lhs/rhs-coefficient ratio within exactly `iterations`
     evaluations.
 
-    Each restart draws a standard normal start point and runs a chain of up
-    to four derivative-free Nelder-Mead searches, each starting where the
-    last ended, until one fails to improve; restarts continue until the
-    budget is spent.  Deterministic in master_seed.  The scanner corroborates
+    _SCAN_RESTARTS restarts run Nelder-Mead (Nelder and Mead 1965; the
+    coefficients 1, 2, 1/2, 1/2) in lockstep: each step evaluates the
+    initial simplices of the polishes that begin, then every reflection,
+    then the expansions and contractions, then the shrink points, each as
+    one stack.  A restart draws a standard normal start point and runs a
+    chain of polishes, each starting where the last ended, until one fails
+    to improve; then it draws a fresh start, in restart order.  A polish
+    ends at the stop rules, when fewer than two of its _SCAN_POLISH_FEV
+    evaluations remain, or at a shrink that would pass them (an initial
+    simplex of more points is evaluated whole).  The last stack is cut to
+    the budget.  Deterministic in master_seed.  The scanner corroborates
     sharpness; it certifies nothing.
     """
     if inequality_id not in SCAN_TARGETS:
@@ -436,40 +452,74 @@ def sharpness_scan(
         raise ValueError("iterations must be >= 1")
     target = SCAN_TARGETS[inequality_id]
     decode = _normal_pair if inequality_id == "R33" else _raw_pair
-    nparams = 4 * dim * dim + (4 * dim if decode is _normal_pair else 0)
+    n = 4 * dim * dim + (4 * dim if decode is _normal_pair else 0)
     ratio_fn = _ratio_for(inequality_id)
     rng = CounterRng(derive_seed(master_seed, "scan:" + inequality_id, dim))
 
-    evals = 0
+    budget, best, best_params = iterations, -math.inf, None
 
-    def evaluate(p):
-        nonlocal evals
-        evals += 1
-        return ratio_fn(*decode(p, dim))
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        """-ratio of each row of points, minimized; rows past the budget are
+        not evaluated and get +inf, and so does a NaN ratio."""
+        nonlocal budget, best, best_params
+        k = min(len(points), budget)
+        f = np.full(len(points), math.inf)
+        if k:
+            budget -= k
+            f[:k] = np.fmin(-ratio_fn(*decode(points[:k], dim)), math.inf)
+            i = int(np.argmin(f))
+            if best_params is None or -f[i] > best:
+                best, best_params = -f[i], points[i].copy()
+        return f
 
-    best, best_params = -math.inf, None
-    while evals < iterations:
-        start, current = rng.normals(nparams), -math.inf
-        for _ in range(_SCAN_POLISH_CHAIN):
-            remaining = iterations - evals
-            if remaining < 1:
-                break
-            result = minimize(
-                lambda p: -evaluate(p),
-                start,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": min(_SCAN_POLISH_FEV, remaining),
-                    "xatol": 1e-13,
-                    "fatol": 1e-14,
-                },
-            )
-            value = -result.fun
-            if best_params is None or value > best:
-                best, best_params = value, result.x.copy()
-            if value <= current + 1e-15:
-                break
-            current, start = value, result.x
+    r, axis = _SCAN_RESTARTS, np.arange(n)
+    rows, sim, fsim = np.arange(r)[:, None], np.empty((r, n + 1, n)), np.empty((r, n + 1))
+    fev, link, last = np.zeros(r, dtype=int), np.zeros(r, dtype=int), np.full(r, -math.inf)
+    x0, fresh = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool)
+    while budget:
+        if fresh.any():
+            s = np.repeat(x0[:, None], n + 1, axis=1)
+            s[:, axis + 1, axis] = np.where(x0 != 0.0, (1.0 + _SCAN_NONZDELT) * x0, _SCAN_ZDELT)
+            fs = evaluate(s.reshape(-1, n)).reshape(-1, n + 1)
+            i, order = np.arange(len(fs))[:, None], np.argsort(fs, axis=1)
+            sim[fresh], fsim[fresh], fev[fresh] = s[i, order], fs[i, order], n + 1
+        xbar, worst = sim[:, :-1].sum(axis=1) / n, sim[:, -1]
+        xr = 2.0 * xbar - worst
+        fr = evaluate(xr)
+        # Where the reflection is not kept outright: expansion (t = 2),
+        # outside (t = 1/2) or inside (t = -1/2) contraction, at
+        # (1 + t) xbar - t worst; a failed contraction shrinks the simplex.
+        expand, outside = fr < fsim[:, 0], fr < fsim[:, -1]
+        second = expand | ~(fr < fsim[:, -2])
+        t = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
+        x2 = (1.0 + t) * xbar - t * worst
+        f2 = np.full(r, math.inf)
+        f2[second] = evaluate(x2[second])
+        take = second & np.where(expand, f2 < fr, np.where(outside, f2 <= fr, f2 < fsim[:, -1]))
+        shrink = second & ~expand & ~take
+        sim[:, -1] = np.where(take[:, None], x2, np.where(shrink[:, None], worst, xr))
+        fsim[:, -1] = np.where(take, f2, np.where(shrink, fsim[:, -1], fr))
+        fev += 1 + second
+        over, shrink = shrink & (fev + n > _SCAN_POLISH_FEV), shrink & (fev + n <= _SCAN_POLISH_FEV)
+        if shrink.any():
+            h = sim[shrink, :1] + 0.5 * (sim[shrink, 1:] - sim[shrink, :1])
+            sim[shrink, 1:], fsim[shrink, 1:] = h, evaluate(h.reshape(-1, n)).reshape(-1, n)
+            fev[shrink] += n
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+        # A restart whose polish ends goes on from the best vertex while the
+        # chain improves, else from a fresh start.
+        flat = fsim[:, -1] <= fsim[:, 0] + _SCAN_FATOL
+        if flat.any():
+            flat[flat] = np.abs(sim[flat, 1:] - sim[flat, :1]).max(axis=(1, 2)) <= _SCAN_XATOL
+        fresh = flat | over | (fev + 2 > _SCAN_POLISH_FEV)
+        if fresh.any():
+            value = -fsim[fresh, 0]
+            go = (value > last[fresh] + 1e-15) & (link[fresh] + 1 < _SCAN_POLISH_CHAIN)
+            x0 = sim[fresh, 0]
+            x0[~go] = rng.normals(np.count_nonzero(~go) * n).reshape(-1, n)
+            last[fresh] = np.where(go, value, -math.inf)
+            link[fresh] = np.where(go, link[fresh] + 1, 0)
     wx, wy = decode(best_params, dim)[:, 0]
     return ScanResult(
         inequality_id, float(best), target, ComplexMatrix(wx), ComplexMatrix(wy), iterations

@@ -67,6 +67,12 @@ def registry_sides(x, y) -> dict:
         }
 
 
+def norm(a) -> float:
+    """The Hilbert-Schmidt norm of a numpy matrix, rounded to float64 once."""
+    with mp.workdps(DIGITS):
+        return float(_norm(_matrix(a)))
+
+
 def relative_slack(lhs, rhs) -> float:
     """slack / scale as check defines it, (rhs - lhs) / max(|lhs|, |rhs|, 1),
     rounded to float64 once."""

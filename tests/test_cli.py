@@ -186,12 +186,12 @@ class TestVerify:
             ),
             (
                 ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
-                "b37a918bae48277db13818ff8d354002a0195ac1dcea5def4f2eb01ebc189e22",
+                "e81694bb2775914a5dd3052693c32255c0d74ebae6d3ac269e80d4e50440c202",
             ),
             # The normal-pair decoder and the C32/R33 degenerate-denominator guard.
             (
                 ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
-                "0d11cbc60000c03518d9c735449e4cc4e421c5ee63b16e93de711960a7f6783b",
+                "4868a82c5cc4344eca9f0216bdde2798d083a693ec85937284c8781ed1c639bf",
             ),
             (("repro",), "b40e0e5a3725941c947d95d3089246fa710ec3b526f73d5d04b1eb1d74804588"),
         ],
@@ -249,18 +249,31 @@ class TestStrictJson:
         # At 1e154 |<X, Y>| is finite but its square, a side of T213, is not.
         self.assert_exits_2(tmp_path, ["check", "--id", "T213"], 1e154, 2, "ginibre")
 
+    def test_overflow_warnings_stay_off_stderr(self, tmp_path):
+        # numpy warns of the overflow in the square; stderr holds only the
+        # one error line.
+        proc = self.run_scaled(tmp_path, ["check", "--id", "T213"], 1e154, 2, "ginibre")
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
     @staticmethod
-    def assert_exits_2(tmp_path, argv, factor, dim, kind="normal"):
-        # Run the CLI as a user does, outside the test run's warning filter.
+    def run_scaled(tmp_path, argv, factor, dim, kind):
+        """The CLI on two operands of the ensemble scaled by factor, run as a
+        user runs it, outside the test run's warning filter."""
         specs = (GeneratorSpec(kind, dim, s) for s in (0, 1))
         x, y = (
             write_matrix(tmp_path / f"{s.seed}.json", scale(factor, generate(s))) for s in specs
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsangle.__file__)))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "hsangle.cli", *argv, x, y],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    @classmethod
+    def assert_exits_2(cls, tmp_path, argv, factor, dim, kind="normal"):
+        proc = cls.run_scaled(tmp_path, argv, factor, dim, kind)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "outside float64" in proc.stderr

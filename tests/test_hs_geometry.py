@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hp_oracle import norm as oracle_norm
 from hsangle import (
     ComplexMatrix,
     ComplexVector,
@@ -104,6 +105,21 @@ class TestNorm:
             assert hs_norm(m) == pytest.approx(math.sqrt(5.0) * 1e-310, rel=1e-12)
         assert cos_angle(x, y) == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-12)
         assert sin_angle(x, y) == pytest.approx(2.0 / math.sqrt(5.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e-160, 0], [0, 1e-161]],
+            [[3e-170 + 4e-170j, 1e-155], [2e-158j, 0]],
+            [[1.2345678901234567e-157, 2.0**-560], [0, 1e-300]],
+        ],
+    )
+    def test_partly_underflowing_squares(self, rows):
+        # Some squares fall into the subnormal range or underflow, so the
+        # sum of squares loses digits; the rescaled norm keeps them all.
+        m = ComplexMatrix.from_rows(rows)
+        ref = oracle_norm(m.a)
+        assert abs(hs_norm(m) - ref) <= 1e-15 * ref
 
 
 class TestAngles:

@@ -85,6 +85,7 @@ def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkey
 
 @pytest.mark.parametrize("inequality_id", ["T36", "T37"])
 def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypatch):
+    # One SVD call of 2k matrices per ratio call over a stack of k points.
     evals = []
     ratio_for = random_lab._ratio_for
 
@@ -94,16 +95,38 @@ def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypat
         def counted(x, y):
             before = len(svd_calls)
             value = ratio(x, y)
-            evals.append([matrices(a) for a in svd_calls[before:]])
+            evals.append((len(x), [matrices(a) for a in svd_calls[before:]]))
             return value
 
         return counted
 
     monkeypatch.setattr(random_lab, "_ratio_for", counting_ratio_for)
     random_lab.sharpness_scan(inequality_id, 2, 400, 3)
-    assert len(evals) >= 400
-    assert all(e == [2] for e in evals)
+    assert sum(k for k, _ in evals) == 400
+    assert all(e == [2 * k] for k, e in evals)
     assert len(svd_calls) == len(evals)
+
+
+@pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))
+def test_stacked_ratio_is_the_one_point_ratio_bit_for_bit(inequality_id):
+    ratio = _ratio_for(inequality_id)
+    decode, nparams = (_normal_pair, 24) if inequality_id == "R33" else (_raw_pair, 16)
+    p = np.random.default_rng(29).normal(size=(16, nparams))
+    if inequality_id in ("C32", "R33"):
+        # Point 3 has Y = X up to one part in 2^50: a degenerate denominator.
+        p[3, 8:16] = p[3, :8] * (1.0 + 2.0**-50)
+        if inequality_id == "R33":
+            p[3, 20:24] = p[3, 16:20]
+    xy = decode(p, 2)
+    stacked = ratio(xy[0], xy[1])
+    assert stacked.shape == (16,)
+    for i in range(16):
+        one = decode(p[i], 2)
+        assert one.tobytes() == xy[:, i : i + 1].tobytes()
+        assert ratio(one[0], one[1]).tobytes() == stacked[i : i + 1].tobytes()
+    if inequality_id in ("C32", "R33"):
+        assert stacked[3] == -math.inf
+    assert np.isfinite(np.delete(stacked, 3)).all()
 
 
 @pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -21,6 +24,7 @@ from hsangle import (
     run_single_trial,
     sharpness_scan,
 )
+import hsangle
 from hsangle import random_lab
 from hsangle.random_lab import fnv1a64, mix64
 
@@ -230,24 +234,76 @@ class TestSharpnessScan:
 
     @pytest.mark.parametrize("iid", ["T36", "T37", "C32", "R33"])
     def test_exact_evaluation_budget(self, monkeypatch, iid):
-        calls = 0
+        points = 0
         ratio_for = random_lab._ratio_for
 
         def counting_ratio_for(inequality_id):
             ratio = ratio_for(inequality_id)
 
             def counted(x, y):
-                nonlocal calls
-                calls += 1
+                nonlocal points
+                points += len(x)
                 return ratio(x, y)
 
             return counted
 
         monkeypatch.setattr(random_lab, "_ratio_for", counting_ratio_for)
-        for n in (1, 101, 250):
-            calls = 0
-            sharpness_scan(iid, 2, n, 0)
-            assert calls == n
+        # The stacked points sum to the budget, also where it is smaller than
+        # the first stack, the initial simplices of every restart (30 to 294
+        # points at these dims), which is then cut.
+        for dim in (1, 2, 3):
+            for n in (1, 7, 101, 250):
+                points = 0
+                sharpness_scan(iid, dim, n, 0)
+                assert points == n
+
+    # R33 at dim 1 meets the stop rules after 680 of the 900 evaluations.
+    @pytest.mark.parametrize("iid, dim, n, stops", [("T37", 2, 1500, False), ("R33", 1, 900, True)])
+    def test_one_restart_evaluates_the_points_of_scipy_nelder_mead(
+        self, monkeypatch, iid, dim, n, stops
+    ):
+        # The reference: scipy's Nelder-Mead from the same start point, with
+        # the same stop rules and the budget as its maxfev.
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        seen = []
+        ratio_for = random_lab._ratio_for
+
+        def recording_ratio_for(inequality_id):
+            ratio = ratio_for(inequality_id)
+
+            def recorded(x, y):
+                seen.extend(np.array((x, y)).swapaxes(0, 1))
+                return ratio(x, y)
+
+            return recorded
+
+        monkeypatch.setattr(random_lab, "_ratio_for", recording_ratio_for)
+        monkeypatch.setattr(random_lab, "_SCAN_RESTARTS", 1)
+        sharpness_scan(iid, dim, n, 4)
+        lockstep, seen[:] = list(seen), []
+        decode = random_lab._normal_pair if iid == "R33" else random_lab._raw_pair
+        ratio = random_lab._ratio_for(iid)  # records into seen too
+        nparams = 4 * dim * dim + (4 * dim if iid == "R33" else 0)
+        x0 = CounterRng(derive_seed(4, "scan:" + iid, dim)).normals(nparams)
+        result = minimize(
+            lambda p: -ratio(*decode(p, dim))[0], x0, method="Nelder-Mead",
+            options={"maxfev": n, "xatol": 1e-13, "fatol": 1e-14},
+        )
+        m = len(seen)
+        assert len(lockstep) == n and (m < n) == stops
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(lockstep, seen))
+        if stops:
+            # The chain's next polish starts from the best vertex.
+            assert lockstep[m].tobytes() == decode(result.x, dim)[:, 0].tobytes()
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, hsangle; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hsangle.__file__))),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_json_shape(self):
         d = sharpness_scan("T37", 1, 50, 0).to_json_dict()
