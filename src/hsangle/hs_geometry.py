@@ -42,30 +42,31 @@ class AngleReport:
         }
 
 
-def _ldexp(a: np.ndarray, e) -> np.ndarray:
-    """a * 2^e of a complex array, exactly, part by part: 2^e may overflow."""
+def _unit(a: np.ndarray, axis=(-2, -1)):
+    """a * 2^-e and e, e the frexp exponent of the largest |a_ij| over axis:
+    exact, and part by part, so it works where 2^e itself would overflow."""
+    e = np.frexp(np.abs(a).max(axis=axis, keepdims=True))[1]
     out = np.empty_like(a)
-    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
-    return out
+    out.real, out.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    return out, e.squeeze(axis)
 
 
+@np.errstate(over="ignore")  # _norms rescues a sum of squares that overflows
 def _rownorms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """The norm of each matrix of a stack (..., r, c), bit for bit
-    np.linalg.norm's when it is at least 2^-500: the strided dot products of
-    the real and imaginary parts that it takes, one vecdot over the stack
-    for each."""
+    """The norm of each matrix of a stack (..., r, c).  In [2^-500, 2^500] it
+    is bit for bit numpy's Frobenius norm: a vecdot over the stack of the real
+    parts, and one of the imaginary parts.  Outside, where the squares would
+    lose bits or overflow, it is taken over the entries scaled by _unit."""
     v = a.reshape(-1, a.shape[-2] * a.shape[-1])
     n = _rownorms(v)
-    tiny = n < 2.0**-500
-    if tiny.any():
-        # Below 2^-500 the squares lose bits to the subnormal range or
-        # underflow; rescale exactly by a power of two near the largest entry.
-        e = np.frexp(np.abs(v[tiny]).max(axis=1))[1]
-        n[tiny] = np.ldexp(_rownorms(_ldexp(v[tiny], -e[:, None])), e)
+    if not 2.0**-500 <= n.min(initial=1.0) <= n.max(initial=1.0) <= 2.0**500:
+        out = (n < 2.0**-500) | (n > 2.0**500)
+        u, e = _unit(v[out], axis=-1)
+        n[out] = np.ldexp(_rownorms(u), e)
     return n.reshape(a.shape[:-2])
 
 
@@ -94,10 +95,10 @@ class _PairStack:
 
     @cached_property
     def _scaled(self):
-        """xy and the norms, each operand scaled exactly by a power of two near
-        its norm, so that neither the inner product nor nx * ny underflows."""
-        e = np.frexp(self.norms)[1]
-        return _ldexp(self.xy, -e[..., None, None]), np.ldexp(self.norms, -e)
+        """xy and the norms, each operand scaled by _unit, so that neither
+        the inner product nor nx * ny underflows or overflows."""
+        xy, e = _unit(self.xy)
+        return xy, np.ldexp(self.norms, -e)
 
     @cached_property
     def cos(self) -> np.ndarray:

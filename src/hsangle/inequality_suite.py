@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .matrix_core import ComplexMatrix, ShapeError, _ct, digest
-from .spectral import _Moduli, is_psd
-from .hs_geometry import _PairStack, _angle_pairs, _ldexp, _norms
+from .spectral import _Moduli, _is_psd
+from .hs_geometry import _PairStack, _angle_pairs, _norms, _unit
 
 SQRT2 = math.sqrt(2.0)
 # Sharp coefficient in the sum inequality T37.
@@ -79,10 +79,9 @@ class InequalityReport:
 
 def _normal_mask(a: np.ndarray, tol: float = NORMALITY_TOL) -> np.ndarray:
     """is_normal of each matrix of a stack (..., d, d)."""
-    # Decided on X / 2^e with 2^e near max |x_ij|, so that the commutator
-    # cannot overflow; the scaling is exact.  2^-2e is capped against overflow.
-    e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
-    a = _ldexp(a, -e[..., None, None])
+    # Decided on X scaled by _unit, so that the commutator cannot overflow;
+    # the scaling is exact.  2^-2e is capped against overflow.
+    a, e = _unit(a)
     dev = _norms(a @ _ct(a) - _ct(a) @ a)
     return dev <= tol * (np.ldexp(1.0, np.minimum(-2 * e, 1000)) + np.square(_norms(a)))
 
@@ -187,11 +186,15 @@ def _check_stack(inequality_id: str, xy: np.ndarray, tol: float):
 
 
 def _products(what: str, x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix):
-    """The products XZ, ZY, X*Z and ZY* of conformable square operands."""
-    xa, ya, za = x.a, y.a, z.a
+    """The products XZ, ZY, X*Z and ZY* of conformable square operands, all
+    scaled by the 2^-k that _unit takes X and Y, and Z, by; and the floor 1
+    scaled alike, 2^-2k, capped against overflow.  No product can overflow."""
     if not (x.is_square and y.is_square and x.rows == z.rows and z.cols == y.rows):
         raise ShapeError(f"{what} requires conformable square operands")
-    return xa @ za, za @ ya, xa.conj().T @ za, za @ ya.conj().T
+    (xa, ya), j = _unit(np.array((x.a, y.a)), axis=None)
+    za, k = _unit(z.a, axis=None)
+    floor = math.ldexp(1.0, min(-2 * int(j + k), 1000))
+    return (xa @ za, za @ ya, _ct(xa) @ za, za @ _ct(ya)), floor
 
 
 def commutation_identity_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) -> float:
@@ -202,16 +205,10 @@ def commutation_identity_residual(x: ComplexMatrix, y: ComplexMatrix, z: Complex
 
     normalized by 1 + lhs.
     """
-    products = _products("commutation_identity_residual", x, y, z)
-    # Over the products scaled by 2^-k, with 2^k near their largest entry, no
-    # square overflows; the scaling is exact, so 1 + lhs becomes 2^-2k + lhs
-    # of the scaled sides.  2^-2k is capped against overflow.
-    k = math.frexp(max(np.abs(p).max() for p in products))[1]
-    xz, zy, xsz, zys = (_ldexp(p, -k) for p in products)
-    n = np.linalg.norm
-    lhs = n(xz - zy) ** 2 + n(xsz) ** 2 + n(zys) ** 2
-    rhs = n(xz) ** 2 + n(zy) ** 2 + n(xsz - zys) ** 2
-    return abs(lhs - rhs) / (math.ldexp(1.0, min(-2 * k, 1000)) + lhs)
+    (xz, zy, xsz, zys), floor = _products("commutation_identity_residual", x, y, z)
+    n = np.square(_norms(np.array((xz - zy, xsz, zys, xz, zy, xsz - zys)))).tolist()
+    lhs, rhs = n[0] + n[1] + n[2], n[3] + n[4] + n[5]
+    return abs(lhs - rhs) / (floor + lhs)
 
 
 def adjoint_link_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) -> float:
@@ -219,14 +216,14 @@ def adjoint_link_residual(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix) 
 
     Undefined (raises) when any of the four products vanishes.
     """
-    xz, zy, xsz, zys = _products("adjoint_link_residual", x, y, z)
+    (xz, zy, xsz, zys), floor = _products("adjoint_link_residual", x, y, z)
     p = _PairStack(np.array([[xz, xsz], [zy, zys]]))
     nx, ny = p.norms.tolist()
     for name, n in (("XZ", nx[0]), ("ZY", ny[0]), ("X*Z", nx[1]), ("ZY*", ny[1])):
         if n == 0.0:
             raise DegenerateIdentityError(f"product {name} is zero; the identity degenerates")
     s1, s2 = (p.nx * p.ny * p.cos).tolist()
-    return abs(s1 - s2) / (1.0 + max(abs(s1), abs(s2)))
+    return abs(s1 - s2) / (floor + max(abs(s1), abs(s2)))
 
 
 def angle_triangle_slack(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix):
@@ -253,10 +250,12 @@ def t213_equality_holds(
     """
     if x.a.shape != y.a.shape or not x.is_square:
         raise ShapeError("t213_equality_holds requires square matrices of equal shape")
-    p = y.a.conj().T @ x.a
+    # On the pair scaled by _unit, Y*X cannot overflow and no scale counts.
+    (xa, ya), _ = _unit(np.array((x.a, y.a)), axis=None)
+    p = _ct(ya) @ xa
     t = complex(np.trace(p))
     if t == 0:
-        n = _norms(np.array((p, x.a, y.a)))
+        n = _norms(np.array((p, xa, ya)))
         return bool(n[0] <= tol * (1.0 + n[1] * n[2]))
     zeta = t.conjugate() / abs(t)
-    return is_psd(ComplexMatrix(zeta * p), tol)
+    return _is_psd(zeta * p, tol)

@@ -429,18 +429,18 @@ def sharpness_scan(
     """Maximize the lhs/rhs-coefficient ratio within exactly `iterations`
     evaluations.
 
-    _SCAN_RESTARTS restarts run Nelder-Mead (Nelder and Mead 1965; the
-    coefficients 1, 2, 1/2, 1/2) in lockstep: each step evaluates the
-    initial simplices of the polishes that begin, then every reflection,
-    then the expansions and contractions, then the shrink points, each as
-    one stack.  A restart draws a standard normal start point and runs a
-    chain of polishes, each starting where the last ended, until one fails
-    to improve; then it draws a fresh start, in restart order.  A polish
-    ends at the stop rules, when fewer than two of its _SCAN_POLISH_FEV
-    evaluations remain, or at a shrink that would pass them (an initial
-    simplex of more points is evaluated whole).  The last stack is cut to
-    the budget.  Deterministic in master_seed.  The scanner corroborates
-    sharpness; it certifies nothing.
+    _SCAN_RESTARTS restarts (fewer if the budget ends in their first
+    simplices) run Nelder-Mead (Nelder and Mead 1965; coefficients 1, 2,
+    1/2, 1/2) in lockstep: each step evaluates the initial simplices of the
+    polishes that begin, then every reflection, then the expansions and
+    contractions, then the shrink points, each as one stack.  A restart
+    draws a standard normal start point and runs a chain of polishes, each
+    starting where the last ended, until one fails to improve; then it draws
+    a fresh start, in restart order.  A polish ends at the stop rules, when
+    fewer than two of its _SCAN_POLISH_FEV evaluations remain, or at a
+    shrink that would pass them (an initial simplex of more points is
+    evaluated whole).  The last stack is cut to the budget.  Deterministic
+    in master_seed.  The scanner corroborates sharpness; it certifies nothing.
     """
     if inequality_id not in SCAN_TARGETS:
         raise ValueError(
@@ -472,7 +472,7 @@ def sharpness_scan(
                 best, best_params = -f[i], points[i].copy()
         return f
 
-    r, axis = _SCAN_RESTARTS, np.arange(n)
+    r, axis = min(_SCAN_RESTARTS, -(-iterations // (n + 1))), np.arange(n)
     rows, sim, fsim = np.arange(r)[:, None], np.empty((r, n + 1, n)), np.empty((r, n + 1))
     fev, link, last = np.zeros(r, dtype=int), np.zeros(r, dtype=int), np.full(r, -math.inf)
     x0, fresh = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hs_geometry import _norms
 from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _ct
 
 # Relative tolerance for accepting an input as Hermitian.
@@ -56,8 +57,8 @@ def hermitian_eig(h: ComplexMatrix) -> HermitianEigen:
     ``HERMITIAN_TOL * (1 + norm)``; the Hermitian part is decomposed.
     """
     _require_square(h, "hermitian_eig")
-    dev = np.linalg.norm(h.a - h.a.conj().T)
-    if dev > HERMITIAN_TOL * (1.0 + np.linalg.norm(h.a)):
+    dev, n = _norms(np.array((h.a - _ct(h.a), h.a))).tolist()
+    if dev > HERMITIAN_TOL * (1.0 + n):
         raise ValidationError(
             f"hermitian_eig requires a Hermitian input; deviation {dev:.3e}"
         )
@@ -129,15 +130,11 @@ def polar_identity_residuals(x: ComplexMatrix, parts: PolarParts) -> dict:
     reproduces X itself is the final-space one, UU*X = X.
     """
     xa, ua, pa = x.a, parts.u.a, parts.abs.a
-    denom = 1.0 + np.linalg.norm(xa)
-    uh = ua.conj().T
-    return {
-        "U*X=|X|": np.linalg.norm(uh @ xa - pa) / denom,
-        "U*U|X|=|X|": np.linalg.norm(uh @ ua @ pa - pa) / denom,
-        "UU*X=X": np.linalg.norm(ua @ uh @ xa - xa) / denom,
-        "X*=|X|U*": np.linalg.norm(xa.conj().T - pa @ uh) / denom,
-        "|X*|=U|X|U*": np.linalg.norm(abs_adjoint(x).a - ua @ pa @ uh) / denom,
-    }
+    uh = _ct(ua)
+    n = _norms(np.array((xa, uh @ xa - pa, uh @ ua @ pa - pa, ua @ uh @ xa - xa,
+                         _ct(xa) - pa @ uh, abs_adjoint(x).a - ua @ pa @ uh)))
+    names = ("U*X=|X|", "U*U|X|=|X|", "UU*X=X", "X*=|X|U*", "|X*|=U|X|U*")
+    return dict(zip(names, n[1:] / (1.0 + n[0])))
 
 
 def franca_abs_2x2(a: ComplexMatrix) -> ComplexMatrix:
@@ -161,11 +158,13 @@ def franca_abs_2x2(a: ComplexMatrix) -> ComplexMatrix:
 def is_psd(h: ComplexMatrix, tol: float) -> bool:
     """True iff H is Hermitian within tol and its spectrum is >= -tol, relatively."""
     _require_square(h, "is_psd")
-    budget = tol * (1.0 + np.linalg.norm(h.a))
-    if np.linalg.norm(h.a - h.a.conj().T) > budget:
-        return False
+    return _is_psd(h.a, tol)
+
+
+def _is_psd(a: np.ndarray, tol: float) -> bool:
+    dev, n = _norms(np.array((a - _ct(a), a))).tolist()
+    budget = tol * (1.0 + n)
     try:
-        w = np.linalg.eigvalsh(_hermitian_part(h.a))
+        return dev <= budget and bool(np.linalg.eigvalsh(_hermitian_part(a))[0] >= -budget)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
-    return bool(w[0] >= -budget)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hsangle
-from hsangle import ComplexMatrix, GeneratorSpec, abs_op, generate, scale, witness_triple
+from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale, witness_triple
 from hsangle.cli import main
 from pins import pinned_digests
 
@@ -235,11 +235,27 @@ class TestScan:
 
 class TestStrictJson:
     @pytest.mark.parametrize(
-        "argv", [["check", "--id", "T37"], ["angle"], ["--format", "text", "angle"]]
+        "argv", [["check", "--id", "T34"], ["angle"], ["--format", "text", "angle"]]
     )
     def test_result_outside_float64_exits_2(self, tmp_path, argv):
-        # Norms of 1e160-scaled operands overflow float64.
+        # For 1e160-scaled operands norm(X+Y)^2, a side of T34, and <X, Y>
+        # are about 1e321: outside float64.
         self.assert_exits_2(tmp_path, argv, 1e160, 3)
+
+    @pytest.mark.parametrize("inequality_id", ["T214ii", "T37"])
+    def test_in_range_sides_of_large_operands_answer(self, tmp_path, inequality_id):
+        # The norms of 1e160-scaled operands, about 3e160, are in range, and
+        # so are the sides of T37; T214ii's sides are cosines, of degree 0.
+        proc = self.run_scaled(tmp_path, ["check", "--id", inequality_id], 1e160, 3, "normal")
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        x, y = (generate(GeneratorSpec("normal", 3, s)) for s in (0, 1))
+        base = check(inequality_id, x, y)
+        assert got["holds"] is base.holds is True
+        if inequality_id == "T214ii":
+            for side in ("lhs", "rhs"):
+                want = getattr(base, side)
+                assert abs(got[side] - want) <= 4 * np.spacing(want)
 
     def test_inner_product_modulus_outside_float64_exits_2(self, tmp_path):
         # At 1e154 the parts of <X, Y> are finite but its modulus is not.

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,6 +201,17 @@ class TestSharpnessScan:
         r36 = sharpness_scan("T36", 2, 15000, 0)
         assert r36.best_ratio >= 0.99 * r36.target
         assert r36.best_ratio <= r36.target * (1.0 + 1e-9)
+
+    def test_small_budget_allocates_only_the_simplices_it_evaluates(self):
+        # At dim 16 one simplex of T37's 1024 parameters holds 8 MiB; six
+        # restarts and their copies held about 270 MiB for ten evaluations.
+        tracemalloc.start()
+        try:
+            sharpness_scan("T37", 16, 10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_r33_normal_parameterization(self):
         result = sharpness_scan("R33", 2, 3000, 5)
