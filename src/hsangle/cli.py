@@ -128,7 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abs", help="operator absolute value")
     p.add_argument("x")
-    p.add_argument("--franca", action="store_true", help="use the closed 2x2 formula")
+    p.add_argument(
+        "--franca",
+        action="store_true",
+        help="use franca_abs_2x2 (nonzero 2x2 only); abs takes the same closed form for any 2x2",
+    )
 
     p = sub.add_parser("polar", help="polar decomposition plus identity residuals")
     p.add_argument("x")

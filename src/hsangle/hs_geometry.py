@@ -43,19 +43,22 @@ class AngleReport:
 
 
 def _unit(a: np.ndarray, axis=(-2, -1)):
-    """a * 2^-e and e, e the frexp exponent of the largest |a_ij| over axis:
-    exact, and part by part, so it works where 2^e itself would overflow."""
-    e = np.frexp(np.abs(a).max(axis=axis, keepdims=True))[1]
+    """a * 2^-e and e, e the frexp exponent of the largest real or imaginary
+    part of the a_ij over axis (not of |a_ij|, which overflows near float64's
+    maximum): exact, and part by part, so it works where 2^e itself would
+    overflow."""
+    e = np.frexp(np.fmax(abs(a.real), abs(a.imag)).max(axis=axis, keepdims=True))[1]
     out = np.empty_like(a)
     out.real, out.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
     return out, e.squeeze(axis)
 
 
-@np.errstate(over="ignore")  # _norms rescues a sum of squares that overflows
 def _rownorms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
+# A sum of squares that overflows is rescued; a norm beyond float64 is inf.
+@np.errstate(over="ignore")
 def _norms(a: np.ndarray) -> np.ndarray:
     """The norm of each matrix of a stack (..., r, c).  In [2^-500, 2^500] it
     is bit for bit numpy's Frobenius norm: a vecdot over the stack of the real
@@ -96,9 +99,14 @@ class _PairStack:
     @cached_property
     def _scaled(self):
         """xy and the norms, each operand scaled by _unit, so that neither
-        the inner product nor nx * ny underflows or overflows."""
+        the inner product nor nx * ny underflows or overflows.  A norm that
+        overflowed float64 unscaled is taken again over the scaled operand."""
         xy, e = _unit(self.xy)
-        return xy, np.ldexp(self.norms, -e)
+        n = np.ldexp(self.norms, -e)
+        inf = ~np.isfinite(n)
+        if inf.any():
+            n[inf] = _norms(xy[inf])
+        return xy, n
 
     @cached_property
     def cos(self) -> np.ndarray:

@@ -1,17 +1,20 @@
 """Hermitian eigendecomposition and the decompositions built on it.
 
-Provides the operator absolute value |X| = (X*X)^(1/2), the polar
-decomposition X = U|X| with U the canonical partial isometry supported on
-range(|X|), a closed-form 2x2 absolute value, and a PSD test.
+Provides the operator absolute value |X| = (X*X)^(1/2) and |X*|, in closed
+form for 2x2 X and from the SVD otherwise, the polar decomposition X = U|X|
+with U the canonical partial isometry supported on range(|X|), and a PSD
+test.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hs_geometry import _norms
+from .hs_geometry import _norms, _unit
 from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _ct
 
 # Relative tolerance for accepting an input as Hermitian.
@@ -78,7 +81,7 @@ def reconstruct(eig: HermitianEigen) -> ComplexMatrix:
 
 
 def _svd(a: np.ndarray):
-    # |X| and U come from the SVD of X itself, not from eig(X*X): squaring
+    # |X| above 2x2 and U come from the SVD of X, not from eig(X*X): squaring
     # the spectrum amplifies roundoff at small singular values to
     # sqrt(eps) * sigma_max, which is fatal at exactly-singular witnesses.
     try:
@@ -87,18 +90,98 @@ def _svd(a: np.ndarray):
         raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
 
 
+# Per matrix, the real view f (n, 8) of a stack of 2x2 X holds a..h, with
+# x00 = a + bi, x01 = c + di, x10 = e + fi and x11 = g + hi.  Every quantity
+# of the closed form is a sum of four signed products of them: the diagonals
+# of X*X and XX* (quantities 0-3, to which delta is added); Re, Im and -Im
+# of (X*X)_01 = conj(x00) x01 + conj(x10) x11 (4-6) and of (XX*)_01 = x00
+# conj(x10) + x01 conj(x11) (7-9); Re and Im of det X = x00 x11 - x01 x10
+# (10, 11); and 0 (12), the imaginary part of each diagonal.
+_QUANTITIES = """
+    aa+bb+ee+ff  cc+dd+gg+hh  aa+bb+cc+dd  ee+ff+gg+hh
+    ac+bd+eg+fh  ad-bc+eh-fg  bc-ad+fg-eh
+    ae+bf+cg+dh  be-af+dg-ch  af-be+ch-dg
+    ag-bh-ce+df  ah+bg-cf-de
+    aa+bb-aa-bb
+""".split()
+# Term t of every quantity, then term t + 1, so that two halvings sum them.
+_SIGN, _LEFT, _RIGHT = np.array(
+    [[(-1 if s == "-" else 1, "abcdefgh".index(p), "abcdefgh".index(q))
+      for s, p, q in re.findall("([+-]?)(.)(.)", terms)] for terms in _QUANTITIES]
+).transpose(2, 1, 0).reshape(3, -1)
+_SIGN = _SIGN.astype(float)
+# The real view of |X| and then of |X*| by quantity: each diagonal's
+# imaginary part is 0, and the lower corner is the conjugate of the upper.
+_SLOTS = [0, 12, 4, 5, 4, 6, 1, 12, 2, 12, 7, 8, 7, 9, 3, 12]
+# The matrices whose r = sigma_1 + sigma_2 lies in [2^-500, 2^500] take the
+# closed form unscaled: no product of two entries can overflow, nor one of
+# the largest entry with itself underflow.
+_R_RANGE = (2.0**-500, 2.0**500)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range r is redone scaled
+def _quantities(a: np.ndarray):
+    """The _QUANTITIES q (n, 13) of each matrix of a contiguous stack a (n, 2,
+    2), with delta = |det X| = sigma_1 sigma_2 added to the diagonals, and r
+    = sqrt(tr(X*X) + 2 delta) = sigma_1 + sigma_2."""
+    f = a.view(float).reshape(-1, 8)
+    p = f.take(_LEFT, axis=1) * f.take(_RIGHT, axis=1) * _SIGN
+    k = len(_QUANTITIES)
+    half = p[:, : 2 * k] + p[:, 2 * k :]
+    q = half[:, :k] + half[:, k:]
+    q[:, :4] += np.hypot(q[:, 10], q[:, 11])[:, None]
+    return q, np.sqrt(q[:, 0] + q[:, 1])
+
+
 class _Moduli:
-    """|X| = V S V* and |X*| = W S W* from the one SVD X = W S V*; for a
-    stack of matrices, one stacked SVD gives the moduli of each."""
+    """|X| and |X*| of a matrix, or of each matrix of a stack.
+
+    For 2x2 X both come in closed form, with delta = |det X| = sigma_1
+    sigma_2 and r = sigma_1 + sigma_2: |X| = (X*X + delta I) / r and |X*| =
+    (XX* + delta I) / r, and 0 for X = 0.  delta is taken from X itself, not
+    as sqrt(det(X*X)), which would square the spectrum.  A matrix whose r
+    leaves _R_RANGE is scaled by _unit first, and its moduli scaled back.
+    Otherwise both come from the one SVD X = W S V*: |X| = V S V* and |X*| =
+    W S W*.  The SVD (w, s, vh) is taken on first use, at any dim, so polar
+    reads U from it."""
 
     def __init__(self, a: np.ndarray):
-        self.w, self.s, self.vh = _svd(a)
+        self.a = a
+
+    @cached_property
+    def _svd(self):
+        return _svd(self.a)
+
+    w = property(lambda m: m._svd[0])
+    s = property(lambda m: m._svd[1])
+    vh = property(lambda m: m._svd[2])
+
+    @cached_property
+    def _closed(self) -> np.ndarray:
+        """|X| and |X*| of each 2x2 X, as the array (..., 2, 2, 2) of both."""
+        a = np.ascontiguousarray(self.a).reshape(-1, 2, 2)
+        q, r = _quantities(a)
+        lo, hi = _R_RANGE
+        e = None
+        if not lo <= r.min(initial=1.0) <= r.max(initial=1.0) <= hi:
+            out = ~((r >= lo) & (r <= hi))
+            u, e = _unit(a[out])
+            q[out], r[out] = _quantities(u)
+            r[r == 0.0] = 1.0  # X = 0: the moduli are 0 / 1
+        m = (q / r[:, None]).take(_SLOTS, axis=1)
+        if e is not None:
+            m[out] = np.ldexp(m[out], e[:, None])
+        return m.view(complex).reshape(self.a.shape[:-2] + (2, 2, 2))
 
     def abs(self) -> np.ndarray:
+        if self.a.shape[-2:] == (2, 2):
+            return self._closed[..., 0, :, :]
         vh = self.vh
         return _hermitian_part((_ct(vh) * self.s[..., None, :]) @ vh)
 
     def adj(self) -> np.ndarray:
+        if self.a.shape[-2:] == (2, 2):
+            return self._closed[..., 1, :, :]
         # Only asked for square X, where W and S conform.
         w = self.w
         return _hermitian_part((w * self.s[..., None, :]) @ _ct(w))
@@ -138,21 +221,13 @@ def polar_identity_residuals(x: ComplexMatrix, parts: PolarParts) -> dict:
 
 
 def franca_abs_2x2(a: ComplexMatrix) -> ComplexMatrix:
-    """Closed-form 2x2 absolute value.
-
-    |A| = (sqrt(det(A*A)) I + A*A) / sqrt(tr(A*A) + 2 sqrt(det(A*A))),
-    valid for any nonzero 2x2 matrix.
-    """
+    """|A| of a nonzero 2x2 matrix by the closed form abs_op takes for 2x2:
+    |A| = (A*A + delta I) / sqrt(norm(A)^2 + 2 delta), delta = |det A|."""
     if (a.rows, a.cols) != (2, 2):
         raise ShapeError(f"franca_abs_2x2 requires a 2x2 matrix, got {a.rows}x{a.cols}")
-    b = a.a.conj().T @ a.a
-    t = float(np.trace(b).real)
-    if t == 0.0:
+    if not a.a.any():
         raise ValidationError("franca_abs_2x2 undefined for the zero matrix")
-    det = max(float((b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]).real), 0.0)
-    root = np.sqrt(det)
-    m = (root * np.eye(2) + b) / np.sqrt(t + 2.0 * root)
-    return ComplexMatrix(_hermitian_part(m))
+    return ComplexMatrix(_Moduli(a.a).abs())
 
 
 def is_psd(h: ComplexMatrix, tol: float) -> bool:

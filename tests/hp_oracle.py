@@ -7,6 +7,7 @@ operands are converted from float64 exactly, so the only error left in a
 side is the 50-digit arithmetic.
 """
 
+import numpy as np
 from mpmath import mp
 
 DIGITS = 50
@@ -65,6 +66,15 @@ def registry_sides(x, y) -> dict:
             "L32": (2 * nx * ny * c_adj, nx**2 + ny**2 + 4 * nx * ny * c_abs),
             "T37": (_norm(X + Y), mp.sqrt((root2 + 1) / 2) * _norm(ax + ay)),
         }
+
+
+def moduli(a):
+    """(|A|, |A*|) of a square numpy matrix, each entry rounded to float64
+    once."""
+    with mp.workdps(DIGITS):
+        return tuple(
+            np.array([[complex(v) for v in row] for row in m.tolist()]) for m in _moduli(_matrix(a))
+        )
 
 
 def norm(a) -> float:

@@ -121,10 +121,13 @@ def test_criterion_4_spectral_correctness():
                 parts = polar(x)
                 for name, value in polar_identity_residuals(x, parts).items():
                     assert value <= 1e-10, f"{kind}/{dim}: {name} = {value}"
+    # abs_op takes the closed form for 2x2 too; the reference is V S V*
+    # from numpy's SVD, formed here.
     for i in range(10_000):
         seed = derive_seed(MASTER_SEED, "franca", i)
         a = generate(GeneratorSpec("ginibre", 2, seed))
-        dev = hs_norm(ComplexMatrix(franca_abs_2x2(a).a - abs_op(a).a))
+        _, s, vh = np.linalg.svd(a.a)
+        dev = hs_norm(ComplexMatrix(franca_abs_2x2(a).a - (vh.conj().T * s) @ vh))
         assert dev <= 1e-10 * (1.0 + hs_norm(a))
     print("ACCEPTANCE 4 (spectral: abs/polar/closed-form 2x2): PASS")
 

@@ -191,9 +191,9 @@ class TestVerify:
             # The normal-pair decoder and the C32/R33 degenerate-denominator guard.
             (
                 ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
-                "4868a82c5cc4344eca9f0216bdde2798d083a693ec85937284c8781ed1c639bf",
+                "8f4d9795613060392158dfde26c3c2c36545a221c6c14ae759f98e104b7b0981",
             ),
-            (("repro",), "b40e0e5a3725941c947d95d3089246fa710ec3b526f73d5d04b1eb1d74804588"),
+            (("repro",), "c236f8898cdac2a43b06ea18982a20d261a8a39758b26cc87a79083fff901191"),
         ],
     )
     def test_golden_output(self, argv, sha256):

@@ -1,0 +1,91 @@
+"""The closed form of the 2x2 moduli, |X| = (X*X + delta I) / r and |X*| =
+(XX* + delta I) / r with delta = |det X| and r = sigma_1 + sigma_2: its
+accuracy against the 50-digit reference of tests/hp_oracle.py, including
+near-singular, rank-one and zero X, and its exact homogeneity under
+power-of-two scaling."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hp_oracle import moduli as oracle_moduli
+from hsangle import (
+    ENSEMBLE_KINDS,
+    ComplexMatrix,
+    GeneratorSpec,
+    abs_adjoint,
+    abs_op,
+    franca_abs_2x2,
+    generate,
+    witness_triple,
+)
+
+
+def near_singular(eps):
+    return np.array([[1, 1], [1, 1 + eps]], dtype=complex)
+
+
+def rank_one(seed):
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return np.outer(u, v.conj())
+
+
+CASES = {
+    **{f"1+{eps:.0e}": near_singular(eps) for eps in 10.0 ** -np.arange(2, 15)},
+    **{f"rank-one-{seed}": rank_one(seed) for seed in range(5)},
+    "rank-one-exact": np.array([[1, 2], [2, 4]], dtype=complex),
+    "zero": np.zeros((2, 2), dtype=complex),
+    **{f"witness-{name}": m.a for name, m in zip("xyz", witness_triple())},
+    **{
+        f"ginibre-{seed}": generate(GeneratorSpec("ginibre", 2, seed)).a
+        for seed in range(100)  # 50 pairs
+    },
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_moduli_are_within_1e_15_of_the_oracle(name):
+    a = CASES[name]
+    x = ComplexMatrix(a)
+    bound = 1e-15 * np.linalg.norm(a)
+    for got, ref in zip((abs_op(x), abs_adjoint(x)), oracle_moduli(a)):
+        assert np.linalg.norm(got.a - ref) <= bound
+
+
+def test_franca_keeps_the_digits_of_a_near_singular_matrix():
+    # sqrt(det(A*A)) would lose half of them: 5.0e-9 away from the reference.
+    a = near_singular(1e-8)
+    ref, _ = oracle_moduli(a)
+    assert np.linalg.norm(franca_abs_2x2(ComplexMatrix(a)).a - ref) <= 1e-15
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def scaled(a, k):
+    """2^k a, exactly, part by part."""
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+    return out
+
+
+def assert_exactly_hermitian(m):
+    assert np.array_equal(m, m.conj().T)
+    assert not np.diag(m).imag.any()
+
+
+@PROPERTY
+@given(st.sampled_from(ENSEMBLE_KINDS), st.integers(0, 2**32), st.integers(-900, 900))
+def test_moduli_scale_exactly(kind, seed, k):
+    for a in (generate(GeneratorSpec(kind, 2, seed)).a, rank_one(seed), np.zeros((2, 2), complex)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, sx = ComplexMatrix(a), ComplexMatrix(scaled(a, k))
+            for modulus in (abs_op, abs_adjoint):
+                m, sm = modulus(x).a, modulus(sx).a
+                assert sm.tobytes() == scaled(m, k).tobytes()
+                assert_exactly_hermitian(sm)

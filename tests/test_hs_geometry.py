@@ -123,6 +123,18 @@ class TestNorm:
 
 
 class TestAngles:
+    def test_parts_near_float64_maximum(self):
+        # |1.5e308 + 1.5e308j| overflows; the scaling takes its exponent from
+        # the larger part, and the norm that overflowed is taken again over
+        # the scaled pair, so the angle is the one at 2^-10.
+        x = ComplexMatrix.from_rows([[1.5e308 + 1.5e308j, 1], [0, 1]])
+        y = ComplexMatrix.from_rows([[1e308 + 1e308j, 0], [1, 1]])
+        small = [
+            ComplexMatrix(np.ldexp(m.a.real, -10) + 1j * np.ldexp(m.a.imag, -10)) for m in (x, y)
+        ]
+        assert cos_angle(x, y) == cos_angle(*small) == 1.0
+        assert sin_angle(x, y) == sin_angle(*small)
+
     def test_self_and_negation(self):
         rng = np.random.default_rng(45)
         x = random_matrix(rng, 4)

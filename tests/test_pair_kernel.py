@@ -1,7 +1,8 @@
 """The one path from an operand pair to the registry sides: check, the
 scanner's ratios and the sharp-witness reproduction all read the same
 formulas over one pair type, the moduli of both operands of a pair come
-from one SVD call, and each norm of an angle pair is computed once."""
+from one SVD call, or from the closed form for 2x2, and each norm of an
+angle pair is computed once."""
 
 import math
 
@@ -13,11 +14,14 @@ from hsangle import (
     ComplexMatrix,
     GeneratorSpec,
     INEQUALITY_IDS,
+    abs_adjoint,
+    abs_op,
     angle_report,
     applicable_specs,
     check,
     cosine_expansion,
     derive_seed,
+    franca_abs_2x2,
     generate,
     reproduce_witnesses,
     sin_angle,
@@ -64,6 +68,8 @@ def test_check_makes_one_svd_per_operand_and_none_for_cs21(inequality_id, svd_ca
 
 
 def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkeypatch, capsys):
+    # Counted over the trials whose operands are not 2x2: those take the
+    # closed form and no SVD.
     digests = []
     for module in (inequality_suite, matrix_core):
         monkeypatch.setattr(module, "digest", lambda *mats: digests.append(mats))
@@ -73,13 +79,15 @@ def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkey
     # One stack per (id, spec) that some trial picks; at these dims no stack
     # reaches the size cap.
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
-    stacks = 0
+    picked = []
     for iid in INEQUALITY_IDS:
         if iid != "CS_21":
-            n = len(applicable_specs(iid, specs))
-            stacks += len({derive_seed(seed, "trial:" + iid, i) % n for i in range(trials)})
-    assert sum(map(matrices, svd_calls)) == 2 * trials * (len(INEQUALITY_IDS) - 1)
-    assert len(svd_calls) <= stacks
+            pool = applicable_specs(iid, specs)
+            picks = [pool[derive_seed(seed, "trial:" + iid, i) % len(pool)] for i in range(trials)]
+            picked += [(iid, spec) for spec in picks if spec.dim != 2]
+    assert all(a.shape[-2:] != (2, 2) for a in svd_calls)
+    assert sum(map(matrices, svd_calls)) == 2 * len(picked)
+    assert len(svd_calls) <= len(set(picked))
     assert digests == []
 
 
@@ -101,10 +109,34 @@ def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypat
         return counted
 
     monkeypatch.setattr(random_lab, "_ratio_for", counting_ratio_for)
-    random_lab.sharpness_scan(inequality_id, 2, 400, 3)
+    random_lab.sharpness_scan(inequality_id, 3, 400, 3)
     assert sum(k for k, _ in evals) == 400
     assert all(e == [2 * k] for k, e in evals)
     assert len(svd_calls) == len(evals)
+
+
+# 2x2 moduli come in closed form: no check, scan, verify or modulus at dim 2
+# reaches the SVD.
+@pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
+def test_check_at_dim_2_makes_no_svd(inequality_id, svd_calls):
+    kind = "normal" if inequality_id == "R33" else "ginibre"
+    for seed in range(5):
+        check(inequality_id, *pair(kind, 2, seed))
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))
+def test_scan_at_dim_2_makes_no_svd(inequality_id, svd_calls):
+    random_lab.sharpness_scan(inequality_id, 2, 400, 3)
+    assert svd_calls == []
+
+
+def test_verify_and_moduli_at_dim_2_make_no_svd(svd_calls, capsys):
+    assert cli.main(["verify", "--trials", "100", "--dims", "2", "--seed", "5"]) == 0
+    capsys.readouterr()
+    x, y = pair("rank_deficient", 2, 0)
+    abs_op(x), abs_adjoint(y), franca_abs_2x2(x)
+    assert svd_calls == []
 
 
 @pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))

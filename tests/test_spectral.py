@@ -239,10 +239,12 @@ class TestFranca:
         assert abs(np.trace(z.a.conj().T @ z.a).real - 1.0) <= 1e-12
 
     def test_matches_eig_route(self):
+        # Against V S V* from numpy's SVD: abs_op is the closed form too.
         rng = np.random.default_rng(36)
         for _ in range(1000):
             a = ComplexMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            dev = hs_norm(ComplexMatrix(franca_abs_2x2(a).a - abs_op(a).a))
+            _, s, vh = np.linalg.svd(a.a)
+            dev = hs_norm(ComplexMatrix(franca_abs_2x2(a).a - (vh.conj().T * s) @ vh))
             assert dev <= 1e-10 * (1.0 + hs_norm(a))
 
     def test_zero_matrix_rejected(self):
