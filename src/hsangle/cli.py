@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 a verified quantity missed its target or an
 inequality was violated, 2 bad input (malformed JSON, shape mismatch,
 unknown id, zero operand where an angle is required, out-of-range --dims,
 a tolerance that is not finite and positive, an unwritable --output, a
-result outside float64).
+result outside float64, a request too large to allocate).
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .random_lab import (
 )
 
 # Every custom input error (ValidationError, ZeroOperandError, ...) is a
-# ValueError; OSError covers unreadable and unwritable paths.
-_INPUT_ERRORS = (ValueError, OSError, EigensolverError)
+# ValueError; OSError covers unreadable and unwritable paths, MemoryError a
+# request too large to allocate, such as verify --trials 2**55.
+_INPUT_ERRORS = (ValueError, OSError, EigensolverError, MemoryError)
 
 
 def _tolerance(cli_tol) -> float:

@@ -17,16 +17,14 @@ Registry (each line lhs <= rhs, over square matrices of equal dimension):
     T36     norm(|X*|+|Y*|)  <=  sqrt(2) norm(|X|+|Y|)
     L32     2 nx ny cos(|X*|,|Y*|)  <=  nx^2 + ny^2 + 4 nx ny cos(|X|,|Y|)
     T37     norm(X+Y)  <=  sqrt((sqrt(2)+1)/2) norm(|X|+|Y|)
-
-Angle-based ids (T214*, L31, L32) require nonzero operands; a zero operand
-makes them hold trivially and is reported as such instead of erroring.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -66,15 +64,7 @@ class InequalityReport:
     operands_digest: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-            "scale": self.scale,
-            "operands_digest": self.operands_digest,
-        }
+        return asdict(self)
 
 
 def _normal_mask(a: np.ndarray, tol: float = NORMALITY_TOL) -> np.ndarray:
@@ -100,55 +90,80 @@ class _OperandStack(_PairStack):
     adj = cached_property(lambda p: _PairStack(p._moduli.adj()))
 
 
-# (lhs, rhs) of each registry entry, as (n,) arrays over an _OperandStack.
+@dataclass(frozen=True)
+class _Record:
+    """One registry id: sides(p) is (lhs, rhs) as (n,) arrays over an
+    _OperandStack, both scaled by t^degree when both operands are scaled by
+    t; domain is "angle" (a zero operand makes both sides 0), "normal" or
+    None; target and floor define the scan ratio (target None: no scan)."""
+
+    sides: Callable
+    degree: int
+    domain: str | None = None
+    target: float | None = None
+    floor: float = 0.0
+
+
 _REGISTRY = {
-    "CS_21": lambda p: (abs(p.inner), p.nx * p.ny),
-    "T213": lambda p: (np.square(abs(p.inner)), p.adj.inner.real * p.abs.inner.real),
-    "T214i": lambda p: (np.square(p.cos), p.adj.cos * p.abs.cos),
+    "CS_21": _Record(lambda p: (abs(p.inner), p.nx * p.ny), 2),
+    "T213": _Record(lambda p: (np.square(abs(p.inner)), p.adj.inner.real * p.abs.inner.real), 4),
+    "T214i": _Record(lambda p: (np.square(p.cos), p.adj.cos * p.abs.cos), 0, "angle"),
     # Cosines of PSD pairs are nonnegative; clamp roundoff before the sqrt.
-    "T214ii": lambda p: (abs(p.cos), np.sqrt(np.maximum(0.0, np.minimum(p.adj.cos, p.abs.cos)))),
-    "T214iii": lambda p: (np.square(p.adj.sin) + np.square(p.abs.sin), 2.0 * np.square(p.sin)),
-    "T31": lambda p: (np.square(p.adj.ndiff) + np.square(p.abs.ndiff), 2.0 * np.square(p.ndiff)),
-    "C32": lambda p: (p.abs.ndiff, SQRT2 * p.ndiff),
-    "R33": lambda p: (p.abs.ndiff, p.ndiff),
-    "T34": lambda p: (np.square(p.nsum), p.adj.nsum * p.abs.nsum),
-    "T35": lambda p: (np.square(p.abs.ndiff), p.nsum * p.ndiff),
-    "L31": lambda p: (
+    "T214ii": _Record(lambda p: (
+        abs(p.cos), np.sqrt(np.maximum(0.0, np.minimum(p.adj.cos, p.abs.cos)))
+    ), 0, "angle"),
+    "T214iii": _Record(lambda p: (
+        np.square(p.adj.sin) + np.square(p.abs.sin), 2.0 * np.square(p.sin)
+    ), 0, "angle"),
+    "T31": _Record(lambda p: (
+        np.square(p.adj.ndiff) + np.square(p.abs.ndiff), 2.0 * np.square(p.ndiff)
+    ), 2),
+    "C32": _Record(lambda p: (p.abs.ndiff, SQRT2 * p.ndiff), 1, target=SQRT2, floor=1e-12),
+    "R33": _Record(lambda p: (p.abs.ndiff, p.ndiff), 1, "normal", target=1.0, floor=1e-12),
+    "T34": _Record(lambda p: (np.square(p.nsum), p.adj.nsum * p.abs.nsum), 2),
+    "T35": _Record(lambda p: (np.square(p.abs.ndiff), p.nsum * p.ndiff), 2),
+    "L31": _Record(lambda p: (
         p.nx * p.ny * p.abs.cos,
         p.abs.cos * (p.nx * p.nx + p.ny * p.ny) - p.nx * p.ny * p.abs.cos * p.abs.cos,
-    ),
-    "T36": lambda p: (p.adj.nsum, SQRT2 * p.abs.nsum),
-    "L32": lambda p: (
+    ), 2, "angle"),
+    "T36": _Record(lambda p: (p.adj.nsum, SQRT2 * p.abs.nsum), 1, target=SQRT2),
+    "L32": _Record(lambda p: (
         2.0 * p.nx * p.ny * p.adj.cos,
         p.nx * p.nx + p.ny * p.ny + 4.0 * p.nx * p.ny * p.abs.cos,
-    ),
-    "T37": lambda p: (p.nsum, SUM_SHARP_CONSTANT * p.abs.nsum),
+    ), 2, "angle"),
+    "T37": _Record(lambda p: (p.nsum, SUM_SHARP_CONSTANT * p.abs.nsum), 1, target=SUM_SHARP_CONSTANT),
 }
 
 INEQUALITY_IDS = tuple(_REGISTRY)
+ANGLE_IDS = frozenset(i for i, r in _REGISTRY.items() if r.domain == "angle")
+NORMAL_ONLY_IDS = frozenset(i for i, r in _REGISTRY.items() if r.domain == "normal")
 
-# Ids whose sides involve angles and therefore need nonzero operands.
-ANGLE_IDS = frozenset({"T214i", "T214ii", "T214iii", "L31", "L32"})
 
-# Ids restricted to normal operands.
-NORMAL_ONLY_IDS = frozenset({"R33"})
+def _lookup(inequality_id: str) -> _Record:
+    """The registry record of an id; UnknownInequalityError names the known ids."""
+    if inequality_id not in _REGISTRY:
+        raise UnknownInequalityError(
+            f"unknown inequality id {inequality_id!r}; known: {', '.join(_REGISTRY)}"
+        )
+    return _REGISTRY[inequality_id]
 
 
 def _sides(inequality_id: str, xy: np.ndarray):
     """The sides lhs, rhs of a registry id, as (n,) arrays, over a stack xy
     (2, n, d, d) of operand pairs: x = xy[0] and y = xy[1]."""
-    if inequality_id in NORMAL_ONLY_IDS:
+    record = _lookup(inequality_id)
+    if record.domain == "normal":
         for name, normal in zip("XY", _normal_mask(xy)):
             if not normal.all():
                 raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
-    sides, pair = _REGISTRY[inequality_id], _OperandStack(xy)
-    if inequality_id not in ANGLE_IDS or pair.norms.all():
-        return sides(pair)
+    pair = _OperandStack(xy)
+    if record.domain != "angle" or pair.norms.all():
+        return record.sides(pair)
     # The angle ids presuppose nonzero operands; with a zero operand the
     # statement holds trivially, with both sides 0.
     keep = pair.norms.all(axis=0)
     lhs, rhs = np.zeros(len(keep)), np.zeros(len(keep))
-    lhs[keep], rhs[keep] = sides(_OperandStack(xy[:, keep]))
+    lhs[keep], rhs[keep] = record.sides(_OperandStack(xy[:, keep]))
     return lhs, rhs
 
 
@@ -157,13 +172,10 @@ def check(
 ) -> InequalityReport:
     """Evaluate both sides of the inequality and report the slack.
 
-    holds is slack >= -tol * scale with scale = max(|lhs|, |rhs|, 1); the
-    sides grow quadratically with the operand norms, so the test is relative.
+    holds is slack >= -tol * scale with scale = max(|lhs|, |rhs|, 1): a
+    relative test, as the sides are homogeneous of the record's degree.
     """
-    if inequality_id not in _REGISTRY:
-        raise UnknownInequalityError(
-            f"unknown inequality id {inequality_id!r}; known: {', '.join(INEQUALITY_IDS)}"
-        )
+    _lookup(inequality_id)
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ShapeError(
             f"check requires square matrices of equal dimension, got "

@@ -30,14 +30,11 @@ import numpy as np
 from .matrix_core import ComplexMatrix, _ct
 from .inequality_suite import (
     _REGISTRY,
-    INEQUALITY_IDS,
-    NORMAL_ONLY_IDS,
     SQRT2,
-    SUM_SHARP_CONSTANT,
     InequalityReport,
-    UnknownInequalityError,
     _OperandStack,
     _check_stack,
+    _lookup,
     check,
 )
 
@@ -224,7 +221,7 @@ class SuiteReport:
 def applicable_specs(inequality_id: str, specs) -> list:
     """Restrict the spec pool to ensembles the inequality admits."""
     pool = list(specs)
-    if inequality_id in NORMAL_ONLY_IDS:
+    if _lookup(inequality_id).domain == "normal":
         pool = [s for s in pool if s.kind in NORMAL_ENSEMBLE_KINDS]
     if not pool:
         raise ValueError(f"no applicable ensembles for {inequality_id}")
@@ -255,10 +252,6 @@ def run_property_suite(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ids = list(ids)
-    for iid in ids:
-        if iid not in INEQUALITY_IDS:
-            raise UnknownInequalityError(f"unknown inequality id {iid!r}")
     master, index = np.uint64(master_seed & _MASK64), np.arange(trials, dtype=np.uint64)
     reports = []
     for iid in ids:
@@ -349,12 +342,7 @@ def reproduce_witnesses() -> ReproReport:
 # ---------------------------------------------------------------------------
 # Sharpness scanner.
 
-SCAN_TARGETS = {
-    "T36": SQRT2,
-    "T37": SUM_SHARP_CONSTANT,
-    "C32": SQRT2,
-    "R33": 1.0,
-}
+SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not None}
 
 # Restarts run in lockstep, each a chain of at most _SCAN_POLISH_CHAIN
 # Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations.
@@ -388,19 +376,17 @@ class ScanResult:
 
 
 def _ratio_for(inequality_id: str):
-    """The scan objective target * lhs / rhs of the registry entry, at most
+    """The scan objective target * lhs / rhs of the registry record, at most
     the target and equal to it at a sharp pair: ratio(x, y) maps the halves
-    (k, d, d) of a pair stack to the k ratios.  A vanishing denominator
-    gives -inf; for C32 and R33 that is X - Y negligible against the
-    operands."""
-    sides, target = _REGISTRY[inequality_id], SCAN_TARGETS[inequality_id]
-    rel = 1e-12 if inequality_id in ("C32", "R33") else 0.0
+    (k, d, d) of a pair stack to the k ratios.  A denominator that vanishes,
+    or falls below the record's floor relative to the operands, gives -inf."""
+    r = _lookup(inequality_id)
 
     def ratio(x, y):
         pair = _OperandStack(np.array((x, y)))
-        lhs, rhs = sides(pair)
-        floor = target * rel * np.maximum(pair.norms.max(axis=0), 1.0) if rel else 0.0
-        return np.divide(target * lhs, rhs, out=np.full(len(rhs), -math.inf), where=rhs > floor)
+        lhs, rhs = r.sides(pair)
+        floor = r.target * r.floor * np.maximum(pair.norms.max(axis=0), 1.0) if r.floor else 0.0
+        return np.divide(r.target * lhs, rhs, out=np.full(len(rhs), -math.inf), where=rhs > floor)
 
     return ratio
 
@@ -442,7 +428,8 @@ def sharpness_scan(
     evaluated whole).  The last stack is cut to the budget.  Deterministic
     in master_seed.  The scanner corroborates sharpness; it certifies nothing.
     """
-    if inequality_id not in SCAN_TARGETS:
+    record = _lookup(inequality_id)
+    if record.target is None:
         raise ValueError(
             f"{inequality_id!r} has no scannable ratio form; known: {sorted(SCAN_TARGETS)}"
         )
@@ -450,8 +437,7 @@ def sharpness_scan(
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    target = SCAN_TARGETS[inequality_id]
-    decode = _normal_pair if inequality_id == "R33" else _raw_pair
+    decode = _normal_pair if record.domain == "normal" else _raw_pair
     n = 4 * dim * dim + (4 * dim if decode is _normal_pair else 0)
     ratio_fn = _ratio_for(inequality_id)
     rng = CounterRng(derive_seed(master_seed, "scan:" + inequality_id, dim))
@@ -522,5 +508,5 @@ def sharpness_scan(
             link[fresh] = np.where(go, link[fresh] + 1, 0)
     wx, wy = decode(best_params, dim)[:, 0]
     return ScanResult(
-        inequality_id, float(best), target, ComplexMatrix(wx), ComplexMatrix(wy), iterations
+        inequality_id, float(best), record.target, ComplexMatrix(wx), ComplexMatrix(wy), iterations
     )

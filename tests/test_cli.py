@@ -170,6 +170,13 @@ class TestVerify:
         assert code == 2
         assert "trials" in err
 
+    def test_trials_too_many_to_allocate_exit_2(self, capsys):
+        # The first array of 2**55 trials takes 2**58 bytes, beyond any
+        # address space, so the allocation fails at once.
+        code, out, err = run_cli(capsys, "verify", "--trials", str(2**55), "--dims", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     # sha256 of the stdout, computed by tests/pins.py at its pinned dispatch
     # level.  A change that moves any output bit must re-baseline these on
     # purpose and state the largest drift.
@@ -231,6 +238,11 @@ class TestScan:
     def test_unscannable_id_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--id", "CS_21", "--dim", "2", "--iters", "10")
         assert code == 2
+
+    def test_unknown_id_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "scan", "--id", "BOGUS", "--dim", "2", "--iters", "10")
+        assert code == 2
+        assert "unknown inequality id 'BOGUS'; known: CS_21" in err
 
 
 class TestStrictJson:
