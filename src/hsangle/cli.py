@@ -3,7 +3,7 @@
 Matrices are always passed as JSON files ({"rows", "cols", "re", "im"}).
 Exit codes: 0 success, 1 a verified quantity missed its target or an
 inequality was violated, 2 bad input (malformed JSON, shape mismatch,
-unknown id, zero operand where an angle is required, out-of-range --dims,
+unknown id, zero operand where an angle is required, --dims outside 1..64,
 a tolerance that is not finite and positive, an unwritable --output, a
 result outside float64, a request too large to allocate).
 """
@@ -24,6 +24,7 @@ from .hs_geometry import angle_report
 from .inequality_suite import INEQUALITY_IDS, check
 from .random_lab import (
     ENSEMBLE_KINDS,
+    MAX_DIM,
     GeneratorSpec,
     reproduce_witnesses,
     run_property_suite,
@@ -100,16 +101,18 @@ def _emit(payloads, args) -> None:
 
 
 def _parse_dims(raw: str) -> list:
+    """--dims as a list, from "lo..hi" or "d1,d2,...": every dimension must
+    lie in [1, MAX_DIM], and a range's ends are checked before it is built."""
+    span = ".." in raw
     try:
-        if ".." in raw:
-            lo, hi = raw.split("..", 1)
-            dims = list(range(int(lo), int(hi) + 1))
-        else:
-            dims = [int(p) for p in raw.split(",")]
+        ends = [int(p) for p in (raw.split("..", 1) if span else raw.split(","))]
     except ValueError as exc:
         raise ValidationError(f"cannot parse --dims {raw!r}: use e.g. 1..8 or 2,4,6") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise ValidationError(f"--dims must name positive dimensions, got {raw!r}")
+    if not all(1 <= d <= MAX_DIM for d in ends):
+        raise ValidationError(f"--dims must name dimensions in 1..{MAX_DIM}, got {raw!r}")
+    dims = list(range(ends[0], ends[1] + 1)) if span else ends
+    if not dims:
+        raise ValidationError(f"--dims names no dimension, got {raw!r}")
     return dims
 
 
@@ -231,7 +234,8 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _COMMANDS[args.command](args, _tolerance(args.tol))
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # An error without a message, such as a MemoryError, is named by its class.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, _ct
+from .matrix_core import ComplexMatrix, ShapeError, _cached, _ct
 
 DEFAULT_PREDICATE_TOL = 1e-8
 
@@ -66,7 +65,7 @@ def _norms(a: np.ndarray) -> np.ndarray:
     lose bits or overflow, it is taken over the entries scaled by _unit."""
     v = a.reshape(-1, a.shape[-2] * a.shape[-1])
     n = _rownorms(v)
-    if not 2.0**-500 <= n.min(initial=1.0) <= n.max(initial=1.0) <= 2.0**500:
+    if n.size and not 2.0**-500 <= np.minimum.reduce(n) <= np.maximum.reduce(n) <= 2.0**500:
         out = (n < 2.0**-500) | (n > 2.0**500)
         u, e = _unit(v[out], axis=-1)
         n[out] = np.ldexp(_rownorms(u), e)
@@ -89,32 +88,38 @@ class _PairStack:
     def __init__(self, xy: np.ndarray):
         self.xy = xy
 
-    norms = cached_property(lambda p: _norms(p.xy))
+    norms = _cached(lambda p: _norms(p.xy))
     nx = property(lambda p: p.norms[0])
     ny = property(lambda p: p.norms[1])
-    inner = cached_property(lambda p: _inners(p.xy[0], p.xy[1]))
+    inner = _cached(lambda p: _inners(p.xy[0], p.xy[1]))
     nsum = property(lambda p: _norms(p.xy[0] + p.xy[1]))
     ndiff = property(lambda p: _norms(p.xy[0] - p.xy[1]))
 
-    @cached_property
+    @_cached
     def _scaled(self):
         """xy and the norms, each operand scaled by _unit, so that neither
-        the inner product nor nx * ny underflows or overflows.  A norm that
-        overflowed float64 unscaled is taken again over the scaled operand."""
+        the inner product nor nx * ny underflows or overflows.  When every
+        norm lies in [2^-500, 2^500], where nx * ny can do neither, they are
+        returned unscaled.  A norm that overflowed float64 unscaled is taken
+        again over the scaled operand."""
+        n = self.norms
+        v = n.reshape(-1)
+        if v.size and 2.0**-500 <= np.minimum.reduce(v) <= np.maximum.reduce(v) <= 2.0**500:
+            return self.xy, n
         xy, e = _unit(self.xy)
-        n = np.ldexp(self.norms, -e)
+        n = np.ldexp(n, -e)
         inf = ~np.isfinite(n)
         if inf.any():
             n[inf] = _norms(xy[inf])
         return xy, n
 
-    @cached_property
+    @_cached
     def cos(self) -> np.ndarray:
         xy, n = self._scaled
         # Clamped into [-1, 1] against roundoff.
         return np.fmin(1.0, np.fmax(-1.0, _inners(xy[0], xy[1]).real / (n[0] * n[1])))
 
-    @cached_property
+    @_cached
     def sin(self) -> np.ndarray:
         xy, n = self._scaled
         u = xy / n[..., None, None]

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, _ct, digest
+from .matrix_core import ComplexMatrix, ShapeError, _cached, _ct, digest
 from .spectral import _Moduli, _is_psd
 from .hs_geometry import _PairStack, _angle_pairs, _norms, _unit
 
@@ -85,9 +84,9 @@ class _OperandStack(_PairStack):
     (|X|, |Y|) and adj = (|X*|, |Y*|), formed on first use from one SVD call
     over both operands of every pair."""
 
-    _moduli = cached_property(lambda p: _Moduli(p.xy))
-    abs = cached_property(lambda p: _PairStack(p._moduli.abs()))
-    adj = cached_property(lambda p: _PairStack(p._moduli.adj()))
+    _moduli = _cached(lambda p: _Moduli(p.xy))
+    abs = _cached(lambda p: _PairStack(p._moduli.abs()))
+    adj = _cached(lambda p: _PairStack(p._moduli.adj()))
 
 
 @dataclass(frozen=True)

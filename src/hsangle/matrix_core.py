@@ -109,6 +109,25 @@ class ComplexVector:
         return ComplexMatrix(self.v.reshape(-1, 1))
 
 
+class _cached:
+    """A cached property: fn(obj), computed on the first read and stored on
+    obj, where later reads find it.  functools.cached_property does the same
+    but, before Python 3.12, takes a lock on every first read, which costs
+    about as much as a numpy call on a small stack."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _ct(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack (..., m, n)."""
     return a.conj().swapaxes(-1, -2)

@@ -353,6 +353,10 @@ _SCAN_POLISH_FEV = 6000
 # axis (relative for a nonzero coordinate, absolute for a zero one).
 _SCAN_XATOL, _SCAN_FATOL = 1e-13, 1e-14
 _SCAN_NONZDELT, _SCAN_ZDELT = 0.05, 0.00025
+# The coefficients (1 + t, t) of the point (1 + t) xbar - t worst that
+# follows a reflection, by expand + outside: inside (t = -1/2) or outside
+# (t = 1/2) contraction, or expansion (t = 2).
+_SCAN_STEPS = np.array([[0.5, -0.5], [1.5, 0.5], [3.0, 2.0]])
 
 
 @dataclass(frozen=True)
@@ -394,9 +398,9 @@ def _ratio_for(inequality_id: str):
 def _raw_pair(p: np.ndarray, dim: int) -> np.ndarray:
     """The pair stack (2, k, dim, dim) of the k parameter rows of p (k, n),
     or of one row (n,): [re X, im X, re Y, im Y], each dim^2 row-major."""
-    p = np.atleast_2d(p)
-    q = p[:, : 4 * dim * dim].reshape(len(p), 2, 2, dim, dim).transpose(1, 2, 0, 3, 4)
-    return q[:, 0] + 1j * q[:, 1]
+    q = p.reshape(-1, p.shape[-1])[:, : 4 * dim * dim].reshape(-1, 2, 2, dim, dim)
+    # One copy moves each entry's (re, im) to the last axis, read as complex.
+    return np.ascontiguousarray(q.transpose(1, 0, 3, 4, 2)).view(complex)[..., 0]
 
 
 def _normal_pair(p: np.ndarray, dim: int) -> np.ndarray:
@@ -449,60 +453,75 @@ def sharpness_scan(
         not evaluated and get +inf, and so does a NaN ratio."""
         nonlocal budget, best, best_params
         k = min(len(points), budget)
-        f = np.full(len(points), math.inf)
+        f = np.empty(len(points))
+        f[k:] = math.inf
         if k:
             budget -= k
-            f[:k] = np.fmin(-ratio_fn(*decode(points[:k], dim)), math.inf)
-            i = int(np.argmin(f))
+            np.fmin(-ratio_fn(*decode(points[:k], dim)), math.inf, out=f[:k])
+            i = f.argmin()
             if best_params is None or -f[i] > best:
                 best, best_params = -f[i], points[i].copy()
         return f
 
+    # The simplices are vertex-major: sim[v] holds vertex v of every restart
+    # and fsim[v] its values, each sorted from best (v = 0) to worst.
     r, axis = min(_SCAN_RESTARTS, -(-iterations // (n + 1))), np.arange(n)
-    rows, sim, fsim = np.arange(r)[:, None], np.empty((r, n + 1, n)), np.empty((r, n + 1))
+    cols, sim, fsim = np.arange(r), np.empty((n + 1, r, n)), np.empty((n + 1, r))
     fev, link, last = np.zeros(r, dtype=int), np.zeros(r, dtype=int), np.full(r, -math.inf)
-    x0, fresh = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool)
+    x0, fresh, begin = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool), True
+    inf_row = np.full(r, math.inf)
     while budget:
-        if fresh.any():
+        if begin:
             s = np.repeat(x0[:, None], n + 1, axis=1)
             s[:, axis + 1, axis] = np.where(x0 != 0.0, (1.0 + _SCAN_NONZDELT) * x0, _SCAN_ZDELT)
             fs = evaluate(s.reshape(-1, n)).reshape(-1, n + 1)
-            i, order = np.arange(len(fs))[:, None], np.argsort(fs, axis=1)
-            sim[fresh], fsim[fresh], fev[fresh] = s[i, order], fs[i, order], n + 1
-        xbar, worst = sim[:, :-1].sum(axis=1) / n, sim[:, -1]
+            i, order = np.arange(len(fs))[:, None], fs.argsort(axis=1)
+            sim[:, fresh], fsim[:, fresh] = s[i, order].swapaxes(0, 1), fs[i, order].T
+            fev[fresh] = n + 1
+        xbar, worst = np.add.reduce(sim[:-1]) / n, sim[-1]
         xr = 2.0 * xbar - worst
         fr = evaluate(xr)
-        # Where the reflection is not kept outright: expansion (t = 2),
-        # outside (t = 1/2) or inside (t = -1/2) contraction, at
-        # (1 + t) xbar - t worst; a failed contraction shrinks the simplex.
-        expand, outside = fr < fsim[:, 0], fr < fsim[:, -1]
-        second = expand | ~(fr < fsim[:, -2])
-        t = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
-        x2 = (1.0 + t) * xbar - t * worst
-        f2 = np.full(r, math.inf)
+        # Where the reflection is not kept outright: expansion, outside or
+        # inside contraction at c[:, 0] xbar - c[:, 1] worst.  Its point is
+        # taken where it beats the worst vertex and the reflection, which an
+        # expansion must beat strictly (f2 is +inf where there is none); a
+        # contraction that is not taken shrinks the simplex.
+        expand, outside = fr < fsim[0], fr < fsim[-1]
+        second = expand | (fr >= fsim[-2])
+        c = _SCAN_STEPS[np.add(expand, outside, dtype=int)]
+        x2 = c[:, :1] * xbar - c[:, 1:] * worst
+        f2 = inf_row.copy()
         f2[second] = evaluate(x2[second])
-        take = second & np.where(expand, f2 < fr, np.where(outside, f2 <= fr, f2 < fsim[:, -1]))
-        shrink = second & ~expand & ~take
-        sim[:, -1] = np.where(take[:, None], x2, np.where(shrink[:, None], worst, xr))
-        fsim[:, -1] = np.where(take, f2, np.where(shrink, fsim[:, -1], fr))
+        take = (f2 < fsim[-1]) & np.where(expand, f2 < fr, f2 <= fr)
+        shrink = second & ~(expand | take)
+        # The worst vertex becomes the second point where it is taken, else
+        # the reflection, except where the simplex shrinks.
+        moved = ~shrink
+        np.copyto(worst, xr, where=moved[:, None])
+        np.copyto(worst, x2, where=take[:, None])
+        np.copyto(fsim[-1], fr, where=moved)
+        np.copyto(fsim[-1], f2, where=take)
         fev += 1 + second
-        over, shrink = shrink & (fev + n > _SCAN_POLISH_FEV), shrink & (fev + n <= _SCAN_POLISH_FEV)
+        over = shrink & (fev > _SCAN_POLISH_FEV - n)
+        shrink ^= over
         if shrink.any():
-            h = sim[shrink, :1] + 0.5 * (sim[shrink, 1:] - sim[shrink, :1])
-            sim[shrink, 1:], fsim[shrink, 1:] = h, evaluate(h.reshape(-1, n)).reshape(-1, n)
+            h = sim[:1, shrink] + 0.5 * (sim[1:, shrink] - sim[:1, shrink])
+            sim[1:, shrink] = h
+            fsim[1:, shrink] = evaluate(h.swapaxes(0, 1).reshape(-1, n)).reshape(-1, n).T
             fev[shrink] += n
-        order = np.argsort(fsim, axis=1)
-        sim, fsim = sim[rows, order], fsim[rows, order]
+        order = fsim.argsort(axis=0)
+        sim, fsim = sim[order, cols], fsim[order, cols]
         # A restart whose polish ends goes on from the best vertex while the
         # chain improves, else from a fresh start.
-        flat = fsim[:, -1] <= fsim[:, 0] + _SCAN_FATOL
+        flat = fsim[-1] <= fsim[0] + _SCAN_FATOL
         if flat.any():
-            flat[flat] = np.abs(sim[flat, 1:] - sim[flat, :1]).max(axis=(1, 2)) <= _SCAN_XATOL
-        fresh = flat | over | (fev + 2 > _SCAN_POLISH_FEV)
-        if fresh.any():
-            value = -fsim[fresh, 0]
+            flat[flat] = np.abs(sim[1:, flat] - sim[:1, flat]).max(axis=(0, 2)) <= _SCAN_XATOL
+        fresh = flat | over | (fev > _SCAN_POLISH_FEV - 2)
+        begin = fresh.any()
+        if begin:
+            value = -fsim[0, fresh]
             go = (value > last[fresh] + 1e-15) & (link[fresh] + 1 < _SCAN_POLISH_CHAIN)
-            x0 = sim[fresh, 0]
+            x0 = sim[0, fresh]
             x0[~go] = rng.normals(np.count_nonzero(~go) * n).reshape(-1, n)
             last[fresh] = np.where(go, value, -math.inf)
             link[fresh] = np.where(go, link[fresh] + 1, 0)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .hs_geometry import _norms, _unit
-from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _ct
+from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _cached, _ct
 
 # Relative tolerance for accepting an input as Hermitian.
 HERMITIAN_TOL = 1e-10
@@ -109,7 +108,7 @@ _SIGN, _LEFT, _RIGHT = np.array(
     [[(-1 if s == "-" else 1, "abcdefgh".index(p), "abcdefgh".index(q))
       for s, p, q in re.findall("([+-]?)(.)(.)", terms)] for terms in _QUANTITIES]
 ).transpose(2, 1, 0).reshape(3, -1)
-_SIGN = _SIGN.astype(float)
+_SIGN = _SIGN.astype(float)[:, None]
 # The real view of |X| and then of |X*| by quantity: each diagonal's
 # imaginary part is 0, and the lower corner is the conjugate of the upper.
 _SLOTS = [0, 12, 4, 5, 4, 6, 1, 12, 2, 12, 7, 8, 7, 9, 3, 12]
@@ -121,16 +120,17 @@ _R_RANGE = (2.0**-500, 2.0**500)
 
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range r is redone scaled
 def _quantities(a: np.ndarray):
-    """The _QUANTITIES q (n, 13) of each matrix of a contiguous stack a (n, 2,
+    """The _QUANTITIES q (13, n) of each matrix of a contiguous stack a (n, 2,
     2), with delta = |det X| = sigma_1 sigma_2 added to the diagonals, and r
-    = sqrt(tr(X*X) + 2 delta) = sigma_1 + sigma_2."""
-    f = a.view(float).reshape(-1, 8)
-    p = f.take(_LEFT, axis=1) * f.take(_RIGHT, axis=1) * _SIGN
+    = sqrt(tr(X*X) + 2 delta) = sigma_1 + sigma_2.  Quantity-major: each
+    product, half sum and quantity is one contiguous row over the stack."""
+    f = a.view(float).reshape(-1, 8).T
+    p = f.take(_LEFT, axis=0) * f.take(_RIGHT, axis=0) * _SIGN
     k = len(_QUANTITIES)
-    half = p[:, : 2 * k] + p[:, 2 * k :]
-    q = half[:, :k] + half[:, k:]
-    q[:, :4] += np.hypot(q[:, 10], q[:, 11])[:, None]
-    return q, np.sqrt(q[:, 0] + q[:, 1])
+    half = p[: 2 * k] + p[2 * k :]
+    q = half[:k] + half[k:]
+    q[:4] += np.hypot(q[10], q[11])
+    return q, np.sqrt(q[0] + q[1])
 
 
 class _Moduli:
@@ -148,7 +148,7 @@ class _Moduli:
     def __init__(self, a: np.ndarray):
         self.a = a
 
-    @cached_property
+    @_cached
     def _svd(self):
         return _svd(self.a)
 
@@ -156,19 +156,19 @@ class _Moduli:
     s = property(lambda m: m._svd[1])
     vh = property(lambda m: m._svd[2])
 
-    @cached_property
+    @_cached
     def _closed(self) -> np.ndarray:
         """|X| and |X*| of each 2x2 X, as the array (..., 2, 2, 2) of both."""
         a = np.ascontiguousarray(self.a).reshape(-1, 2, 2)
         q, r = _quantities(a)
         lo, hi = _R_RANGE
         e = None
-        if not lo <= r.min(initial=1.0) <= r.max(initial=1.0) <= hi:
+        if r.size and not lo <= np.minimum.reduce(r) <= np.maximum.reduce(r) <= hi:
             out = ~((r >= lo) & (r <= hi))
             u, e = _unit(a[out])
-            q[out], r[out] = _quantities(u)
+            q[:, out], r[out] = _quantities(u)
             r[r == 0.0] = 1.0  # X = 0: the moduli are 0 / 1
-        m = (q / r[:, None]).take(_SLOTS, axis=1)
+        m = (q / r).T.take(_SLOTS, axis=1)
         if e is not None:
             m[out] = np.ldexp(m[out], e[:, None])
         return m.view(complex).reshape(self.a.shape[:-2] + (2, 2, 2))

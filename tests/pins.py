@@ -37,6 +37,9 @@ CLI_PINS = (
     ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
     ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
     ("repro",),
+    ("scan", "--id", "T36", "--dim", "2", "--iters", "4000", "--seed", "42"),
+    ("scan", "--id", "C32", "--dim", "2", "--iters", "4000", "--seed", "42"),
+    ("scan", "--id", "T37", "--dim", "3", "--iters", "3000", "--seed", "5"),
 )
 GENERATE = "generate"
 

@@ -8,7 +8,7 @@ import pytest
 
 import hsangle
 from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale, witness_triple
-from hsangle.cli import main
+from hsangle.cli import _COMMANDS, main
 from pins import pinned_digests
 
 
@@ -165,6 +165,23 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:") and "dim" in err
 
+    @pytest.mark.parametrize("dims", ["1..10000000000000000000", "1..100000000000000000"])
+    def test_dims_range_beyond_max_dim_exits_2_before_it_is_built(self, capsys, dims):
+        # Building either range would fail: the first overflows list(), the
+        # second raises a MemoryError without a message.
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", "--dims", dims)
+        assert code == 2 and out == ""
+        assert err == f"error: --dims must name dimensions in 1..64, got {dims!r}\n"
+
+    def test_error_without_a_message_is_named_by_its_class(self, capsys, monkeypatch):
+        def fail(args, tol):
+            raise MemoryError()
+
+        monkeypatch.setitem(_COMMANDS, "repro", fail)
+        code, out, err = run_cli(capsys, "repro")
+        assert code == 2 and out == ""
+        assert err == "error: MemoryError\n"
+
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2
@@ -201,6 +218,20 @@ class TestVerify:
                 "8f4d9795613060392158dfde26c3c2c36545a221c6c14ae759f98e104b7b0981",
             ),
             (("repro",), "c236f8898cdac2a43b06ea18982a20d261a8a39758b26cc87a79083fff901191"),
+            # The adjoint moduli (T36), the raw-pair guard (C32) and a 3x3
+            # scan, whose moduli come from the SVD.
+            (
+                ("scan", "--id", "T36", "--dim", "2", "--iters", "4000", "--seed", "42"),
+                "23ded7b680e6b6f02bd97f522eb69aab068918877827f024052db1f8c59db3e1",
+            ),
+            (
+                ("scan", "--id", "C32", "--dim", "2", "--iters", "4000", "--seed", "42"),
+                "c817da62ede0b93af0aec1de45370df7d5344cf2e4d492c9b14da4e23f9050ef",
+            ),
+            (
+                ("scan", "--id", "T37", "--dim", "3", "--iters", "3000", "--seed", "5"),
+                "69aaf72b79befe388dcc2f2afd4505a0eef43371580fea3718e95bc79c074c65",
+            ),
         ],
     )
     def test_golden_output(self, argv, sha256):

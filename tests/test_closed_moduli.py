@@ -22,6 +22,7 @@ from hsangle import (
     generate,
     witness_triple,
 )
+from hsangle.spectral import _Moduli
 
 
 def near_singular(eps):
@@ -89,3 +90,20 @@ def test_moduli_scale_exactly(kind, seed, k):
                 m, sm = modulus(x).a, modulus(sx).a
                 assert sm.tobytes() == scaled(m, k).tobytes()
                 assert_exactly_hermitian(sm)
+
+
+@pytest.mark.parametrize("size", [1, 5, 64, 2048])
+def test_each_matrix_of_a_stack_gets_its_moduli_alone(size):
+    # In-range matrices, matrices scaled by 2^600 and 2^-600, which take the
+    # rescue, and zero matrices, mixed in one stack: the rescue must pick out
+    # exactly the matrices that need it, and no matrix's bits may depend on
+    # its neighbours.
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    kind = rng.permutation(np.arange(size) % 4)
+    a = scaled(a, np.array([0, 600, -600, 0])[kind][:, None, None])
+    a[kind == 3] = 0.0
+    stacked = _Moduli(a)
+    for i, x in enumerate(ComplexMatrix(m) for m in a):
+        assert stacked.abs()[i].tobytes() == abs_op(x).a.tobytes()
+        assert stacked.adj()[i].tobytes() == abs_adjoint(x).a.tobytes()
