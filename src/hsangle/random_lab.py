@@ -37,6 +37,7 @@ from .inequality_suite import (
     _lookup,
     check,
 )
+from .spectral import _CLOSED_SHAPE
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -48,8 +49,8 @@ NORMAL_ENSEMBLE_KINDS = ("hermitian", "normal", "psd", "unitary")
 MAX_DIM = 64
 # The labels under which a trial seed derives the seeds of its X and Y.
 _OPERAND_LABELS = ("operand-x", "operand-y")
-# run_property_suite stacks no more entries per operand than one
-# MAX_DIM x MAX_DIM matrix holds.
+# run_property_suite and the scanner stack no more entries per operand than
+# one MAX_DIM x MAX_DIM matrix holds.
 _STACK_ENTRIES = MAX_DIM * MAX_DIM
 
 
@@ -353,10 +354,11 @@ _SCAN_POLISH_FEV = 6000
 # axis (relative for a nonzero coordinate, absolute for a zero one).
 _SCAN_XATOL, _SCAN_FATOL = 1e-13, 1e-14
 _SCAN_NONZDELT, _SCAN_ZDELT = 0.05, 0.00025
-# The coefficients (1 + t, t) of the point (1 + t) xbar - t worst that
-# follows a reflection, by expand + outside: inside (t = -1/2) or outside
-# (t = 1/2) contraction, or expansion (t = 2).
-_SCAN_STEPS = np.array([[0.5, -0.5], [1.5, 0.5], [3.0, 2.0]])
+# The coefficients (1 + t, t) of the points (1 + t) xbar - t worst of a
+# step: the reflection (t = 1), then, by 1 + expand + outside, the point
+# that may follow it: inside (t = -1/2) or outside (t = 1/2) contraction, or
+# expansion (t = 2).
+_SCAN_STEPS = np.array([[2.0, 1.0], [0.5, -0.5], [1.5, 0.5], [3.0, 2.0]])
 
 
 @dataclass(frozen=True)
@@ -413,6 +415,26 @@ def _normal_pair(p: np.ndarray, dim: int) -> np.ndarray:
     return _normal(_phase_fixed_q(_raw_pair(p, dim)), q[:, 0] + 1j * q[:, 1])
 
 
+class _Budget:
+    """A scan's evaluations left and the best point charged to it."""
+
+    def __init__(self, evaluations: int):
+        self.left, self.best, self.params = evaluations, -math.inf, None
+
+    def charge(self, points: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Charge the rows of points, of values f (-ratio), in order: the
+        rows past the budget get +inf in f, the others may set the best.
+        Returns f."""
+        k = min(len(points), self.left)
+        f[k:] = math.inf
+        if k:
+            self.left -= k
+            i = f.argmin()
+            if self.params is None or -f[i] > self.best:
+                self.best, self.params = -f[i], points[i].copy()
+        return f
+
+
 def sharpness_scan(
     inequality_id: str, dim: int, iterations: int, master_seed: int = 0
 ) -> ScanResult:
@@ -421,15 +443,23 @@ def sharpness_scan(
 
     _SCAN_RESTARTS restarts (fewer if the budget ends in their first
     simplices) run Nelder-Mead (Nelder and Mead 1965; coefficients 1, 2,
-    1/2, 1/2) in lockstep: each step evaluates the initial simplices of the
-    polishes that begin, then every reflection, then the expansions and
-    contractions, then the shrink points, each as one stack.  A restart
+    1/2, 1/2) in lockstep.  Each step evaluates the initial simplices of
+    the polishes that begin, then the reflections and the expansions and
+    contractions that follow them, then the shrink points.  At dim 2, where
+    the moduli come in closed form and a stack of 30 points costs about as
+    much as one of a single point, the reflections and all three points that
+    may follow each are one stack; above dim 2 they are two stacks, the
+    second holding only the points that follow.  A restart
     draws a standard normal start point and runs a chain of polishes, each
     starting where the last ended, until one fails to improve; then it draws
     a fresh start, in restart order.  A polish ends at the stop rules, when
     fewer than two of its _SCAN_POLISH_FEV evaluations remain, or at a
     shrink that would pass them (an initial simplex of more points is
-    evaluated whole).  The last stack is cut to the budget.  Deterministic
+    evaluated whole).  The budget counts the charged points exactly: those
+    plain Nelder-Mead evaluates, in its order, never the points that a step
+    at dim 2 values ahead but does not take.  The last stack is cut to the
+    budget, and the scan ends once it is spent.  A stack is decoded and
+    evaluated _STACK_ENTRIES entries per operand at a time.  Deterministic
     in master_seed.  The scanner corroborates sharpness; it certifies nothing.
     """
     record = _lookup(inequality_id)
@@ -443,25 +473,22 @@ def sharpness_scan(
         raise ValueError("iterations must be >= 1")
     decode = _normal_pair if record.domain == "normal" else _raw_pair
     n = 4 * dim * dim + (4 * dim if decode is _normal_pair else 0)
-    ratio_fn = _ratio_for(inequality_id)
+    ratio_fn, chunk = _ratio_for(inequality_id), _STACK_ENTRIES // dim**2
     rng = CounterRng(derive_seed(master_seed, "scan:" + inequality_id, dim))
+    budget, lookahead = _Budget(iterations), (dim, dim) == _CLOSED_SHAPE
 
-    budget, best, best_params = iterations, -math.inf, None
+    def values(points: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Writes -ratio of each row of points, minimized, to f (a NaN ratio
+        gives +inf), chunk rows at a time.  Returns f."""
+        for i in range(0, len(points), chunk):
+            p = points[i : i + chunk]
+            np.fmin(-ratio_fn(*decode(p, dim)), math.inf, out=f[i : i + len(p)])
+        return f
 
     def evaluate(points: np.ndarray) -> np.ndarray:
-        """-ratio of each row of points, minimized; rows past the budget are
-        not evaluated and get +inf, and so does a NaN ratio."""
-        nonlocal budget, best, best_params
-        k = min(len(points), budget)
-        f = np.empty(len(points))
-        f[k:] = math.inf
-        if k:
-            budget -= k
-            np.fmin(-ratio_fn(*decode(points[:k], dim)), math.inf, out=f[:k])
-            i = f.argmin()
-            if best_params is None or -f[i] > best:
-                best, best_params = -f[i], points[i].copy()
-        return f
+        """Values and charges the rows of points; those past the budget are
+        not valued."""
+        return budget.charge(points, values(points[: budget.left], np.empty(len(points))))
 
     # The simplices are vertex-major: sim[v] holds vertex v of every restart
     # and fsim[v] its values, each sorted from best (v = 0) to worst.
@@ -470,28 +497,39 @@ def sharpness_scan(
     fev, link, last = np.zeros(r, dtype=int), np.zeros(r, dtype=int), np.full(r, -math.inf)
     x0, fresh, begin = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool), True
     inf_row = np.full(r, math.inf)
-    while budget:
+    while budget.left:
         if begin:
             s = np.repeat(x0[:, None], n + 1, axis=1)
             s[:, axis + 1, axis] = np.where(x0 != 0.0, (1.0 + _SCAN_NONZDELT) * x0, _SCAN_ZDELT)
             fs = evaluate(s.reshape(-1, n)).reshape(-1, n + 1)
+            if not budget.left:
+                break
             i, order = np.arange(len(fs))[:, None], fs.argsort(axis=1)
             sim[:, fresh], fsim[:, fresh] = s[i, order].swapaxes(0, 1), fs[i, order].T
             fev[fresh] = n + 1
+        # pts[0] holds the reflections and pts[1 + expand + outside] the
+        # points that may follow them; with lookahead all four are valued as
+        # one stack, and charged only where Nelder-Mead evaluates them.
         xbar, worst = np.add.reduce(sim[:-1]) / n, sim[-1]
-        xr = 2.0 * xbar - worst
-        fr = evaluate(xr)
+        pts = _SCAN_STEPS[:, :1, None] * xbar - _SCAN_STEPS[:, 1:, None] * worst
+        if lookahead:
+            fpts = values(pts.reshape(-1, n), np.empty(4 * r)).reshape(4, r)
+            fr = budget.charge(pts[0], fpts[0])
+        else:
+            fr = evaluate(pts[0])
         # Where the reflection is not kept outright: expansion, outside or
-        # inside contraction at c[:, 0] xbar - c[:, 1] worst.  Its point is
-        # taken where it beats the worst vertex and the reflection, which an
-        # expansion must beat strictly (f2 is +inf where there is none); a
-        # contraction that is not taken shrinks the simplex.
-        expand, outside = fr < fsim[0], fr < fsim[-1]
+        # inside contraction.  Its point is taken where it beats the worst
+        # vertex and the reflection, which an expansion must beat strictly
+        # (f2 is +inf where there is none); a contraction that is not taken
+        # shrinks the simplex.
+        xr, expand, outside = pts[0], fr < fsim[0], fr < fsim[-1]
         second = expand | (fr >= fsim[-2])
-        c = _SCAN_STEPS[np.add(expand, outside, dtype=int)]
-        x2 = c[:, :1] * xbar - c[:, 1:] * worst
-        f2 = inf_row.copy()
-        f2[second] = evaluate(x2[second])
+        step = np.add(expand, outside, dtype=int) + 1
+        x2, f2 = pts[step, cols], inf_row.copy()
+        if lookahead:
+            f2[second] = budget.charge(x2[second], fpts[step, cols][second])
+        else:
+            f2[second] = evaluate(x2[second])
         take = (f2 < fsim[-1]) & np.where(expand, f2 < fr, f2 <= fr)
         shrink = second & ~(expand | take)
         # The worst vertex becomes the second point where it is taken, else
@@ -525,7 +563,8 @@ def sharpness_scan(
             x0[~go] = rng.normals(np.count_nonzero(~go) * n).reshape(-1, n)
             last[fresh] = np.where(go, value, -math.inf)
             link[fresh] = np.where(go, link[fresh] + 1, 0)
-    wx, wy = decode(best_params, dim)[:, 0]
+    wx, wy = decode(budget.params, dim)[:, 0]
     return ScanResult(
-        inequality_id, float(best), record.target, ComplexMatrix(wx), ComplexMatrix(wy), iterations
+        inequality_id, float(budget.best), record.target, ComplexMatrix(wx), ComplexMatrix(wy),
+        iterations,
     )

@@ -89,6 +89,9 @@ def _svd(a: np.ndarray):
         raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
 
 
+# The shape whose moduli come in closed form: a stack of them costs about
+# the same for one matrix as for dozens, where the SVD costs per matrix.
+_CLOSED_SHAPE = (2, 2)
 # Per matrix, the real view f (n, 8) of a stack of 2x2 X holds a..h, with
 # x00 = a + bi, x01 = c + di, x10 = e + fi and x11 = g + hi.  Every quantity
 # of the closed form is a sum of four signed products of them: the diagonals
@@ -174,13 +177,13 @@ class _Moduli:
         return m.view(complex).reshape(self.a.shape[:-2] + (2, 2, 2))
 
     def abs(self) -> np.ndarray:
-        if self.a.shape[-2:] == (2, 2):
+        if self.a.shape[-2:] == _CLOSED_SHAPE:
             return self._closed[..., 0, :, :]
         vh = self.vh
         return _hermitian_part((_ct(vh) * self.s[..., None, :]) @ vh)
 
     def adj(self) -> np.ndarray:
-        if self.a.shape[-2:] == (2, 2):
+        if self.a.shape[-2:] == _CLOSED_SHAPE:
             return self._closed[..., 1, :, :]
         # Only asked for square X, where W and S conform.
         w = self.w

@@ -40,6 +40,9 @@ CLI_PINS = (
     ("scan", "--id", "T36", "--dim", "2", "--iters", "4000", "--seed", "42"),
     ("scan", "--id", "C32", "--dim", "2", "--iters", "4000", "--seed", "42"),
     ("scan", "--id", "T37", "--dim", "3", "--iters", "3000", "--seed", "5"),
+    ("scan", "--id", "T37", "--dim", "2", "--iters", "37", "--seed", "1"),
+    ("scan", "--id", "T36", "--dim", "2", "--iters", "1001", "--seed", "9"),
+    ("scan", "--id", "R33", "--dim", "2", "--iters", "2500", "--seed", "11"),
 )
 GENERATE = "generate"
 

@@ -232,6 +232,21 @@ class TestVerify:
                 ("scan", "--id", "T37", "--dim", "3", "--iters", "3000", "--seed", "5"),
                 "69aaf72b79befe388dcc2f2afd4505a0eef43371580fea3718e95bc79c074c65",
             ),
+            # The budget's edges: it ends inside the initial simplices, then
+            # in mid-step; and an R33 scan, whose points decode through the
+            # QR of _normal_pair.
+            (
+                ("scan", "--id", "T37", "--dim", "2", "--iters", "37", "--seed", "1"),
+                "77b76cc8468ce64b839849ed0bce3a393269e35decf974303c0494e2539ec8b2",
+            ),
+            (
+                ("scan", "--id", "T36", "--dim", "2", "--iters", "1001", "--seed", "9"),
+                "72cc6e66a351594e3fa4574802bb4ce39dc72e4703aa18f8004fb52332cd4fac",
+            ),
+            (
+                ("scan", "--id", "R33", "--dim", "2", "--iters", "2500", "--seed", "11"),
+                "d2af153ae28a2aaa3ade930979e9c21c3594fe1e974cd9faf4b8fce70bbe662e",
+            ),
         ],
     )
     def test_golden_output(self, argv, sha256):

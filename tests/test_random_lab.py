@@ -244,8 +244,22 @@ class TestSharpnessScan:
         with pytest.raises(ValueError):
             sharpness_scan("CS_21", 2, 100, 0)
 
+    @pytest.fixture
+    def charged(self, monkeypatch):
+        """The parameter rows that sharpness_scan charges to its budget, in
+        order."""
+        rows = []
+        charge = random_lab._Budget.charge
+
+        def recording_charge(budget, points, f):
+            rows.extend(points[: budget.left])
+            return charge(budget, points, f)
+
+        monkeypatch.setattr(random_lab._Budget, "charge", recording_charge)
+        return rows
+
     @pytest.mark.parametrize("iid", ["T36", "T37", "C32", "R33"])
-    def test_exact_evaluation_budget(self, monkeypatch, iid):
+    def test_exact_evaluation_budget(self, monkeypatch, charged, iid):
         points = 0
         ratio_for = random_lab._ratio_for
 
@@ -260,53 +274,69 @@ class TestSharpnessScan:
             return counted
 
         monkeypatch.setattr(random_lab, "_ratio_for", counting_ratio_for)
-        # The stacked points sum to the budget, also where it is smaller than
+        # The charged points sum to the budget, also where it is smaller than
         # the first stack, the initial simplices of every restart (30 to 294
         # points at these dims), which is then cut.
         for dim in (1, 2, 3):
             for n in (1, 7, 101, 250):
-                points = 0
+                points, charged[:] = 0, []
                 sharpness_scan(iid, dim, n, 0)
-                assert points == n
+                assert len(charged) == n
+                # The ratio sees exactly the charged points, except at dim 2
+                # once the initial simplices are charged (they hold at most
+                # 150 points here): a step there also values the points it
+                # does not take.  A scan whose budget ends in its initial
+                # simplices evaluates nothing after them.
+                if dim == 2 and n == 250:
+                    assert points > n
+                else:
+                    assert points == n
 
     # R33 at dim 1 meets the stop rules after 680 of the 900 evaluations.
     @pytest.mark.parametrize("iid, dim, n, stops", [("T37", 2, 1500, False), ("R33", 1, 900, True)])
     def test_one_restart_evaluates_the_points_of_scipy_nelder_mead(
-        self, monkeypatch, iid, dim, n, stops
+        self, monkeypatch, charged, iid, dim, n, stops
     ):
         # The reference: scipy's Nelder-Mead from the same start point, with
         # the same stop rules and the budget as its maxfev.
         minimize = pytest.importorskip("scipy.optimize").minimize
-        seen = []
-        ratio_for = random_lab._ratio_for
-
-        def recording_ratio_for(inequality_id):
-            ratio = ratio_for(inequality_id)
-
-            def recorded(x, y):
-                seen.extend(np.array((x, y)).swapaxes(0, 1))
-                return ratio(x, y)
-
-            return recorded
-
-        monkeypatch.setattr(random_lab, "_ratio_for", recording_ratio_for)
         monkeypatch.setattr(random_lab, "_SCAN_RESTARTS", 1)
         sharpness_scan(iid, dim, n, 4)
-        lockstep, seen[:] = list(seen), []
         decode = random_lab._normal_pair if iid == "R33" else random_lab._raw_pair
-        ratio = random_lab._ratio_for(iid)  # records into seen too
+        ratio, seen = random_lab._ratio_for(iid), []
+
+        def objective(p):
+            seen.append(p.copy())
+            return -ratio(*decode(p, dim))[0]
+
         nparams = 4 * dim * dim + (4 * dim if iid == "R33" else 0)
         x0 = CounterRng(derive_seed(4, "scan:" + iid, dim)).normals(nparams)
         result = minimize(
-            lambda p: -ratio(*decode(p, dim))[0], x0, method="Nelder-Mead",
+            objective, x0, method="Nelder-Mead",
             options={"maxfev": n, "xatol": 1e-13, "fatol": 1e-14},
         )
         m = len(seen)
-        assert len(lockstep) == n and (m < n) == stops
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(lockstep, seen))
+        assert len(charged) == n and (m < n) == stops
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(charged, seen))
         if stops:
             # The chain's next polish starts from the best vertex.
-            assert lockstep[m].tobytes() == decode(result.x, dim)[:, 0].tobytes()
+            assert charged[m].tobytes() == result.x.tobytes()
+
+    @pytest.mark.parametrize(
+        "iid, n, seed", [("T37", 3000, 1), ("T36", 3000, 2), ("C32", 2000, 3), ("R33", 2000, 4)]
+    )
+    def test_best_ratio_is_the_best_charged_point(self, charged, iid, n, seed):
+        # At dim 2 a step values points it does not take; none of them may
+        # set the best.  The best is the first charged point of the largest
+        # ratio, recomputed here as one stack.
+        result = sharpness_scan(iid, 2, n, seed)
+        decode = random_lab._normal_pair if iid == "R33" else random_lab._raw_pair
+        xy = decode(np.array(charged), 2)
+        ratios = np.fmax(random_lab._ratio_for(iid)(*xy), -np.inf)
+        i = ratios.argmax()
+        assert result.best_ratio == ratios[i]
+        assert result.witness_x.a.tobytes() == xy[0, i].tobytes()
+        assert result.witness_y.a.tobytes() == xy[1, i].tobytes()
 
     def test_import_loads_no_scipy(self):
         code = "import sys, hsangle; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
