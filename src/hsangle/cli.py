@@ -24,6 +24,7 @@ from .hs_geometry import angle_report
 from .inequality_suite import INEQUALITY_IDS, check
 from .random_lab import (
     ENSEMBLE_KINDS,
+    _SCAN_SIMPLEX_BYTES,
     MAX_DIM,
     GeneratorSpec,
     reproduce_witnesses,
@@ -155,7 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="search for extremal pairs")
     p.add_argument("--id", required=True, dest="inequality_id", metavar="ID")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument(
+        "--dim",
+        type=int,
+        required=True,
+        help=f"1..{MAX_DIM}; the Nelder-Mead simplices may hold {_SCAN_SIMPLEX_BYTES >> 20} MiB, "
+        "so fewer than six restarts run above dim 24 (23 for R33), and a dim above 38 "
+        "(37 for R33), whose one simplex does not fit, exits 2",
+    )
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 

@@ -45,11 +45,15 @@ def _unit(a: np.ndarray, axis=(-2, -1)):
     """a * 2^-e and e, e the frexp exponent of the largest real or imaginary
     part of the a_ij over axis (not of |a_ij|, which overflows near float64's
     maximum): exact, and part by part, so it works where 2^e itself would
-    overflow."""
-    e = np.frexp(np.fmax(abs(a.real), abs(a.imag)).max(axis=axis, keepdims=True))[1]
-    out = np.empty_like(a)
-    out.real, out.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
-    return out, e.squeeze(axis)
+    overflow.  Both are taken over the float view of a, where an entry's
+    parts are neighbours on the last axis, so axis must hold the last axis
+    (or be None).  The entries are finite, as the boundary validates: a NaN
+    part would give e = 0."""
+    if a.strides[-1] != a.itemsize:
+        a = a.copy()
+    f = a.view(float)
+    e = np.frexp(abs(f).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(f, -e).view(a.dtype), e.squeeze(axis)
 
 
 def _rownorms(v: np.ndarray) -> np.ndarray:

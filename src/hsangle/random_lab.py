@@ -41,6 +41,12 @@ from .spectral import _CLOSED_SHAPE
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# mix64's constants, the stream's step and the uniforms' shift as uint64
+# scalars, for the array forms.
+_S30, _S27, _S31, _S11 = (np.uint64(k) for k in (30, 27, 31, 11))
+_M1, _M2, _GOLDEN_U64 = (np.uint64(k) for k in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, _GOLDEN))
+# The factor numpy's complex division by the real SQRT2 scales both parts by.
+_INV_SQRT2 = 1.0 / SQRT2
 
 ENSEMBLE_KINDS = ("ginibre", "hermitian", "normal", "psd", "rank_deficient", "unitary")
 # Kinds whose samples are normal matrices by construction.
@@ -77,21 +83,36 @@ def derive_seed(master_seed: int, label: str, index: int) -> int:
     return mix64(h ^ (index & _MASK64))
 
 
-def _mix64_vec(x: np.ndarray) -> np.ndarray:
-    z = np.array(x, dtype=np.uint64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+# fnv1a64 of each of _OPERAND_LABELS.
+_OPERAND_HASHES = np.array([fnv1a64(x.encode("utf-8")) for x in _OPERAND_LABELS], dtype=np.uint64)
+
+
+def _mix64_vec(z: np.ndarray) -> np.ndarray:
+    """mix64 of each entry of a uint64 array, in place; returns z (a numpy
+    scalar becomes a new 0-d array, which wraps where a scalar would warn)."""
+    z = np.asarray(z)
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, _S30, out=t)
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _M2
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
 def _derive_seeds(master, label: str, index) -> np.ndarray:
     """derive_seed over uint64 arrays of master seeds or of indices."""
-    h = _mix64_vec(master)
-    h = _mix64_vec(h ^ np.uint64(fnv1a64(label.encode("utf-8"))))
-    return _mix64_vec(h ^ index)
+    h = _mix64_vec(np.array(master, dtype=np.uint64))
+    h ^= np.uint64(fnv1a64(label.encode("utf-8")))
+    return _mix64_vec(_mix64_vec(h) ^ index)
+
+
+def _operand_seeds(trial_seeds) -> np.ndarray:
+    """derive_seed(t, label, 0) for each uint64 trial seed t and each of
+    _OPERAND_LABELS, as one array (2, *trial_seeds.shape): the X seeds, then
+    the Y seeds.  The index 0 leaves the last mix64's input as it is."""
+    h = _mix64_vec(np.array(trial_seeds, dtype=np.uint64))
+    return _mix64_vec(_mix64_vec(np.bitwise_xor.outer(_OPERAND_HASHES, h)))
 
 
 class CounterRng:
@@ -106,25 +127,43 @@ class CounterRng:
     def raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
-        return _mix64_vec(self._seed + idx * np.uint64(_GOLDEN))
+        idx *= _GOLDEN_U64
+        return _mix64_vec(self._seed + idx)
 
     def uniforms(self, n: int) -> np.ndarray:
         bits = self.raw(n)
-        return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        bits >>= _S11
+        u = bits.astype(np.float64)
+        u += 1.0
+        u *= 2.0**-53
+        return u
+
+    def _polar(self, pairs: int):
+        """Box-Muller's radii r and angles 2 pi u2 of the next pairs uniform
+        pairs (u1, u2)."""
+        u = self.uniforms(2 * pairs)
+        return np.sqrt(-2.0 * np.log(u[..., 0::2])), (2.0 * math.pi) * u[..., 1::2]
 
     def normals(self, n: int) -> np.ndarray:
-        pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-        ang = (2.0 * math.pi) * u[..., 1::2]
-        z = np.empty(u.shape)
+        r, ang = self._polar((n + 1) // 2)
+        z = np.empty(r.shape[:-1] + (2 * r.shape[-1],))
         z[..., 0::2] = r * np.cos(ang)
         z[..., 1::2] = r * np.sin(ang)
         return z[..., :n]
 
     def complex_normals(self, n: int) -> np.ndarray:
-        z = self.normals(2 * n)
-        return (z[..., 0::2] + 1j * z[..., 1::2]) / SQRT2
+        """(z[2k] + i z[2k+1]) / sqrt(2) of z = normals(2 n), written part
+        by part as (r cos) * (1/sqrt(2)) and (r sin) * (1/sqrt(2)): the bits
+        of numpy's complex division by the real sqrt(2), which scales both
+        parts by 1/sqrt(2).  Where u1 = 1, r is -0.0 and that division gives
+        +0.0 to both parts, whatever their signs; so does this."""
+        r, ang = self._polar(n)
+        out = np.empty(r.shape, dtype=complex)
+        np.multiply(r * np.cos(ang), _INV_SQRT2, out=out.real)
+        np.multiply(r * np.sin(ang), _INV_SQRT2, out=out.imag)
+        if not r.all():
+            out[r == 0.0] = 0.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -241,15 +280,44 @@ def run_single_trial(
     return check(inequality_id, ComplexMatrix(xy[0, 0]), ComplexMatrix(xy[1, 0]), tol)
 
 
+def _stacks(groups, operands: np.ndarray, dim: int):
+    """The operand pairs of the trials of groups, a list of (kind, trial
+    indices) at one dim, as pair stacks (trials, xy) of at most
+    _STACK_ENTRIES entries per operand.  Each group is drawn at most that
+    many entries at a time, from its columns of operands (2, trials), and
+    the draws fill the stacks in order: a stack may hold several kinds, and
+    a draw may be split between two stacks."""
+    step = _STACK_ENTRIES // dim**2
+    left = sum(len(t) for _, t in groups)
+    fill = 0
+    for kind, group in groups:
+        for start in range(0, len(group), step):
+            t = group[start : start + step]
+            drawn, at = _draw(kind, dim, operands[:, t]), 0
+            while at < len(t):
+                if not fill:
+                    size = min(step, left)
+                    xy = np.empty((2, size, dim, dim), dtype=complex)
+                    trial = np.empty(size, dtype=np.intp)
+                m = min(size - fill, len(t) - at)
+                xy[:, fill : fill + m] = drawn[:, at : at + m]
+                trial[fill : fill + m] = t[at : at + m]
+                fill, at = fill + m, at + m
+                if fill == size:
+                    left -= size
+                    fill = 0
+                    yield trial, xy
+
+
 def run_property_suite(
     ids, specs, trials: int, tol: float = 1e-9, master_seed: int = 0
 ) -> list:
     """Randomized verification: `trials` seeded trials per id over the spec pool.
 
     Per-trial seeds are ``derive_seed(master_seed, "trial:" + id, i)``, so the
-    outcome does not depend on execution order.  The trials of each spec are
-    drawn and checked as stacks, and each trial's holds and slack/scale are
-    bit-equal to those of run_single_trial.
+    outcome does not depend on execution order.  The trials of each dim, of
+    every ensemble of the pool, are drawn and checked as stacks, and each
+    trial's holds and slack/scale are bit-equal to those of run_single_trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -258,15 +326,14 @@ def run_property_suite(
     for iid in ids:
         pool = applicable_specs(iid, specs)
         seeds = _derive_seeds(master, "trial:" + iid, index)
+        operands = _operand_seeds(seeds)
         holds, rel = np.empty(trials, dtype=bool), np.empty(trials)
         which = seeds % np.uint64(len(pool))
-        for k, spec in enumerate(pool):
-            group = np.flatnonzero(which == k)
-            step = _STACK_ENTRIES // spec.dim**2
-            for start in range(0, len(group), step):
-                trial = group[start : start + step]
-                ts = [_derive_seeds(seeds[trial], label, np.uint64(0)) for label in _OPERAND_LABELS]
-                xy = _draw(spec.kind, spec.dim, np.stack(ts))
+        for dim in dict.fromkeys(s.dim for s in pool):
+            groups = [
+                (s.kind, np.flatnonzero(which == k)) for k, s in enumerate(pool) if s.dim == dim
+            ]
+            for trial, xy in _stacks(groups, operands, dim):
                 holds[trial], rel[trial] = _check_stack(iid, xy, tol)
         # The first smallest slack/scale in trial order; a NaN is never the worst.
         i = int(np.argmin(np.where(np.isnan(rel), math.inf, rel)))
@@ -350,6 +417,11 @@ SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not Non
 _SCAN_RESTARTS = 6
 _SCAN_POLISH_CHAIN = 4
 _SCAN_POLISH_FEV = 6000
+# The simplices, (n+1) x n floats per restart, hold at most this many bytes:
+# fewer restarts run where six do not fit (above dim 24, above 23 for R33),
+# and a dim whose one simplex does not fit (above 38, above 37 for R33) is
+# refused.  The scan's peak memory is a few times this.
+_SCAN_SIMPLEX_BYTES = 256 * 2**20
 # Nelder-Mead stop rules, and the steps of the initial simplex along each
 # axis (relative for a nonzero coordinate, absolute for a zero one).
 _SCAN_XATOL, _SCAN_FATOL = 1e-13, 1e-14
@@ -415,6 +487,14 @@ def _normal_pair(p: np.ndarray, dim: int) -> np.ndarray:
     return _normal(_phase_fixed_q(_raw_pair(p, dim)), q[:, 0] + 1j * q[:, 1])
 
 
+def _simplex_fit(dim: int, normal: bool):
+    """The parameter count n of a scan at dim (a normal pair adds the two
+    diagonals) and how many of its (n+1) x n simplices fit
+    _SCAN_SIMPLEX_BYTES."""
+    n = 4 * dim * dim + (4 * dim if normal else 0)
+    return n, _SCAN_SIMPLEX_BYTES // (8 * n * (n + 1))
+
+
 class _Budget:
     """A scan's evaluations left and the best point charged to it."""
 
@@ -442,10 +522,12 @@ def sharpness_scan(
     evaluations.
 
     _SCAN_RESTARTS restarts (fewer if the budget ends in their first
-    simplices) run Nelder-Mead (Nelder and Mead 1965; coefficients 1, 2,
-    1/2, 1/2) in lockstep.  Each step evaluates the initial simplices of
-    the polishes that begin, then the reflections and the expansions and
-    contractions that follow them, then the shrink points.  At dim 2, where
+    simplices, or if their simplices would hold more than
+    _SCAN_SIMPLEX_BYTES; a dim where one does is refused) run Nelder-Mead
+    (Nelder and Mead 1965; coefficients 1, 2, 1/2, 1/2) in lockstep.  Each
+    step evaluates the initial simplices of the polishes that begin, then
+    the reflections and the expansions and contractions that follow them,
+    then the shrink points.  At dim 2, where
     the moduli come in closed form and a stack of 30 points costs about as
     much as one of a single point, the reflections and all three points that
     may follow each are one stack; above dim 2 they are two stacks, the
@@ -471,8 +553,16 @@ def sharpness_scan(
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    decode = _normal_pair if record.domain == "normal" else _raw_pair
-    n = 4 * dim * dim + (4 * dim if decode is _normal_pair else 0)
+    normal = record.domain == "normal"
+    decode = _normal_pair if normal else _raw_pair
+    n, fit = _simplex_fit(dim, normal)
+    if not fit:
+        largest = max(d for d in range(1, dim) if _simplex_fit(d, normal)[1])
+        raise ValueError(
+            f"a scan of {inequality_id} at dim {dim} needs more than the "
+            f"{_SCAN_SIMPLEX_BYTES >> 20} MiB its Nelder-Mead simplex may hold; "
+            f"the largest dim that fits is {largest}"
+        )
     ratio_fn, chunk = _ratio_for(inequality_id), _STACK_ENTRIES // dim**2
     rng = CounterRng(derive_seed(master_seed, "scan:" + inequality_id, dim))
     budget, lookahead = _Budget(iterations), (dim, dim) == _CLOSED_SHAPE
@@ -492,7 +582,7 @@ def sharpness_scan(
 
     # The simplices are vertex-major: sim[v] holds vertex v of every restart
     # and fsim[v] its values, each sorted from best (v = 0) to worst.
-    r, axis = min(_SCAN_RESTARTS, -(-iterations // (n + 1))), np.arange(n)
+    r, axis = min(_SCAN_RESTARTS, -(-iterations // (n + 1)), fit), np.arange(n)
     cols, sim, fsim = np.arange(r), np.empty((n + 1, r, n)), np.empty((n + 1, r))
     fev, link, last = np.zeros(r, dtype=int), np.zeros(r, dtype=int), np.full(r, -math.inf)
     x0, fresh, begin = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool), True

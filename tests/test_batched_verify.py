@@ -25,8 +25,9 @@ from hsangle import (
     run_property_suite,
     run_single_trial,
 )
+from hsangle import random_lab
 from hsangle.inequality_suite import _check_stack
-from hsangle.random_lab import _draw
+from hsangle.random_lab import _STACK_ENTRIES, _draw
 from pins import GENERATE, pinned_digests
 
 
@@ -71,6 +72,44 @@ DIM_SETS = [
 def test_json_is_byte_identical_to_the_per_trial_loop(dims, trials, seed):
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
     batched = run_property_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed)
+    assert as_json(batched) == as_json(per_trial_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed))
+
+
+def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
+    # The trials of every ensemble of a dim share their stacks: one stack
+    # per (id, dim) where the dim's trials fit in _STACK_ENTRIES // dim^2
+    # pairs, else as few as fit, each within the cap.  Each (kind, dim) is
+    # drawn as few times as its own trials need, so at dims 8 and 12 a draw
+    # may span two stacks.  The JSON is still the per-trial loop's.
+    checks, draws = [], []
+
+    def counting_check_stack(iid, xy, tol):
+        checks.append((iid, xy.shape[2], xy.shape[1]))
+        return _check_stack(iid, xy, tol)
+
+    def counting_draw(kind, dim, seeds):
+        draws.append((kind, dim))
+        return _draw(kind, dim, seeds)
+
+    monkeypatch.setattr(random_lab, "_check_stack", counting_check_stack)
+    monkeypatch.setattr(random_lab, "_draw", counting_draw)
+    dims, trials, seed = (1, 3, 8, 12), 300, 5
+    specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
+    batched = run_property_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed)
+    expected_checks, expected_draws = [], []
+    for iid in INEQUALITY_IDS:
+        pool = applicable_specs(iid, specs)
+        picked = [pool[derive_seed(seed, "trial:" + iid, i) % len(pool)] for i in range(trials)]
+        for dim in dims:
+            step = _STACK_ENTRIES // dim**2
+            at_dim = sum(s.dim == dim for s in picked)
+            assert at_dim > 2 * len(pool) // len(dims)  # several kinds at each dim
+            expected_checks += [(iid, dim, min(step, at_dim - i)) for i in range(0, at_dim, step)]
+            for spec in pool:
+                if spec.dim == dim:
+                    expected_draws += [(spec.kind, dim)] * -(-picked.count(spec) // step)
+    assert checks == expected_checks
+    assert draws == expected_draws
     assert as_json(batched) == as_json(per_trial_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed))
 
 

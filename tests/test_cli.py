@@ -290,6 +290,14 @@ class TestScan:
         assert code == 2
         assert "unknown inequality id 'BOGUS'; known: CS_21" in err
 
+    def test_dim_over_the_simplex_cap_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--id", "T37", "--dim", "64", "--iters", "100000")
+        assert code == 2 and out == ""
+        assert "256 MiB" in err and "the largest dim that fits is 38" in err
+        with pytest.raises(SystemExit):
+            main(["scan", "--help"])
+        assert "256 MiB" in capsys.readouterr().out
+
 
 class TestStrictJson:
     @pytest.mark.parametrize(

@@ -29,6 +29,9 @@ from hsangle import (
 )
 
 
+from hsangle.hs_geometry import _unit
+
+
 def random_matrix(rng, rows, cols=None):
     cols = rows if cols is None else cols
     return ComplexMatrix(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
@@ -75,6 +78,39 @@ class TestInner:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             hs_inner(identity(2), identity(3))
+
+
+def unit_by_parts(a, axis=(-2, -1)):
+    """_unit's reference: the exponent of the larger of |re| and |im| per
+    entry, and ldexp on the real and the imaginary parts apart."""
+    e = np.frexp(np.fmax(abs(a.real), abs(a.imag)).max(axis=axis, keepdims=True))[1]
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    return out, e.squeeze(axis)
+
+
+class TestUnit:
+    CASES = [
+        ((4, 4), [(-2, -1), None, -1]),
+        ((2, 5, 3, 3), [(-2, -1), (0, -2, -1), None]),
+        ((7, 16), [-1, None, (-2, -1)]),
+        ((3, 1), [-1, None]),
+    ]
+
+    @pytest.mark.parametrize("shape, axes", CASES)
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 3e7, 1e160, 1.7e308])
+    def test_bit_equal_to_the_part_by_part_scaling(self, shape, axes, scale):
+        rng = np.random.default_rng(len(shape))
+        a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 8.0 * scale
+        a[..., 0] = -0.0
+        # The last variant's last axis is not contiguous.
+        for v in (a, a * 1j, a.real + 0j, np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2)):
+            for axis in axes:
+                want, e_want = unit_by_parts(v, axis)
+                got, e = _unit(v, axis)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes() and np.array_equal(e, e_want)
+                assert e.shape == e_want.shape
 
 
 class TestNorm:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,29 @@ from hsangle import (
 )
 import hsangle
 from hsangle import random_lab
-from hsangle.random_lab import fnv1a64, mix64
+from hsangle.random_lab import _GOLDEN, _MASK64, _derive_seeds, _operand_seeds, fnv1a64, mix64
+
+def _unxorshift(z: int, shift: int) -> int:
+    """The inverse of z ^ (z >> shift) on 64 bits, by repeating it."""
+    y = z
+    for _ in range(64 // shift + 1):
+        y = z ^ (y >> shift)
+    return y
+
+
+def _unmix64(z: int) -> int:
+    """The inverse of mix64: each xor-shift undone, each multiplier by its
+    inverse mod 2^64."""
+    z = _unxorshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64
+    z = _unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64
+    return _unxorshift(z, 30)
+
+
+def _seed_with_unit_uniform(position: int, low: int = 0) -> int:
+    """A seed whose stream's uniform number `position` (1-based) is exactly 1,
+    so that a Box-Muller radius there is sqrt(-0.0) = -0.0."""
+    z = _unmix64((_MASK64 ^ 2047) | low)
+    return (z - position * _GOLDEN) & _MASK64
 
 
 class TestPrng:
@@ -63,6 +86,64 @@ class TestPrng:
     def test_complex_normal_unit_variance(self):
         c = CounterRng(4).complex_normals(50000)
         assert abs(np.mean(np.abs(c) ** 2) - 1.0) < 0.03
+
+    def test_unmix64_inverts_mix64(self):
+        for z in (0, 1, 2**63, _MASK64, 0x123456789ABCDEF0):
+            assert mix64(_unmix64(z)) == z and _unmix64(mix64(z)) == z
+        assert CounterRng(_seed_with_unit_uniform(3)).uniforms(4)[2] == 1.0
+
+    # Seed arrays of shape (), (k,) and (2, k); the last ones reach u1 = 1 at
+    # the first, the second and the third pair of their streams.
+    SEED_SHAPES = [
+        np.uint64(12345),
+        np.array([0, 7, 2**63, _MASK64], dtype=np.uint64),
+        np.array(
+            [[_seed_with_unit_uniform(1), _seed_with_unit_uniform(3, 5)],
+             [_seed_with_unit_uniform(5, 2047), 99]],
+            dtype=np.uint64,
+        ),
+    ]
+
+    @pytest.mark.parametrize("seeds", SEED_SHAPES, ids=["()", "(k,)", "(2, k)"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 4096])
+    def test_complex_normals_follow_the_contract(self, seeds, n):
+        # The module docstring's contract, (z[2k] + i z[2k+1]) / sqrt(2) of
+        # z = normals(2 n), bit for bit, signed zeros included; the stream
+        # goes on from the same counter.
+        a, b = CounterRng(seeds), CounterRng(seeds)
+        z = b.normals(2 * n)
+        expected = (z[..., 0::2] + 1j * z[..., 1::2]) / math.sqrt(2.0)
+        got = a.complex_normals(n)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert a.raw(3).tobytes() == b.raw(3).tobytes()
+
+    def test_unit_uniform_gives_a_positive_zero(self):
+        # Where u1 = 1 the radius is -0.0; the contract's complex division
+        # gives +0.0 to both parts, whatever the signs of cos and sin.
+        for position, low in ((1, 0), (1, 5), (1, 2047), (3, 0), (3, 1)):
+            c = CounterRng(_seed_with_unit_uniform(position, low)).complex_normals(2)
+            zero = c[(position - 1) // 2]
+            assert zero.tobytes() == np.complex128(0.0).tobytes()
+
+    def test_operand_seeds_are_derive_seed(self):
+        # One pass over both labels: derive_seed(t, "operand-x"/"operand-y",
+        # 0), for a 0-d trial seed too, with no uint64 scalar left to warn
+        # about overflow.
+        seeds = [derive_seed(3, "trial:T37", i) for i in range(50)] + [0, _MASK64]
+        seeds = np.array(seeds, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            both = _operand_seeds(seeds)
+            scalar = _operand_seeds(np.uint64(seeds[0]))
+            zero_d = _operand_seeds(np.array(seeds[-1]))
+            trial = _derive_seeds(np.uint64(_MASK64), "trial:T37", np.arange(50, dtype=np.uint64))
+        assert both.shape == (2, len(seeds)) and both.dtype == np.uint64
+        for row, label in zip(both, ("operand-x", "operand-y")):
+            assert row.tolist() == [derive_seed(int(t), label, 0) for t in seeds]
+        assert scalar.shape == zero_d.shape == (2,)
+        assert scalar.tolist() == both[:, 0].tolist() and zero_d.tolist() == both[:, -1].tolist()
+        assert trial.tolist() == [derive_seed(_MASK64, "trial:T37", i) for i in range(50)]
+        assert seeds[-1] == _MASK64  # the input is not mixed in place
 
     def test_derive_seed_spreads(self):
         seeds = {derive_seed(1, "trial:T37", i) for i in range(1000)}
@@ -212,6 +293,41 @@ class TestSharpnessScan:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("iid, dim, largest", [("T37", 64, 38), ("T36", 39, 38), ("R33", 38, 37)])
+    def test_a_simplex_over_the_cap_is_refused_before_any_allocation(self, iid, dim, largest):
+        # One T37 simplex at dim 64 holds 2 GiB; the refusal allocates none of it.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"largest dim that fits is {largest}$"):
+                sharpness_scan(iid, dim, 100_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("fit", [6, 2, 1])
+    def test_restarts_fit_the_simplex_cap(self, monkeypatch, fit):
+        # T37 at dim 2 has n = 16 parameters, so a simplex holds 8 n (n + 1)
+        # bytes.  The first stack charged is the initial simplices of every
+        # restart; up to six restarts the cap changes nothing.
+        default, simplex = sharpness_scan("T37", 2, 2000, 7), 8 * 16 * 17
+        sizes, charge = [], random_lab._Budget.charge
+
+        def recording_charge(budget, points, f):
+            sizes.append(len(points))
+            return charge(budget, points, f)
+
+        monkeypatch.setattr(random_lab._Budget, "charge", recording_charge)
+        monkeypatch.setattr(random_lab, "_SCAN_SIMPLEX_BYTES", (fit + 1) * simplex - 1)
+        result = sharpness_scan("T37", 2, 2000, 7)
+        assert sizes[0] == fit * 17
+        if fit == 6:
+            assert result.best_ratio == default.best_ratio
+            assert result.witness_x.a.tobytes() == default.witness_x.a.tobytes()
+        monkeypatch.setattr(random_lab, "_SCAN_SIMPLEX_BYTES", simplex - 1)
+        with pytest.raises(ValueError, match="largest dim that fits is 1$"):
+            sharpness_scan("T37", 2, 2000, 7)
 
     def test_r33_normal_parameterization(self):
         result = sharpness_scan("R33", 2, 3000, 5)
