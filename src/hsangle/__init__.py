@@ -65,7 +65,6 @@ from .random_lab import (
     CounterRng,
     GeneratorSpec,
     ReproReport,
-    ScanResult,
     SuiteReport,
     applicable_specs,
     derive_seed,
@@ -73,8 +72,8 @@ from .random_lab import (
     reproduce_witnesses,
     run_property_suite,
     run_single_trial,
-    sharpness_scan,
     witness_triple,
 )
+from .scan import ScanResult, sharpness_scan
 
 __version__ = "0.1.0"

@@ -24,13 +24,12 @@ from .hs_geometry import angle_report
 from .inequality_suite import INEQUALITY_IDS, check
 from .random_lab import (
     ENSEMBLE_KINDS,
-    _SCAN_SIMPLEX_BYTES,
     MAX_DIM,
     GeneratorSpec,
     reproduce_witnesses,
     run_property_suite,
-    sharpness_scan,
 )
+from .scan import _SCAN_SIMPLEX_BYTES, sharpness_scan
 
 # Every custom input error (ValidationError, ZeroOperandError, ...) is a
 # ValueError; OSError covers unreadable and unwritable paths, MemoryError a

@@ -34,7 +34,8 @@ from .hs_geometry import _PairStack, _angle_pairs, _norms, _unit
 SQRT2 = math.sqrt(2.0)
 # Sharp coefficient in the sum inequality T37.
 SUM_SHARP_CONSTANT = math.sqrt((SQRT2 + 1.0) / 2.0)
-# Normality threshold for R33: norm(XX* - X*X) <= NORMALITY_TOL * (1 + norm(X)^2).
+# Normality threshold for R33: norm(XX* - X*X) <= NORMALITY_TOL * norm(X)^2,
+# homogeneous of degree 0, so that scaling X cannot change the decision.
 NORMALITY_TOL = 1e-10
 
 DEFAULT_CHECK_TOL = 1e-9
@@ -68,11 +69,10 @@ class InequalityReport:
 
 def _normal_mask(a: np.ndarray, tol: float = NORMALITY_TOL) -> np.ndarray:
     """is_normal of each matrix of a stack (..., d, d)."""
-    # Decided on X scaled by _unit, so that the commutator cannot overflow;
-    # the scaling is exact.  2^-2e is capped against overflow.
-    a, e = _unit(a)
-    dev = _norms(a @ _ct(a) - _ct(a) @ a)
-    return dev <= tol * (np.ldexp(1.0, np.minimum(-2 * e, 1000)) + np.square(_norms(a)))
+    # Decided on X scaled by _unit, so that the commutator cannot overflow
+    # or underflow; the scaling is exact.
+    a = _unit(a)[0]
+    return _norms(a @ _ct(a) - _ct(a) @ a) <= tol * np.square(_norms(a))
 
 
 def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:

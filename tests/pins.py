@@ -1,5 +1,5 @@
-"""sha256 pins of the CLI's stdout and of generate's bits, computed at one
-pinned dispatch level.
+"""sha256 pins of the CLI's stdout, of generate's bits and of the points a
+one-restart scan charges, computed at one pinned dispatch level.
 
 numpy's SIMD loops (AVX2 or AVX-512) and OpenBLAS's kernels decide the last
 bits of the results, so the pins are defined with both pinned: numpy
@@ -45,11 +45,36 @@ CLI_PINS = (
     ("scan", "--id", "R33", "--dim", "2", "--iters", "2500", "--seed", "11"),
 )
 GENERATE = "generate"
+# One-restart scans whose charged points are those that scipy's Nelder-Mead
+# evaluates from the same start point, as (id, dim, budget, seed, m): scipy
+# evaluates the first m of them.  _digests keys their sha256 by the case
+# joined after "scan-parity".
+SCAN_PARITY = (("T37", 2, 1500, 4, 1500), ("R33", 1, 900, 4, 680))
+
+
+def charged_points(iid: str, dim: int, n: int, seed: int) -> list:
+    """The parameter rows that sharpness_scan(iid, dim, n, seed) with one
+    restart charges to its budget, in order."""
+    from hsangle import scan
+
+    rows, charge, restarts = [], scan._Budget.charge, scan._SCAN_RESTARTS
+
+    def recording_charge(budget, points, f=None):
+        rows.extend(points[: budget.left])
+        return charge(budget, points, f)
+
+    scan._Budget.charge, scan._SCAN_RESTARTS = recording_charge, 1
+    try:
+        scan.sharpness_scan(iid, dim, n, seed)
+    finally:
+        scan._Budget.charge, scan._SCAN_RESTARTS = charge, restarts
+    return rows
 
 
 def _digests() -> dict:
-    """sha256 of each CLI_PINS run's stdout, keyed by its joined argv, and of
-    the bits of generate over every ensemble, keyed GENERATE."""
+    """sha256 of each CLI_PINS run's stdout, keyed by its joined argv, of
+    the bits of generate over every ensemble, keyed GENERATE, and of the
+    first m charged points of each SCAN_PARITY case."""
     from hsangle import ENSEMBLE_KINDS, GeneratorSpec, cli, generate
 
     out = {}
@@ -66,6 +91,10 @@ def _digests() -> dict:
             for seed in (0, 1, 2**64 - 1):
                 h.update(generate(GeneratorSpec(kind, dim, seed)).a.tobytes())
     out[GENERATE] = h.hexdigest()
+    for *case, m in SCAN_PARITY:
+        rows = charged_points(*case)[:m]
+        key = " ".join(map(str, ("scan-parity", *case, m)))
+        out[key] = hashlib.sha256(b"".join(r.tobytes() for r in rows)).hexdigest()
     return out
 
 

@@ -9,6 +9,8 @@ import pytest
 import hsangle
 from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale, witness_triple
 from hsangle.cli import _COMMANDS, main
+from hsangle.random_lab import MAX_DIM
+from hsangle.scan import _SCAN_RESTARTS, _simplex_fit
 from pins import pinned_digests
 
 
@@ -297,6 +299,23 @@ class TestScan:
         with pytest.raises(SystemExit):
             main(["scan", "--help"])
         assert "256 MiB" in capsys.readouterr().out
+
+    def test_help_states_the_dims_that_the_simplex_cap_gives(self, capsys):
+        # The largest dims at which six simplices, and one, fit the cap:
+        # T37's raw pair, then R33's normal pair with its two diagonals.
+        def largest(normal, simplices):
+            return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(d, normal)[1] >= simplices)
+
+        (six_raw, six_normal), (one_raw, one_normal) = (
+            [largest(normal, k) for normal in (False, True)] for k in (_SCAN_RESTARTS, 1)
+        )
+        with pytest.raises(SystemExit):
+            main(["scan", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert _SCAN_RESTARTS == 6 and (
+            f"fewer than six restarts run above dim {six_raw} ({six_normal} for R33), "
+            f"and a dim above {one_raw} ({one_normal} for R33)"
+        ) in text
 
 
 class TestStrictJson:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -30,6 +31,16 @@ from hsangle import (
     zeros,
     abs_op,
     abs_adjoint,
+)
+from hsangle.cli import main
+
+
+# A sharpness_scan("C32", 2, 3000, 1) witness rounded to three decimals: a
+# non-normal pair whose norm(|X| - |Y|) / norm(X - Y) is 1.356, so R33's
+# sides at it read as a violation.
+R33_NON_NORMAL = (
+    [[0.419 + 0.06j, 1.6 - 0.209j], [-0.529 + 0.895j, -0.566 + 3.326j]],
+    [[0.402 + 0.835j, 1.35 - 0.441j], [-1.846 + 0.27j, 0.023 + 2.862j]],
 )
 
 
@@ -110,6 +121,25 @@ class TestRegistry:
         assert not is_normal(non_normal)
         with pytest.raises(NotNormalError):
             check("R33", non_normal, identity(2))
+
+    @pytest.mark.parametrize("k", [-1000, -100, -30, -20, 0, 20, 1000])
+    def test_r33_rejects_a_non_normal_pair_at_every_scale(self, k):
+        # Normality is decided relative to norm(X)^2, so scaling cannot
+        # change it; an absolute floor took this pair for normal at 2^-20
+        # and below, and R33 then reported a violation.
+        x, y = (scale(2.0**k, ComplexMatrix.from_rows(m)) for m in R33_NON_NORMAL)
+        assert not is_normal(x) and not is_normal(y)
+        with pytest.raises(NotNormalError):
+            check("R33", x, y)
+
+    def test_r33_check_on_a_tiny_non_normal_pair_exits_2(self, tmp_path, capsys):
+        paths = [str(tmp_path / "x.json"), str(tmp_path / "y.json")]
+        for path, rows in zip(paths, R33_NON_NORMAL):
+            m = scale(1e-6, ComplexMatrix.from_rows(rows))
+            with open(path, "w") as f:
+                json.dump(m.to_json_dict(), f)
+        assert main(["check", "--id", "R33", *paths]) == 2
+        assert "requires normal operands" in capsys.readouterr().err
 
     def test_r33_on_normal_pairs(self):
         for seed in range(100):

@@ -27,8 +27,8 @@ from hsangle import (
     sin_angle,
     witness_triple,
 )
-from hsangle import cli, hs_geometry, inequality_suite, matrix_core, random_lab
-from hsangle.random_lab import SCAN_TARGETS, _normal_pair, _raw_pair, _ratio_for
+from hsangle import cli, hs_geometry, inequality_suite, matrix_core, scan
+from hsangle.scan import SCAN_TARGETS, _normal_pair, _raw_pair, _ratio_for
 
 
 @pytest.fixture
@@ -95,7 +95,7 @@ def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkey
 def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypatch):
     # One SVD call of 2k matrices per ratio call over a stack of k points.
     evals = []
-    ratio_for = random_lab._ratio_for
+    ratio_for = scan._ratio_for
 
     def counting_ratio_for(iid):
         ratio = ratio_for(iid)
@@ -108,8 +108,8 @@ def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypat
 
         return counted
 
-    monkeypatch.setattr(random_lab, "_ratio_for", counting_ratio_for)
-    random_lab.sharpness_scan(inequality_id, 3, 400, 3)
+    monkeypatch.setattr(scan, "_ratio_for", counting_ratio_for)
+    scan.sharpness_scan(inequality_id, 3, 400, 3)
     assert sum(k for k, _ in evals) == 400
     assert all(e == [2 * k] for k, e in evals)
     assert len(svd_calls) == len(evals)
@@ -127,7 +127,7 @@ def test_check_at_dim_2_makes_no_svd(inequality_id, svd_calls):
 
 @pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))
 def test_scan_at_dim_2_makes_no_svd(inequality_id, svd_calls):
-    random_lab.sharpness_scan(inequality_id, 2, 400, 3)
+    scan.sharpness_scan(inequality_id, 2, 400, 3)
     assert svd_calls == []
 
 

@@ -27,8 +27,9 @@ from hsangle import (
     sharpness_scan,
 )
 import hsangle
-from hsangle import random_lab
+from hsangle import scan
 from hsangle.random_lab import _GOLDEN, _MASK64, _derive_seeds, _operand_seeds, fnv1a64, mix64
+from pins import charged_points, pinned_digests
 
 def _unxorshift(z: int, shift: int) -> int:
     """The inverse of z ^ (z >> shift) on 64 bits, by repeating it."""
@@ -312,20 +313,20 @@ class TestSharpnessScan:
         # bytes.  The first stack charged is the initial simplices of every
         # restart; up to six restarts the cap changes nothing.
         default, simplex = sharpness_scan("T37", 2, 2000, 7), 8 * 16 * 17
-        sizes, charge = [], random_lab._Budget.charge
+        sizes, charge = [], scan._Budget.charge
 
-        def recording_charge(budget, points, f):
+        def recording_charge(budget, points, f=None):
             sizes.append(len(points))
             return charge(budget, points, f)
 
-        monkeypatch.setattr(random_lab._Budget, "charge", recording_charge)
-        monkeypatch.setattr(random_lab, "_SCAN_SIMPLEX_BYTES", (fit + 1) * simplex - 1)
+        monkeypatch.setattr(scan._Budget, "charge", recording_charge)
+        monkeypatch.setattr(scan, "_SCAN_SIMPLEX_BYTES", (fit + 1) * simplex - 1)
         result = sharpness_scan("T37", 2, 2000, 7)
         assert sizes[0] == fit * 17
         if fit == 6:
             assert result.best_ratio == default.best_ratio
             assert result.witness_x.a.tobytes() == default.witness_x.a.tobytes()
-        monkeypatch.setattr(random_lab, "_SCAN_SIMPLEX_BYTES", simplex - 1)
+        monkeypatch.setattr(scan, "_SCAN_SIMPLEX_BYTES", simplex - 1)
         with pytest.raises(ValueError, match="largest dim that fits is 1$"):
             sharpness_scan("T37", 2, 2000, 7)
 
@@ -345,7 +346,7 @@ class TestSharpnessScan:
         # 0 by 0; the pair is V diag(0) V*, so zero.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            xy = random_lab._normal_pair(np.zeros(24), 2)
+            xy = scan._normal_pair(np.zeros(24), 2)
         assert xy.shape == (2, 1, 2, 2) and not xy.any()
 
     def test_witness_pair_reproduces_ratio(self):
@@ -365,19 +366,19 @@ class TestSharpnessScan:
         """The parameter rows that sharpness_scan charges to its budget, in
         order."""
         rows = []
-        charge = random_lab._Budget.charge
+        charge = scan._Budget.charge
 
-        def recording_charge(budget, points, f):
+        def recording_charge(budget, points, f=None):
             rows.extend(points[: budget.left])
             return charge(budget, points, f)
 
-        monkeypatch.setattr(random_lab._Budget, "charge", recording_charge)
+        monkeypatch.setattr(scan._Budget, "charge", recording_charge)
         return rows
 
     @pytest.mark.parametrize("iid", ["T36", "T37", "C32", "R33"])
     def test_exact_evaluation_budget(self, monkeypatch, charged, iid):
         points = 0
-        ratio_for = random_lab._ratio_for
+        ratio_for = scan._ratio_for
 
         def counting_ratio_for(inequality_id):
             ratio = ratio_for(inequality_id)
@@ -389,7 +390,7 @@ class TestSharpnessScan:
 
             return counted
 
-        monkeypatch.setattr(random_lab, "_ratio_for", counting_ratio_for)
+        monkeypatch.setattr(scan, "_ratio_for", counting_ratio_for)
         # The charged points sum to the budget, also where it is smaller than
         # the first stack, the initial simplices of every restart (30 to 294
         # points at these dims), which is then cut.
@@ -410,16 +411,13 @@ class TestSharpnessScan:
 
     # R33 at dim 1 meets the stop rules after 680 of the 900 evaluations.
     @pytest.mark.parametrize("iid, dim, n, stops", [("T37", 2, 1500, False), ("R33", 1, 900, True)])
-    def test_one_restart_evaluates_the_points_of_scipy_nelder_mead(
-        self, monkeypatch, charged, iid, dim, n, stops
-    ):
+    def test_one_restart_evaluates_the_points_of_scipy_nelder_mead(self, iid, dim, n, stops):
         # The reference: scipy's Nelder-Mead from the same start point, with
         # the same stop rules and the budget as its maxfev.
         minimize = pytest.importorskip("scipy.optimize").minimize
-        monkeypatch.setattr(random_lab, "_SCAN_RESTARTS", 1)
-        sharpness_scan(iid, dim, n, 4)
-        decode = random_lab._normal_pair if iid == "R33" else random_lab._raw_pair
-        ratio, seen = random_lab._ratio_for(iid), []
+        charged = charged_points(iid, dim, n, 4)
+        decode = scan._normal_pair if iid == "R33" else scan._raw_pair
+        ratio, seen = scan._ratio_for(iid), []
 
         def objective(p):
             seen.append(p.copy())
@@ -438,6 +436,30 @@ class TestSharpnessScan:
             # The chain's next polish starts from the best vertex.
             assert charged[m].tobytes() == result.x.tobytes()
 
+    # sha256 of the points that scipy 1.17.1's Nelder-Mead evaluates in each
+    # case of the test above (its `seen`), captured once at the pinned
+    # dispatch level of tests/pins.py.  pins.py digests the scanner's charged
+    # points at that level, so the parity is checked where scipy is absent.
+    @pytest.mark.parametrize(
+        "key, sha256",
+        [
+            (
+                "scan-parity T37 2 1500 4 1500",
+                "95124be41373b78429e3b4c59c436f4a0f3af909715b3cd62a95a8110073dbbf",
+            ),
+            (
+                "scan-parity R33 1 900 4 680",
+                "40a4b6048ee74c4917fd56398c5183923eb2ef02f2bf4d8d6e1e12939064e0f7",
+            ),
+        ],
+        ids=["T37", "R33"],
+    )
+    def test_one_restart_charges_the_pinned_points_of_scipy_nelder_mead(self, key, sha256):
+        digests = pinned_digests()
+        if digests is None:
+            pytest.skip("this machine cannot enable numpy's X86_V3 dispatch")
+        assert digests[key] == sha256
+
     @pytest.mark.parametrize(
         "iid, n, seed", [("T37", 3000, 1), ("T36", 3000, 2), ("C32", 2000, 3), ("R33", 2000, 4)]
     )
@@ -446,9 +468,9 @@ class TestSharpnessScan:
         # set the best.  The best is the first charged point of the largest
         # ratio, recomputed here as one stack.
         result = sharpness_scan(iid, 2, n, seed)
-        decode = random_lab._normal_pair if iid == "R33" else random_lab._raw_pair
+        decode = scan._normal_pair if iid == "R33" else scan._raw_pair
         xy = decode(np.array(charged), 2)
-        ratios = np.fmax(random_lab._ratio_for(iid)(*xy), -np.inf)
+        ratios = np.fmax(scan._ratio_for(iid)(*xy), -np.inf)
         i = ratios.argmax()
         assert result.best_ratio == ratios[i]
         assert result.witness_x.a.tobytes() == xy[0, i].tobytes()

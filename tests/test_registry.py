@@ -22,7 +22,8 @@ from hsangle.inequality_suite import (
     SUM_SHARP_CONSTANT,
     _sides,
 )
-from hsangle.random_lab import SCAN_TARGETS, _draw, _ratio_for, derive_seed
+from hsangle.random_lab import _draw, derive_seed
+from hsangle.scan import SCAN_TARGETS, _ratio_for
 
 KNOWN = "known: " + ", ".join(INEQUALITY_IDS)
 
