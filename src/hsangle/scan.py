@@ -25,11 +25,11 @@ _SCAN_SIMPLEX_BYTES = 256 * 2**20
 # axis (relative for a nonzero coordinate, absolute for a zero one).
 _SCAN_XATOL, _SCAN_FATOL = 1e-13, 1e-14
 _SCAN_NONZDELT, _SCAN_ZDELT = 0.05, 0.00025
-# The coefficients (1 + t, t) of the points (1 + t) xbar - t worst of a
-# step: the reflection (t = 1), then, by 1 + expand + outside, the point
-# that may follow it: inside (t = -1/2) or outside (t = 1/2) contraction, or
-# expansion (t = 2).
-_SCAN_STEPS = np.array([[2.0, 1.0], [0.5, -0.5], [1.5, 0.5], [3.0, 2.0]])
+# The coefficients 1 + t of xbar and t of worst in the points
+# (1 + t) xbar - t worst of a step, shaped (4, 1, 1): the reflection (t = 1),
+# then, by expand + outside, the point that may follow it: inside (t = -1/2)
+# or outside (t = 1/2) contraction, or expansion (t = 2).
+_SCAN_XBAR, _SCAN_WORST = np.array([[2.0, 0.5, 1.5, 3.0], [1.0, -0.5, 0.5, 2.0]])[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,18 @@ def _ratio_for(inequality_id: str):
         pair = _OperandStack(np.array((x, y)))
         lhs, rhs = r.sides(pair)
         floor = r.target * r.floor * np.maximum(pair.norms.max(axis=0), 1.0) if r.floor else 0.0
-        return np.divide(r.target * lhs, rhs, out=np.full(len(rhs), -math.inf), where=rhs > floor)
+        out = np.empty(len(rhs))
+        out.fill(-math.inf)
+        return np.divide(r.target * lhs, rhs, out=out, where=rhs > floor)
 
     return ratio
 
 
 def _raw_pair(p: np.ndarray, dim: int) -> np.ndarray:
-    """The pair stack (2, k, dim, dim) of the k parameter rows of p (k, n),
-    or of one row (n,): [re X, im X, re Y, im Y], each dim^2 row-major."""
-    q = p.reshape(-1, p.shape[-1])[:, : 4 * dim * dim].reshape(-1, 2, 2, dim, dim)
+    """The pair stack (2, k, dim, dim) of the k parameter rows of p
+    (k, 4 dim^2), or of one row: [re X, im X, re Y, im Y], each dim^2
+    row-major."""
+    q = p.reshape(-1, 2, 2, dim, dim)
     # One copy moves each entry's (re, im) to the last axis, read as complex.
     return np.ascontiguousarray(q.transpose(1, 0, 3, 4, 2)).view(complex)[..., 0]
 
@@ -83,7 +86,7 @@ def _normal_pair(p: np.ndarray, dim: int) -> np.ndarray:
     im A_y, re d_x, im d_x, re d_y, im d_y]."""
     p = np.atleast_2d(p)
     q = p[:, 4 * dim * dim :].reshape(len(p), 2, 2, dim).transpose(1, 2, 0, 3)
-    return _normal(_phase_fixed_q(_raw_pair(p, dim)), q[:, 0] + 1j * q[:, 1])
+    return _normal(_phase_fixed_q(_raw_pair(p[:, : 4 * dim * dim], dim)), q[:, 0] + 1j * q[:, 1])
 
 
 def _simplex_fit(dim: int, normal: bool):
@@ -106,6 +109,8 @@ class _Budget:
     def values(self, points: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
         """Writes -ratio of each row of points, minimized, to f, or to a new
         array (a NaN ratio gives +inf), chunk rows at a time.  Returns f."""
+        if f is None and 0 < len(points) <= self.chunk:
+            return np.fmin(-self.ratio(*self.decode(points, self.dim)), math.inf)
         f = np.empty(len(points)) if f is None else f
         for i in range(0, len(points), self.chunk):
             p = points[i : i + self.chunk]
@@ -117,9 +122,11 @@ class _Budget:
         rows past the budget get +inf in f, the others may set the best.
         Without f, values only the rows within the budget.  Returns f."""
         k = min(len(points), self.left)
-        if f is None:
-            f = self.values(points[:k], np.empty(len(points)))
-        f[k:] = math.inf
+        if k < len(points):
+            f = self.values(points[:k], np.empty(len(points))) if f is None else f
+            f[k:] = math.inf
+        elif f is None:
+            f = self.values(points)
         if k:
             self.left -= k
             i = f.argmin()
@@ -195,49 +202,61 @@ def sharpness_scan(
             i, order = np.arange(len(fs))[:, None], fs.argsort(axis=1)
             sim[:, fresh], fsim[:, fresh] = s[i, order].swapaxes(0, 1), fs[i, order].T
             fev[fresh] = n + 1
-        # pts[0] holds the reflections and pts[1 + expand + outside] the
+        # xr = pts[0] holds the reflections and succ[expand + outside] the
         # points that may follow them; with lookahead all four are valued
         # ahead in one stack, charged only where Nelder-Mead evaluates them.
-        xbar, worst = np.add.reduce(sim[:-1]) / n, sim[-1]
-        pts = _SCAN_STEPS[:, :1, None] * xbar - _SCAN_STEPS[:, 1:, None] * worst
+        xbar, worst, fworst = np.add.reduce(sim[:-1]) / n, sim[-1], fsim[-1]
+        pts = _SCAN_XBAR * xbar - _SCAN_WORST * worst
+        xr, succ = pts[0], pts[1:]
         ahead = budget.values(pts.reshape(-1, n)).reshape(4, r) if lookahead else None
-        fr = budget.charge(pts[0], None if ahead is None else ahead[0])
+        fr = budget.charge(xr, None if ahead is None else ahead[0])
         # Where the reflection is not kept outright: expansion, outside or
         # inside contraction.  Its point is taken where it beats the worst
         # vertex and the reflection, which an expansion must beat strictly
         # (f2 is +inf where there is none); a contraction that is not taken
-        # shrinks the simplex.
-        xr, expand, outside = pts[0], fr < fsim[0], fr < fsim[-1]
-        second = expand | (fr >= fsim[-2])
-        step = np.add(expand, outside, dtype=int) + 1
-        x2, f2 = pts[step, cols], inf_row.copy()
-        f2[second] = budget.charge(x2[second], None if ahead is None else ahead[step, cols][second])
-        take = (f2 < fsim[-1]) & np.where(expand, f2 < fr, f2 <= fr)
+        # shrinks the simplex.  fr is never NaN, so ~below[0] is fr >= fsim[-2].
+        expand, below = fr < fsim[0], fr < fsim[-2:]
+        second = expand | ~below[0]
+        step = expand.view(np.uint8) + below[1].view(np.uint8)
+        x2, f2 = succ[step, cols], inf_row.copy()
+        a2 = None if ahead is None else ahead[1:][step, cols].compress(second)
+        f2[second] = budget.charge(x2.compress(second, axis=0), a2)
+        take = (f2 < fworst) & np.where(expand, f2 < fr, f2 <= fr)
         shrink = second & ~(expand | take)
-        # The worst vertex becomes the second point where it is taken, else
-        # the reflection, except where the simplex shrinks.
-        moved = ~shrink
-        np.copyto(worst, xr, where=moved[:, None])
-        np.copyto(worst, x2, where=take[:, None])
-        np.copyto(fsim[-1], fr, where=moved)
-        np.copyto(fsim[-1], f2, where=take)
         fev += 1 + second
-        over = shrink & (fev > _SCAN_POLISH_FEV - n)
-        shrink ^= over
-        if shrink.any():
-            h = sim[:1, shrink] + 0.5 * (sim[1:, shrink] - sim[:1, shrink])
-            sim[1:, shrink] = h
-            fsim[1:, shrink] = budget.charge(h.swapaxes(0, 1).reshape(-1, n)).reshape(-1, n).T
-            fev[shrink] += n
+        # The worst vertex becomes the second point where it is taken, else
+        # the reflection, except where the simplex shrinks (most steps shrink
+        # nowhere) or where a shrink would pass the polish's evaluations and
+        # ends it instead.  No row both shrinks and takes its second point,
+        # so the second points are copied last.
+        over = shrink
+        if np.count_nonzero(shrink):
+            moved = ~shrink
+            np.copyto(worst, xr, where=moved[:, None])
+            np.copyto(fworst, fr, where=moved)
+            over = shrink & (fev > _SCAN_POLISH_FEV - n)
+            shrink ^= over
+            if np.count_nonzero(shrink):
+                h = sim[:1, shrink] + 0.5 * (sim[1:, shrink] - sim[:1, shrink])
+                sim[1:, shrink] = h
+                fsim[1:, shrink] = budget.charge(h.swapaxes(0, 1).reshape(-1, n)).reshape(-1, n).T
+                fev[shrink] += n
+        else:
+            worst[...], fworst[...] = xr, fr
+        np.copyto(worst, x2, where=take[:, None])
+        np.copyto(fworst, f2, where=take)
+        # Sort each restart's vertices by flat indices into sim and fsim.
         order = fsim.argsort(axis=0)
-        sim, fsim = sim[order, cols], fsim[order, cols]
+        order *= r
+        order += cols
+        sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
         # A restart whose polish ends goes on from the best vertex while the
         # chain improves, else from a fresh start.
         flat = fsim[-1] <= fsim[0] + _SCAN_FATOL
-        if flat.any():
+        if np.count_nonzero(flat):
             flat[flat] = np.abs(sim[1:, flat] - sim[:1, flat]).max(axis=(0, 2)) <= _SCAN_XATOL
         fresh = flat | over | (fev > _SCAN_POLISH_FEV - 2)
-        begin = fresh.any()
+        begin = np.count_nonzero(fresh)
         if begin:
             value = -fsim[0, fresh]
             go = (value > last[fresh] + 1e-15) & (link[fresh] + 1 < _SCAN_POLISH_CHAIN)

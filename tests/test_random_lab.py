@@ -409,6 +409,31 @@ class TestSharpnessScan:
                 else:
                     assert points == n
 
+    # The ratio calls and the points they value, which the pins of bits do
+    # not see: a step at dim 2 values its reflections and the three points
+    # that may follow each in one stack of 24 points, and a step at dim 3
+    # values only the points it charges.  Splitting the dim-2 stack, or
+    # looking ahead at dim 3, moves these counts and no bit.
+    @pytest.mark.parametrize(
+        "iid, dim, n, calls, points",
+        [("T37", 2, 20_000, 2533, 60870), ("T36", 2, 20_000, 2511, 60342), ("T37", 3, 6_000, 1209, 6000)],
+    )
+    def test_ratio_calls_and_valued_points_are_pinned(self, monkeypatch, iid, dim, n, calls, points):
+        sizes, ratio_for = [], scan._ratio_for
+
+        def counting_ratio_for(inequality_id):
+            ratio = ratio_for(inequality_id)
+
+            def counted(x, y):
+                sizes.append(len(x))
+                return ratio(x, y)
+
+            return counted
+
+        monkeypatch.setattr(scan, "_ratio_for", counting_ratio_for)
+        sharpness_scan(iid, dim, n, 21)
+        assert (len(sizes), sum(sizes)) == (calls, points)
+
     # R33 at dim 1 meets the stop rules after 680 of the 900 evaluations.
     @pytest.mark.parametrize("iid, dim, n, stops", [("T37", 2, 1500, False), ("R33", 1, 900, True)])
     def test_one_restart_evaluates_the_points_of_scipy_nelder_mead(self, iid, dim, n, stops):
