@@ -223,28 +223,21 @@ def sharpness_scan(
         f2[second] = budget.charge(x2.compress(second, axis=0), a2)
         take = (f2 < fworst) & np.where(expand, f2 < fr, f2 <= fr)
         shrink = second & ~(expand | take)
-        fev += 1 + second
         # The worst vertex becomes the second point where it is taken, else
-        # the reflection, except where the simplex shrinks (most steps shrink
-        # nowhere) or where a shrink would pass the polish's evaluations and
-        # ends it instead.  No row both shrinks and takes its second point,
-        # so the second points are copied last.
-        over = shrink
-        if np.count_nonzero(shrink):
-            moved = ~shrink
-            np.copyto(worst, xr, where=moved[:, None])
-            np.copyto(fworst, fr, where=moved)
-            over = shrink & (fev > _SCAN_POLISH_FEV - n)
-            shrink ^= over
-            if np.count_nonzero(shrink):
-                h = sim[:1, shrink] + 0.5 * (sim[1:, shrink] - sim[:1, shrink])
-                sim[1:, shrink] = h
-                fsim[1:, shrink] = budget.charge(h.swapaxes(0, 1).reshape(-1, n)).reshape(-1, n).T
-                fev[shrink] += n
-        else:
-            worst[...], fworst[...] = xr, fr
+        # the reflection, except where the simplex shrinks.
+        moved = ~shrink
+        np.copyto(worst, xr, where=moved[:, None])
         np.copyto(worst, x2, where=take[:, None])
+        np.copyto(fworst, fr, where=moved)
         np.copyto(fworst, f2, where=take)
+        fev += 1 + second
+        over = shrink & (fev > _SCAN_POLISH_FEV - n)
+        shrink ^= over
+        if np.count_nonzero(shrink):
+            h = sim[:1, shrink] + 0.5 * (sim[1:, shrink] - sim[:1, shrink])
+            sim[1:, shrink] = h
+            fsim[1:, shrink] = budget.charge(h.swapaxes(0, 1).reshape(-1, n)).reshape(-1, n).T
+            fev[shrink] += n
         # Sort each restart's vertices by flat indices into sim and fsim.
         order = fsim.argsort(axis=0)
         order *= r

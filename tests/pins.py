@@ -1,5 +1,6 @@
 """sha256 pins of the CLI's stdout, of generate's bits and of the points a
-one-restart scan charges, computed at one pinned dispatch level.
+one-restart scan charges, and the ratio calls of three scans, computed at
+one pinned dispatch level.
 
 numpy's SIMD loops (AVX2 or AVX-512) and OpenBLAS's kernels decide the last
 bits of the results, so the pins are defined with both pinned: numpy
@@ -50,6 +51,11 @@ GENERATE = "generate"
 # evaluates the first m of them.  _digests keys their sha256 by the case
 # joined after "scan-parity".
 SCAN_PARITY = (("T37", 2, 1500, 4, 1500), ("R33", 1, 900, 4, 680))
+# Scans whose ratio calls and valued points are counted, as (id, dim,
+# budget, seed).  _digests keys [calls, points] by the case joined after
+# "scan-structure".  Both counts follow the Nelder-Mead path, which the last
+# bits of the values decide, so they too are taken at the pinned level.
+SCAN_STRUCTURE = (("T37", 2, 20_000, 21), ("T36", 2, 20_000, 21), ("T37", 3, 6_000, 21))
 
 
 def charged_points(iid: str, dim: int, n: int, seed: int) -> list:
@@ -71,10 +77,35 @@ def charged_points(iid: str, dim: int, n: int, seed: int) -> list:
     return rows
 
 
+def ratio_sizes(iid: str, dim: int, n: int, seed: int) -> list:
+    """The number of points of each ratio call that sharpness_scan(iid,
+    dim, n, seed) makes, in order."""
+    from hsangle import scan
+
+    sizes, ratio_for = [], scan._ratio_for
+
+    def counting_ratio_for(inequality_id):
+        ratio = ratio_for(inequality_id)
+
+        def counted(x, y):
+            sizes.append(len(x))
+            return ratio(x, y)
+
+        return counted
+
+    scan._ratio_for = counting_ratio_for
+    try:
+        scan.sharpness_scan(iid, dim, n, seed)
+    finally:
+        scan._ratio_for = ratio_for
+    return sizes
+
+
 def _digests() -> dict:
     """sha256 of each CLI_PINS run's stdout, keyed by its joined argv, of
     the bits of generate over every ensemble, keyed GENERATE, and of the
-    first m charged points of each SCAN_PARITY case."""
+    first m charged points of each SCAN_PARITY case; and the ratio calls
+    and valued points of each SCAN_STRUCTURE case."""
     from hsangle import ENSEMBLE_KINDS, GeneratorSpec, cli, generate
 
     out = {}
@@ -95,6 +126,9 @@ def _digests() -> dict:
         rows = charged_points(*case)[:m]
         key = " ".join(map(str, ("scan-parity", *case, m)))
         out[key] = hashlib.sha256(b"".join(r.tobytes() for r in rows)).hexdigest()
+    for case in SCAN_STRUCTURE:
+        sizes = ratio_sizes(*case)
+        out[" ".join(map(str, ("scan-structure", *case)))] = [len(sizes), sum(sizes)]
     return out
 
 
