@@ -58,7 +58,7 @@ def _load_matrix(path: str) -> ComplexMatrix:
             obj = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
     return ComplexMatrix.from_json_dict(obj)
 

@@ -78,7 +78,7 @@ class ComplexMatrix:
         try:
             re = np.asarray(obj["re"], dtype=np.float64)
             im = np.asarray(obj["im"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"matrix JSON entries not numeric: {exc}") from exc
         if re.shape != (rows, cols) or im.shape != (rows, cols):
             raise ValidationError(

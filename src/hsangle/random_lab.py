@@ -273,31 +273,22 @@ def run_single_trial(
 
 def _stacks(groups, operands: np.ndarray, dim: int):
     """The operand pairs of the trials of groups, a list of (kind, trial
-    indices) at one dim, as pair stacks (trials, xy) of at most
-    _STACK_ENTRIES entries per operand.  Each group is drawn at most that
-    many entries at a time, from its columns of operands (2, trials), and
-    the draws fill the stacks in order: a stack may hold several kinds, and
-    a draw may be split between two stacks."""
+    indices) at one dim, as consecutive pair stacks (trials, xy) of at most
+    step = _STACK_ENTRIES // dim**2 pairs, in group order.  Each group is
+    drawn at most step trials at a time, from its columns of operands (2,
+    trials), and only when the next stack needs it: a stack may hold several
+    kinds, and a draw may be split between two stacks."""
     step = _STACK_ENTRIES // dim**2
-    left = sum(len(t) for _, t in groups)
-    fill = 0
-    for kind, group in groups:
-        for start in range(0, len(group), step):
-            t = group[start : start + step]
-            drawn, at = _draw(kind, dim, operands[:, t]), 0
-            while at < len(t):
-                if not fill:
-                    size = min(step, left)
-                    xy = np.empty((2, size, dim, dim), dtype=complex)
-                    trial = np.empty(size, dtype=np.intp)
-                m = min(size - fill, len(t) - at)
-                xy[:, fill : fill + m] = drawn[:, at : at + m]
-                trial[fill : fill + m] = t[at : at + m]
-                fill, at = fill + m, at + m
-                if fill == size:
-                    left -= size
-                    fill = 0
-                    yield trial, xy
+    draws = (_draw(kind, dim, operands[:, t[i : i + step]])
+             for kind, t in groups for i in range(0, len(t), step))
+    trials, held = np.concatenate([t for _, t in groups]), []
+    for start in range(0, len(trials), step):
+        trial = trials[start : start + step]
+        while sum(h.shape[1] for h in held) < len(trial):
+            held.append(next(draws))
+        xy = np.concatenate(held, axis=1)
+        held = [xy[:, len(trial) :]]
+        yield trial, np.ascontiguousarray(xy[:, : len(trial)])
 
 
 def run_property_suite(

@@ -48,6 +48,14 @@ def _require_square(x: ComplexMatrix, what: str):
         raise ShapeError(f"{what} requires a square matrix, got {x.rows}x{x.cols}")
 
 
+def _lapack(solver, what: str, *args, **kwargs):
+    """The numpy.linalg call solver(*args, **kwargs), LinAlgError raised as EigensolverError."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"{what} failed: {exc}") from exc
+
+
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + _ct(a)) / 2.0
 
@@ -64,10 +72,7 @@ def hermitian_eig(h: ComplexMatrix) -> HermitianEigen:
         raise ValidationError(
             f"hermitian_eig requires a Hermitian input; deviation {dev:.3e}"
         )
-    try:
-        w, v = np.linalg.eigh(_hermitian_part(h.a))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+    w, v = _lapack(np.linalg.eigh, "eigendecomposition", _hermitian_part(h.a))
     w = w.copy()
     w.setflags(write=False)
     return HermitianEigen(w, ComplexMatrix(v))
@@ -77,16 +82,6 @@ def reconstruct(eig: HermitianEigen) -> ComplexMatrix:
     """Rebuild the matrix V diag(w) V* from its eigendecomposition."""
     v = eig.vectors.a
     return ComplexMatrix((v * eig.eigenvalues) @ v.conj().T)
-
-
-def _svd(a: np.ndarray):
-    # |X| above 2x2 and U come from the SVD of X, not from eig(X*X): squaring
-    # the spectrum amplifies roundoff at small singular values to
-    # sqrt(eps) * sigma_max, which is fatal at exactly-singular witnesses.
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
 
 
 # The shape whose moduli come in closed form: a stack of them costs about
@@ -153,11 +148,10 @@ class _Moduli:
 
     @_cached
     def _svd(self):
-        return _svd(self.a)
-
-    w = property(lambda m: m._svd[0])
-    s = property(lambda m: m._svd[1])
-    vh = property(lambda m: m._svd[2])
+        # |X| above 2x2 and U come from the SVD of X, not from eig(X*X): squaring
+        # the spectrum amplifies roundoff at small singular values to sqrt(eps) *
+        # sigma_max, which is fatal at exactly-singular witnesses.
+        return _lapack(np.linalg.svd, "singular value decomposition", self.a, full_matrices=False)
 
     @_cached
     def _closed(self) -> np.ndarray:
@@ -179,15 +173,15 @@ class _Moduli:
     def abs(self) -> np.ndarray:
         if self.a.shape[-2:] == _CLOSED_SHAPE:
             return self._closed[..., 0, :, :]
-        vh = self.vh
-        return _hermitian_part((_ct(vh) * self.s[..., None, :]) @ vh)
+        _, s, vh = self._svd
+        return _hermitian_part((_ct(vh) * s[..., None, :]) @ vh)
 
     def adj(self) -> np.ndarray:
         if self.a.shape[-2:] == _CLOSED_SHAPE:
             return self._closed[..., 1, :, :]
         # Only asked for square X, where W and S conform.
-        w = self.w
-        return _hermitian_part((w * self.s[..., None, :]) @ _ct(w))
+        w, s, _ = self._svd
+        return _hermitian_part((w * s[..., None, :]) @ _ct(w))
 
 
 def abs_op(x: ComplexMatrix) -> ComplexMatrix:
@@ -205,8 +199,9 @@ def polar(x: ComplexMatrix) -> PolarParts:
     """Polar decomposition X = U|X| with U vanishing on ker|X|."""
     _require_square(x, "polar")
     m = _Moduli(x.a)
-    mask = m.s > POLAR_RANK_REL * m.s[0]
-    return PolarParts(ComplexMatrix(m.w[:, mask] @ m.vh[mask, :]), ComplexMatrix(m.abs()))
+    w, s, vh = m._svd
+    mask = s > POLAR_RANK_REL * s[0]
+    return PolarParts(ComplexMatrix(w[:, mask] @ vh[mask, :]), ComplexMatrix(m.abs()))
 
 
 def polar_identity_residuals(x: ComplexMatrix, parts: PolarParts) -> dict:
@@ -242,7 +237,6 @@ def is_psd(h: ComplexMatrix, tol: float) -> bool:
 def _is_psd(a: np.ndarray, tol: float) -> bool:
     dev, n = _norms(np.array((a - _ct(a), a))).tolist()
     budget = tol * (1.0 + n)
-    try:
-        return dev <= budget and bool(np.linalg.eigvalsh(_hermitian_part(a))[0] >= -budget)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+    return dev <= budget and bool(
+        _lapack(np.linalg.eigvalsh, "eigendecomposition", _hermitian_part(a))[0] >= -budget
+    )

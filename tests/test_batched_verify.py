@@ -113,6 +113,37 @@ def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
     assert as_json(batched) == as_json(per_trial_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed))
 
 
+def test_verify_draws_only_what_the_next_stack_needs(monkeypatch):
+    # _STACK_ENTRIES bounds what a check holds; drawing lazily bounds what
+    # waits beside it.  Before each check, the pairs drawn but not yet
+    # checked beyond the stack in hand are fewer than one stack's worth.
+    events = []
+
+    def recording_check_stack(iid, xy, tol):
+        events.append(("check", xy.shape[2], xy.shape[1]))
+        return _check_stack(iid, xy, tol)
+
+    def recording_draw(kind, dim, seeds):
+        events.append(("draw", dim, seeds.shape[1]))
+        return _draw(kind, dim, seeds)
+
+    monkeypatch.setattr(random_lab, "_check_stack", recording_check_stack)
+    monkeypatch.setattr(random_lab, "_draw", recording_draw)
+    specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in (1, 3, 8, 12)]
+    run_property_suite(INEQUALITY_IDS, specs, 300, 1e-9, 5)
+    drawn = checked = 0
+    split = False
+    for what, dim, pairs in events:
+        if what == "draw":
+            drawn += pairs
+            continue
+        waiting = drawn - checked - pairs
+        assert 0 <= waiting < _STACK_ENTRIES // dim**2
+        split |= waiting > 0
+        checked += pairs
+    assert drawn == checked and split
+
+
 @pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
 def test_each_stacked_trial_is_bit_equal_to_check(inequality_id):
     kinds = ("hermitian", "normal", "psd", "unitary") if inequality_id == "R33" else ENSEMBLE_KINDS

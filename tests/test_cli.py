@@ -395,6 +395,20 @@ class TestInputHandling:
         assert code == 2
         assert "malformed JSON" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, "abs", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed JSON in {bad}")
+
+    def test_integer_beyond_float64_exits_2(self, capsys, tmp_path, witness_files):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 1, "cols": 1, "re": [[1' + "0" * 400 + ']], "im": [[0]]}')
+        code, out, err = run_cli(capsys, "angle", str(bad), witness_files["x"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: matrix JSON entries not numeric")
+
     def test_shape_mismatch_in_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rows": 2, "cols": 2, "re": [[1, 0]], "im": [[0, 0]]}))
@@ -409,6 +423,18 @@ class TestInputHandling:
         )
         code, _, _ = run_cli(capsys, "abs", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["abs", "polar"])
+    def test_lapack_failure_exits_2(self, capsys, tmp_path, monkeypatch, command):
+        # At 3x3 both commands take the SVD.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        x = write_matrix(tmp_path / "x.json", generate(GeneratorSpec("ginibre", 3, 1)))
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        code, out, err = run_cli(capsys, command, x)
+        assert (code, out) == (2, "")
+        assert err == "error: singular value decomposition failed: SVD did not converge\n"
 
     def test_output_file(self, capsys, tmp_path, witness_files):
         target = tmp_path / "out.json"

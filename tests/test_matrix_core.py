@@ -75,6 +75,8 @@ class TestConstruction:
             lambda d: d["re"][0].append(1.0),
             lambda d: d["re"][0].__setitem__(0, float("nan")),
             lambda d: d.update(re="nope"),
+            lambda d: d["re"][0].__setitem__(0, 10**400),  # an integer beyond float64
+            lambda d: d["im"][1].__setitem__(1, -(10**400)),
         ],
     )
     def test_json_rejects_malformed(self, mutation):

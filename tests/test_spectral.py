@@ -5,6 +5,7 @@ import pytest
 
 from hsangle import (
     ComplexMatrix,
+    EigensolverError,
     GeneratorSpec,
     ShapeError,
     ValidationError,
@@ -275,3 +276,33 @@ class TestIsPsd:
     def test_requires_square(self):
         with pytest.raises(ShapeError):
             is_psd(ComplexMatrix(np.ones((2, 3), dtype=complex)), 1e-10)
+
+
+class TestLapackFailure:
+    # numpy.linalg's LinAlgError leaves the library as EigensolverError, with
+    # the failing decomposition named and LAPACK's message kept.
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, fail)
+
+    @pytest.mark.parametrize("call", [abs_op, abs_adjoint, polar])
+    def test_svd_failure(self, failing, call):
+        x = generate(GeneratorSpec("ginibre", 3, 1))
+        with pytest.raises(EigensolverError) as info:
+            call(x)
+        assert str(info.value) == "singular value decomposition failed: did not converge"
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("call", [hermitian_eig, lambda h: is_psd(h, 1e-10)])
+    def test_eigensolver_failure(self, failing, call):
+        with pytest.raises(EigensolverError) as info:
+            call(identity(3))
+        assert str(info.value) == "eigendecomposition failed: did not converge"
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_non_hermitian_is_not_psd_without_the_eigensolver(self, failing):
+        assert not is_psd(ComplexMatrix.from_rows([[1, 1], [0, 1]]), 1e-10)
