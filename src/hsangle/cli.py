@@ -29,7 +29,7 @@ from .random_lab import (
     reproduce_witnesses,
     run_property_suite,
 )
-from .scan import _SCAN_SIMPLEX_BYTES, sharpness_scan
+from .scan import _SCAN_RESTARTS, _SCAN_SIMPLEX_BYTES, _largest_fit, sharpness_scan
 
 # Every custom input error (ValidationError, ZeroOperandError, ...) is a
 # ValueError; OSError covers unreadable and unwritable paths, MemoryError a
@@ -160,8 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help=f"1..{MAX_DIM}; the Nelder-Mead simplices may hold {_SCAN_SIMPLEX_BYTES >> 20} MiB, "
-        "so fewer than six restarts run above dim 24 (23 for R33), and a dim above 38 "
-        "(37 for R33), whose one simplex does not fit, exits 2",
+        f"so fewer than {_SCAN_RESTARTS} restarts run above dim "
+        f"{_largest_fit(False, _SCAN_RESTARTS)} ({_largest_fit(True, _SCAN_RESTARTS)} for R33), "
+        f"and a dim above {_largest_fit(False)} ({_largest_fit(True)} for R33), "
+        "whose one simplex does not fit, exits 2",
     )
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -32,6 +32,34 @@ def _validated(entries, ndim: int) -> np.ndarray:
     return arr
 
 
+# The JSON type of a parsed value, for naming an entry that is not a number.
+_JSON_TYPES = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
+
+
+def _json_grid(grid, field: str, rows: int, cols: int) -> np.ndarray:
+    """The float64 rows x cols array of a JSON array of rows arrays of cols
+    numbers each.  A boolean, string or null entry is refused by its JSON
+    type, not read as a number or as NaN."""
+    if not (
+        isinstance(grid, list)
+        and len(grid) == rows
+        and all(isinstance(row, list) and len(row) == cols for row in grid)
+    ):
+        raise ValidationError(
+            f"matrix JSON shape mismatch: declared {rows}x{cols}, "
+            f"but {field} is not {rows} arrays of {cols} entries"
+        )
+    for row in grid:
+        for e in row:
+            if isinstance(e, bool) or not isinstance(e, (int, float)):
+                kind = _JSON_TYPES.get(type(e), type(e).__name__)
+                raise ValidationError(f"matrix JSON {field} entries must be numbers, got JSON {kind}")
+    try:
+        return np.array(grid, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValidationError(f"matrix JSON entries not numeric: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexMatrix:
     """Immutable dense complex matrix.  ``a`` is a read-only complex128 array."""
@@ -75,16 +103,7 @@ class ComplexMatrix:
         rows, cols = obj["rows"], obj["cols"]
         if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in (rows, cols)):
             raise ValidationError("rows and cols must be positive integers")
-        try:
-            re = np.asarray(obj["re"], dtype=np.float64)
-            im = np.asarray(obj["im"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"matrix JSON entries not numeric: {exc}") from exc
-        if re.shape != (rows, cols) or im.shape != (rows, cols):
-            raise ValidationError(
-                f"matrix JSON shape mismatch: declared {rows}x{cols}, "
-                f"re {re.shape}, im {im.shape}"
-            )
+        re, im = (_json_grid(obj[field], field, rows, cols) for field in ("re", "im"))
         return cls(re + 1j * im)
 
 

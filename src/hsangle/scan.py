@@ -15,9 +15,9 @@ SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not Non
 
 # Restarts run in lockstep, each a chain of at most _SCAN_POLISH_CHAIN
 # Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations.
-_SCAN_RESTARTS, _SCAN_POLISH_CHAIN, _SCAN_POLISH_FEV = 6, 4, 6000
+_SCAN_RESTARTS, _SCAN_POLISH_CHAIN, _SCAN_POLISH_FEV = 7, 4, 6000
 # The simplices, (n+1) x n floats per restart, hold at most this many bytes:
-# fewer restarts run where six do not fit (above dim 24, above 23 for R33),
+# fewer restarts run where seven do not fit (above dim 23, above 22 for R33),
 # and a dim whose one simplex does not fit (above 38, above 37 for R33) is
 # refused.  The scan's peak memory is a few times this.
 _SCAN_SIMPLEX_BYTES = 256 * 2**20
@@ -94,6 +94,11 @@ def _simplex_fit(dim: int, normal: bool):
     diagonals) and how many (n+1) x n simplices fit _SCAN_SIMPLEX_BYTES."""
     n = 4 * dim * dim + (4 * dim if normal else 0)
     return n, _SCAN_SIMPLEX_BYTES // (8 * n * (n + 1))
+
+
+def _largest_fit(normal: bool, simplices: int = 1) -> int:
+    """The largest dim at which that many simplices fit _SCAN_SIMPLEX_BYTES."""
+    return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(d, normal)[1] >= simplices)
 
 
 class _Budget:
@@ -177,11 +182,10 @@ def sharpness_scan(
     decode = _normal_pair if normal else _raw_pair
     n, fit = _simplex_fit(dim, normal)
     if not fit:
-        largest = max(d for d in range(1, dim) if _simplex_fit(d, normal)[1])
         raise ValueError(
             f"a scan of {inequality_id} at dim {dim} needs more than the "
             f"{_SCAN_SIMPLEX_BYTES >> 20} MiB its Nelder-Mead simplex may hold; "
-            f"the largest dim that fits is {largest}"
+            f"the largest dim that fits is {_largest_fit(normal)}"
         )
     rng = CounterRng(derive_seed(master_seed, "scan:" + inequality_id, dim))
     budget, lookahead = _Budget(inequality_id, dim, decode, iterations), (dim, dim) == _CLOSED_SHAPE

@@ -212,27 +212,27 @@ class TestVerify:
             ),
             (
                 ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
-                "e81694bb2775914a5dd3052693c32255c0d74ebae6d3ac269e80d4e50440c202",
+                "fb508db005d0316e0ca4324e05ba7878a3ad8afd6536583a0f2b5836fa1e75a8",
             ),
             # The normal-pair decoder and the C32/R33 degenerate-denominator guard.
             (
                 ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
-                "8f4d9795613060392158dfde26c3c2c36545a221c6c14ae759f98e104b7b0981",
+                "3979841d87628675ca3a5a52c5b6e12694c851fe505e9fd3cab872530cb97850",
             ),
             (("repro",), "c236f8898cdac2a43b06ea18982a20d261a8a39758b26cc87a79083fff901191"),
             # The adjoint moduli (T36), the raw-pair guard (C32) and a 3x3
             # scan, whose moduli come from the SVD.
             (
                 ("scan", "--id", "T36", "--dim", "2", "--iters", "4000", "--seed", "42"),
-                "23ded7b680e6b6f02bd97f522eb69aab068918877827f024052db1f8c59db3e1",
+                "3fbe533d59ab91ec89ce217647e356030e5811acec7e5e9c4d488ed340a08bfb",
             ),
             (
                 ("scan", "--id", "C32", "--dim", "2", "--iters", "4000", "--seed", "42"),
-                "c817da62ede0b93af0aec1de45370df7d5344cf2e4d492c9b14da4e23f9050ef",
+                "07d289fc170406157f79ce6ae6014e9fed6c9e775ccc8d1ba9a5483d36466b05",
             ),
             (
                 ("scan", "--id", "T37", "--dim", "3", "--iters", "3000", "--seed", "5"),
-                "69aaf72b79befe388dcc2f2afd4505a0eef43371580fea3718e95bc79c074c65",
+                "1583630db1d2ab906e5f51f3350d52f91b7e3faa5522daf3d1d41845126b6e33",
             ),
             # The budget's edges: it ends inside the initial simplices, then
             # in mid-step; and an R33 scan, whose points decode through the
@@ -243,11 +243,11 @@ class TestVerify:
             ),
             (
                 ("scan", "--id", "T36", "--dim", "2", "--iters", "1001", "--seed", "9"),
-                "72cc6e66a351594e3fa4574802bb4ce39dc72e4703aa18f8004fb52332cd4fac",
+                "f2558789936a4aa4dc809eebdadcc4711292732657ed3b7922f8acc73a92ce90",
             ),
             (
                 ("scan", "--id", "R33", "--dim", "2", "--iters", "2500", "--seed", "11"),
-                "d2af153ae28a2aaa3ade930979e9c21c3594fe1e974cd9faf4b8fce70bbe662e",
+                "8adcd5cd2314a9e42c6e6c443c073362ca8c9f9e2240bd50a83b9c72bcfb15a2",
             ),
         ],
     )
@@ -301,19 +301,20 @@ class TestScan:
         assert "256 MiB" in capsys.readouterr().out
 
     def test_help_states_the_dims_that_the_simplex_cap_gives(self, capsys):
-        # The largest dims at which six simplices, and one, fit the cap:
-        # T37's raw pair, then R33's normal pair with its two diagonals.
+        # The largest dims at which every restart's simplex, and one, fit
+        # the cap: T37's raw pair, then R33's normal pair with its two
+        # diagonals.
         def largest(normal, simplices):
             return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(d, normal)[1] >= simplices)
 
-        (six_raw, six_normal), (one_raw, one_normal) = (
+        (all_raw, all_normal), (one_raw, one_normal) = (
             [largest(normal, k) for normal in (False, True)] for k in (_SCAN_RESTARTS, 1)
         )
         with pytest.raises(SystemExit):
             main(["scan", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        assert _SCAN_RESTARTS == 6 and (
-            f"fewer than six restarts run above dim {six_raw} ({six_normal} for R33), "
+        assert (
+            f"fewer than {_SCAN_RESTARTS} restarts run above dim {all_raw} ({all_normal} for R33), "
             f"and a dim above {one_raw} ({one_normal} for R33)"
         ) in text
 
@@ -408,6 +409,18 @@ class TestInputHandling:
         code, out, err = run_cli(capsys, "angle", str(bad), witness_files["x"])
         assert (code, out) == (2, "")
         assert err.startswith("error: matrix JSON entries not numeric")
+
+    @pytest.mark.parametrize(
+        "re, im, refused",
+        [([["2.5", True]], [[0, False]], "re entries must be numbers, got JSON string"),
+         ([[1.0, 2.0]], [[0, None]], "im entries must be numbers, got JSON null")],
+        ids=["string", "null"],
+    )
+    def test_entry_that_is_not_a_json_number_exits_2(self, capsys, tmp_path, re, im, refused):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rows": 1, "cols": 2, "re": re, "im": im}))
+        code, out, err = run_cli(capsys, "abs", str(bad))
+        assert (code, out, err) == (2, "", f"error: matrix JSON {refused}\n")
 
     def test_shape_mismatch_in_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -70,19 +70,27 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "mutation",
         [
-            lambda d: d.pop("im"),
+            lambda d: d.__delitem__("im"),
             lambda d: d.update(rows=5),
             lambda d: d["re"][0].append(1.0),
             lambda d: d["re"][0].__setitem__(0, float("nan")),
             lambda d: d.update(re="nope"),
             lambda d: d["re"][0].__setitem__(0, 10**400),  # an integer beyond float64
             lambda d: d["im"][1].__setitem__(1, -(10**400)),
+            # Entries that numpy would read as numbers, or null as NaN, are
+            # refused by their JSON type.
+            lambda d: d["re"][0].__setitem__(0, "2.5") or "got JSON string",
+            lambda d: d["re"][0].__setitem__(1, True) or "got JSON boolean",
+            lambda d: d["im"][1].__setitem__(0, False) or "got JSON boolean",
+            lambda d: d["im"][0].__setitem__(1, None) or "got JSON null",
+            lambda d: d["re"][1].__setitem__(1, [1.0]) or "got JSON array",
         ],
     )
     def test_json_rejects_malformed(self, mutation):
+        # A mutation may return a pattern that the error message must match.
         d = identity(2).to_json_dict()
-        mutation(d)
-        with pytest.raises(ValidationError):
+        message = mutation(d)
+        with pytest.raises(ValidationError, match=message):
             ComplexMatrix.from_json_dict(d)
 
     @pytest.mark.parametrize("field", ["rows", "cols"])
