@@ -56,6 +56,12 @@ def _unit(a: np.ndarray, axis=(-2, -1)):
     return np.ldexp(f, -e).view(a.dtype), e.squeeze(axis)
 
 
+# A value in [2^-500, 2^500] squares, or multiplies another such value, into
+# [2^-1000, 2^1000], where float64 is finite and normal.  Norms and sums of
+# singular values outside it are taken over operands scaled by _unit.
+_SAFE_RANGE = (2.0**-500, 2.0**500)
+
+
 def _rownorms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
@@ -63,14 +69,15 @@ def _rownorms(v: np.ndarray) -> np.ndarray:
 # A sum of squares that overflows is rescued; a norm beyond float64 is inf.
 @np.errstate(over="ignore")
 def _norms(a: np.ndarray) -> np.ndarray:
-    """The norm of each matrix of a stack (..., r, c).  In [2^-500, 2^500] it
-    is bit for bit numpy's Frobenius norm: a vecdot over the stack of the real
+    """The norm of each matrix of a stack (..., r, c).  In _SAFE_RANGE it is
+    bit for bit numpy's Frobenius norm: a vecdot over the stack of the real
     parts, and one of the imaginary parts.  Outside, where the squares would
     lose bits or overflow, it is taken over the entries scaled by _unit."""
     v = a.reshape(-1, a.shape[-2] * a.shape[-1])
     n = _rownorms(v)
-    if n.size and not 2.0**-500 <= np.minimum.reduce(n) <= np.maximum.reduce(n) <= 2.0**500:
-        out = (n < 2.0**-500) | (n > 2.0**500)
+    lo, hi = _SAFE_RANGE
+    if n.size and not lo <= np.minimum.reduce(n) <= np.maximum.reduce(n) <= hi:
+        out = (n < lo) | (n > hi)
         u, e = _unit(v[out], axis=-1)
         n[out] = np.ldexp(_rownorms(u), e)
     return n.reshape(a.shape[:-2])
@@ -103,12 +110,13 @@ class _PairStack:
     def _scaled(self):
         """xy and the norms, each operand scaled by _unit, so that neither
         the inner product nor nx * ny underflows or overflows.  When every
-        norm lies in [2^-500, 2^500], where nx * ny can do neither, they are
+        norm lies in _SAFE_RANGE, where nx * ny can do neither, they are
         returned unscaled.  A norm that overflowed float64 unscaled is taken
         again over the scaled operand."""
         n = self.norms
         v = n.reshape(-1)
-        if v.size and 2.0**-500 <= np.minimum.reduce(v) <= np.maximum.reduce(v) <= 2.0**500:
+        lo, hi = _SAFE_RANGE
+        if v.size and lo <= np.minimum.reduce(v) <= np.maximum.reduce(v) <= hi:
             return self.xy, n
         xy, e = _unit(self.xy)
         n = np.ldexp(n, -e)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .matrix_core import ComplexMatrix, _ct
 from .inequality_suite import SQRT2, InequalityReport, _check_stack, _lookup, check
+from .spectral import _vdv
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -74,10 +75,6 @@ def derive_seed(master_seed: int, label: str, index: int) -> int:
     return mix64(h ^ (index & _MASK64))
 
 
-# fnv1a64 of each of _OPERAND_LABELS.
-_OPERAND_HASHES = np.array([fnv1a64(x.encode("utf-8")) for x in _OPERAND_LABELS], dtype=np.uint64)
-
-
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
     """mix64 of each entry of a uint64 array, in place; returns z (a numpy
     scalar becomes a new 0-d array, which wraps where a scalar would warn)."""
@@ -96,14 +93,6 @@ def _derive_seeds(master, label: str, index) -> np.ndarray:
     h = _mix64_vec(np.array(master, dtype=np.uint64))
     h ^= np.uint64(fnv1a64(label.encode("utf-8")))
     return _mix64_vec(_mix64_vec(h) ^ index)
-
-
-def _operand_seeds(trial_seeds) -> np.ndarray:
-    """derive_seed(t, label, 0) for each uint64 trial seed t and each of
-    _OPERAND_LABELS, as one array (2, *trial_seeds.shape): the X seeds, then
-    the Y seeds.  The index 0 leaves the last mix64's input as it is."""
-    h = _mix64_vec(np.array(trial_seeds, dtype=np.uint64))
-    return _mix64_vec(_mix64_vec(np.bitwise_xor.outer(_OPERAND_HASHES, h)))
 
 
 class CounterRng:
@@ -129,31 +118,26 @@ class CounterRng:
         u *= 2.0**-53
         return u
 
-    def _polar(self, pairs: int):
-        """Box-Muller's radii r and angles 2 pi u2 of the next pairs uniform
-        pairs (u1, u2)."""
-        u = self.uniforms(2 * pairs)
-        return np.sqrt(-2.0 * np.log(u[..., 0::2])), (2.0 * math.pi) * u[..., 1::2]
-
     def normals(self, n: int) -> np.ndarray:
-        r, ang = self._polar((n + 1) // 2)
-        z = np.empty(r.shape[:-1] + (2 * r.shape[-1],))
-        z[..., 0::2] = r * np.cos(ang)
-        z[..., 1::2] = r * np.sin(ang)
-        return z[..., :n]
+        # Each pair (u1, u2) is overwritten by its r cos and r sin.
+        u = self.uniforms(n + n % 2)
+        r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+        ang = (2.0 * math.pi) * u[..., 1::2]
+        np.multiply(r, np.cos(ang), out=u[..., 0::2])
+        np.multiply(r, np.sin(ang), out=u[..., 1::2])
+        return u[..., :n]
 
     def complex_normals(self, n: int) -> np.ndarray:
-        """(z[2k] + i z[2k+1]) / sqrt(2) of z = normals(2 n), written part
-        by part as (r cos) * (1/sqrt(2)) and (r sin) * (1/sqrt(2)): the bits
-        of numpy's complex division by the real sqrt(2), which scales both
-        parts by 1/sqrt(2).  Where u1 = 1, r is -0.0 and that division gives
-        +0.0 to both parts, whatever their signs; so does this."""
-        r, ang = self._polar(n)
-        out = np.empty(r.shape, dtype=complex)
-        np.multiply(r * np.cos(ang), _INV_SQRT2, out=out.real)
-        np.multiply(r * np.sin(ang), _INV_SQRT2, out=out.imag)
-        if not r.all():
-            out[r == 0.0] = 0.0
+        """(z[2k] + i z[2k+1]) / sqrt(2) of z = normals(2 n), as z scaled in
+        place by 1/sqrt(2) and read as complex: the bits of numpy's complex
+        division by the real sqrt(2), which scales both parts by 1/sqrt(2).
+        Where u1 = 1, r is -0.0 and that division gives +0.0 to both parts,
+        whatever their signs; so does this."""
+        z = self.normals(2 * n)
+        z *= _INV_SQRT2
+        out = z.view(complex)
+        if not out.all():
+            out[out == 0.0] = 0.0
         return out
 
 
@@ -190,11 +174,6 @@ def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
     return q * phases[..., None, :]
 
 
-def _normal(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """V diag(d) V* for each unitary V and vector d of a stack."""
-    return (v * d[..., None, :]) @ _ct(v)
-
-
 def _draw(kind: str, dim: int, seeds: np.ndarray) -> np.ndarray:
     """One matrix of the ensemble per uint64 seed of an array of seeds, as a
     stack (*seeds.shape, dim, dim); each matrix is bit-equal to the one drawn
@@ -207,7 +186,7 @@ def _draw(kind: str, dim: int, seeds: np.ndarray) -> np.ndarray:
         return (g + _ct(g)) / 2.0
     if kind == "normal":
         v = _phase_fixed_q(_gaussian(rng, dim, dim))
-        return _normal(v, rng.complex_normals(dim))
+        return _vdv(v, rng.complex_normals(dim))
     if kind == "psd":
         g = _gaussian(rng, dim, dim)
         return _ct(g) @ g / dim
@@ -308,7 +287,7 @@ def run_property_suite(
     for iid in ids:
         pool = applicable_specs(iid, specs)
         seeds = _derive_seeds(master, "trial:" + iid, index)
-        operands = _operand_seeds(seeds)
+        operands = np.array([_derive_seeds(seeds, label, 0) for label in _OPERAND_LABELS])
         holds, rel = np.empty(trials, dtype=bool), np.empty(trials)
         which = seeds % np.uint64(len(pool))
         for dim in dict.fromkeys(s.dim for s in pool):

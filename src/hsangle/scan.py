@@ -8,8 +8,8 @@ import numpy as np
 
 from .matrix_core import ComplexMatrix
 from .inequality_suite import _REGISTRY, _OperandStack, _lookup
-from .random_lab import _STACK_ENTRIES, MAX_DIM, CounterRng, _normal, _phase_fixed_q, derive_seed
-from .spectral import _CLOSED_SHAPE
+from .random_lab import _STACK_ENTRIES, MAX_DIM, CounterRng, _phase_fixed_q, derive_seed
+from .spectral import _CLOSED_SHAPE, _vdv
 
 SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not None}
 
@@ -86,7 +86,7 @@ def _normal_pair(p: np.ndarray, dim: int) -> np.ndarray:
     im A_y, re d_x, im d_x, re d_y, im d_y]."""
     p = np.atleast_2d(p)
     q = p[:, 4 * dim * dim :].reshape(len(p), 2, 2, dim).transpose(1, 2, 0, 3)
-    return _normal(_phase_fixed_q(_raw_pair(p[:, : 4 * dim * dim], dim)), q[:, 0] + 1j * q[:, 1])
+    return _vdv(_phase_fixed_q(_raw_pair(p[:, : 4 * dim * dim], dim)), q[:, 0] + 1j * q[:, 1])
 
 
 def _simplex_fit(dim: int, normal: bool):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hs_geometry import _norms, _unit
+from .hs_geometry import _SAFE_RANGE, _norms, _unit
 from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _cached, _ct
 
 # Relative tolerance for accepting an input as Hermitian.
@@ -78,10 +78,14 @@ def hermitian_eig(h: ComplexMatrix) -> HermitianEigen:
     return HermitianEigen(w, ComplexMatrix(v))
 
 
+def _vdv(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """V diag(d) V* for a matrix V and vector d, or for each of a stack."""
+    return (v * d[..., None, :]) @ _ct(v)
+
+
 def reconstruct(eig: HermitianEigen) -> ComplexMatrix:
     """Rebuild the matrix V diag(w) V* from its eigendecomposition."""
-    v = eig.vectors.a
-    return ComplexMatrix((v * eig.eigenvalues) @ v.conj().T)
+    return ComplexMatrix(_vdv(eig.vectors.a, eig.eigenvalues))
 
 
 # The shape whose moduli come in closed form: a stack of them costs about
@@ -110,10 +114,6 @@ _SIGN = _SIGN.astype(float)[:, None]
 # The real view of |X| and then of |X*| by quantity: each diagonal's
 # imaginary part is 0, and the lower corner is the conjugate of the upper.
 _SLOTS = [0, 12, 4, 5, 4, 6, 1, 12, 2, 12, 7, 8, 7, 9, 3, 12]
-# The matrices whose r = sigma_1 + sigma_2 lies in [2^-500, 2^500] take the
-# closed form unscaled: no product of two entries can overflow, nor one of
-# the largest entry with itself underflow.
-_R_RANGE = (2.0**-500, 2.0**500)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range r is redone scaled
@@ -138,7 +138,7 @@ class _Moduli:
     sigma_2 and r = sigma_1 + sigma_2: |X| = (X*X + delta I) / r and |X*| =
     (XX* + delta I) / r, and 0 for X = 0.  delta is taken from X itself, not
     as sqrt(det(X*X)), which would square the spectrum.  A matrix whose r
-    leaves _R_RANGE is scaled by _unit first, and its moduli scaled back.
+    leaves _SAFE_RANGE is scaled by _unit first, and its moduli scaled back.
     Otherwise both come from the one SVD X = W S V*: |X| = V S V* and |X*| =
     W S W*.  The SVD (w, s, vh) is taken on first use, at any dim, so polar
     reads U from it."""
@@ -158,7 +158,7 @@ class _Moduli:
         """|X| and |X*| of each 2x2 X, as the array (..., 2, 2, 2) of both."""
         a = np.ascontiguousarray(self.a).reshape(-1, 2, 2)
         q, r = _quantities(a)
-        lo, hi = _R_RANGE
+        lo, hi = _SAFE_RANGE
         e = None
         if r.size and not lo <= np.minimum.reduce(r) <= np.maximum.reduce(r) <= hi:
             out = ~((r >= lo) & (r <= hi))
@@ -174,14 +174,14 @@ class _Moduli:
         if self.a.shape[-2:] == _CLOSED_SHAPE:
             return self._closed[..., 0, :, :]
         _, s, vh = self._svd
-        return _hermitian_part((_ct(vh) * s[..., None, :]) @ vh)
+        return _hermitian_part(_vdv(_ct(vh), s))
 
     def adj(self) -> np.ndarray:
         if self.a.shape[-2:] == _CLOSED_SHAPE:
             return self._closed[..., 1, :, :]
         # Only asked for square X, where W and S conform.
         w, s, _ = self._svd
-        return _hermitian_part((w * s[..., None, :]) @ _ct(w))
+        return _hermitian_part(_vdv(w, s))
 
 
 def abs_op(x: ComplexMatrix) -> ComplexMatrix:

@@ -28,7 +28,7 @@ from hsangle import (
 )
 import hsangle
 from hsangle import scan
-from hsangle.random_lab import _GOLDEN, _MASK64, _derive_seeds, _operand_seeds, fnv1a64, mix64
+from hsangle.random_lab import _GOLDEN, _MASK64, _OPERAND_LABELS, _derive_seeds, fnv1a64, mix64
 from pins import charged_points, pinned_digests
 
 def _unxorshift(z: int, shift: int) -> int:
@@ -127,22 +127,24 @@ class TestPrng:
             assert zero.tobytes() == np.complex128(0.0).tobytes()
 
     def test_operand_seeds_are_derive_seed(self):
-        # One pass over both labels: derive_seed(t, "operand-x"/"operand-y",
-        # 0), for a 0-d trial seed too, with no uint64 scalar left to warn
-        # about overflow.
+        # The operand seeds run_property_suite takes, _derive_seeds(t,
+        # label, 0) for each of _OPERAND_LABELS, are derive_seed(t,
+        # "operand-x"/"operand-y", 0), for a numpy scalar and a 0-d trial
+        # seed too, with no uint64 scalar left to warn about overflow.
         seeds = [derive_seed(3, "trial:T37", i) for i in range(50)] + [0, _MASK64]
         seeds = np.array(seeds, dtype=np.uint64)
+        assert _OPERAND_LABELS == ("operand-x", "operand-y")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            both = _operand_seeds(seeds)
-            scalar = _operand_seeds(np.uint64(seeds[0]))
-            zero_d = _operand_seeds(np.array(seeds[-1]))
+            both = [_derive_seeds(seeds, label, 0) for label in _OPERAND_LABELS]
+            scalar = [_derive_seeds(np.uint64(seeds[0]), label, 0) for label in _OPERAND_LABELS]
+            zero_d = [_derive_seeds(np.array(seeds[-1]), label, 0) for label in _OPERAND_LABELS]
             trial = _derive_seeds(np.uint64(_MASK64), "trial:T37", np.arange(50, dtype=np.uint64))
-        assert both.shape == (2, len(seeds)) and both.dtype == np.uint64
-        for row, label in zip(both, ("operand-x", "operand-y")):
+        for row, one, last, label in zip(both, scalar, zero_d, _OPERAND_LABELS):
+            assert row.shape == seeds.shape and row.dtype == np.uint64
             assert row.tolist() == [derive_seed(int(t), label, 0) for t in seeds]
-        assert scalar.shape == zero_d.shape == (2,)
-        assert scalar.tolist() == both[:, 0].tolist() and zero_d.tolist() == both[:, -1].tolist()
+            assert one.shape == last.shape == ()
+            assert one.item() == row[0] and last.item() == row[-1]
         assert trial.tolist() == [derive_seed(_MASK64, "trial:T37", i) for i in range(50)]
         assert seeds[-1] == _MASK64  # the input is not mixed in place
 
