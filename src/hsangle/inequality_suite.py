@@ -147,22 +147,22 @@ def _lookup(inequality_id: str) -> _Record:
     return _REGISTRY[inequality_id]
 
 
-def _sides(inequality_id: str, xy: np.ndarray):
-    """The sides lhs, rhs of a registry id, as (n,) arrays, over a stack xy
-    (2, n, d, d) of operand pairs: x = xy[0] and y = xy[1]."""
+def _sides(inequality_id: str, pair: _OperandStack):
+    """The sides lhs, rhs of a registry id, as (n,) arrays, over a stack of
+    operand pairs.  Every id checked on the same pairs reads the one stack,
+    so its moduli, norms, cosines and sines are formed once for them all."""
     record = _lookup(inequality_id)
     if record.domain == "normal":
-        for name, normal in zip("XY", _normal_mask(xy)):
+        for name, normal in zip("XY", _normal_mask(pair.xy)):
             if not normal.all():
                 raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
-    pair = _OperandStack(xy)
     if record.domain != "angle" or pair.norms.all():
         return record.sides(pair)
     # The angle ids presuppose nonzero operands; with a zero operand the
     # statement holds trivially, with both sides 0.
     keep = pair.norms.all(axis=0)
     lhs, rhs = np.zeros(len(keep)), np.zeros(len(keep))
-    lhs[keep], rhs[keep] = record.sides(_OperandStack(xy[:, keep]))
+    lhs[keep], rhs[keep] = record.sides(_OperandStack(pair.xy[:, keep]))
     return lhs, rhs
 
 
@@ -180,17 +180,18 @@ def check(
             f"check requires square matrices of equal dimension, got "
             f"{x.rows}x{x.cols} and {y.rows}x{y.cols}"
         )
-    lhs, rhs = (side.item() for side in _sides(inequality_id, np.array(((x.a,), (y.a,)))))
+    pair = _OperandStack(np.array(((x.a,), (y.a,))))
+    lhs, rhs = (side.item() for side in _sides(inequality_id, pair))
     scale = max(abs(lhs), abs(rhs), 1.0)
     slack = rhs - lhs
     holds = slack >= -tol * scale
     return InequalityReport(inequality_id, lhs, rhs, slack, holds, scale, digest(x, y))
 
 
-def _check_stack(inequality_id: str, xy: np.ndarray, tol: float):
-    """check over a stack xy (2, n, d, d) of operand pairs of a registry id:
-    the arrays holds and slack/scale, entry by entry bit-equal to check's."""
-    lhs, rhs = _sides(inequality_id, xy)
+def _check_stack(inequality_id: str, pair: _OperandStack, tol: float):
+    """check of a registry id over a stack of operand pairs: the arrays holds
+    and slack/scale, entry by entry bit-equal to check's."""
+    lhs, rhs = _sides(inequality_id, pair)
     scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
     slack = rhs - lhs
     return slack >= -tol * scale, slack / scale

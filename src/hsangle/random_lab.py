@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import ComplexMatrix, _ct
-from .inequality_suite import SQRT2, InequalityReport, _check_stack, _lookup, check
+from .inequality_suite import SQRT2, InequalityReport, _OperandStack, _check_stack, _lookup, check
 from .spectral import _vdv
 
 _MASK64 = (1 << 64) - 1
@@ -228,10 +228,16 @@ class SuiteReport:
         }
 
 
+def _pool(inequality_id: str) -> str:
+    """The name of the operand pool of an id, which its domain alone decides:
+    "normal" for the ids that admit only normal operands, "all" for the rest."""
+    return "normal" if _lookup(inequality_id).domain == "normal" else "all"
+
+
 def applicable_specs(inequality_id: str, specs) -> list:
     """Restrict the spec pool to ensembles the inequality admits."""
     pool = list(specs)
-    if _lookup(inequality_id).domain == "normal":
+    if _pool(inequality_id) == "normal":
         pool = [s for s in pool if s.kind in NORMAL_ENSEMBLE_KINDS]
     if not pool:
         raise ValueError(f"no applicable ensembles for {inequality_id}")
@@ -241,13 +247,33 @@ def applicable_specs(inequality_id: str, specs) -> list:
 def run_single_trial(
     inequality_id: str, specs, trial_seed: int, tol: float
 ) -> InequalityReport:
-    """One trial: pick a spec from the pool by seed, draw a pair, check.
-    Replays any trial of run_property_suite bit for bit."""
-    pool = list(specs)
+    """One trial: pick a spec the id admits by seed, draw a pair, check.
+    Given run_property_suite's specs, replays any of its trials bit for bit."""
+    pool = applicable_specs(inequality_id, specs)
     spec = pool[trial_seed % len(pool)]
     seeds = [[derive_seed(trial_seed, label, 0)] for label in _OPERAND_LABELS]
     xy = _draw(spec.kind, spec.dim, np.array(seeds, dtype=np.uint64))
     return check(inequality_id, ComplexMatrix(xy[0, 0]), ComplexMatrix(xy[1, 0]), tol)
+
+
+def _trial_seeds(master, label: str, index: np.ndarray, specs: int) -> np.ndarray:
+    """The seeds of trials `index` of a pool of `specs` specs.  The specs
+    take turns, in the order of their hashes derive_seed(master, "turns:" +
+    label, k): trial i runs the (i mod specs)-th spec of that order.  Its
+    seed is derive_seed(master, "trial:" + label, i) with the remainder mod
+    `specs` replaced by that spec's index, since a seed picks spec seed %
+    specs, as run_single_trial does.  So every spec gets trials // specs
+    trials or one more, and a call's work barely depends on the master
+    seed, while a call of fewer trials than specs still meets specs the
+    seed chooses."""
+    n = np.uint64(specs)
+    order = _derive_seeds(master, "turns:" + label, np.arange(specs, dtype=np.uint64))
+    turns = np.argsort(order, kind="stable").astype(np.uint64)
+    h = _derive_seeds(master, "trial:" + label, index)
+    base = h - h % n
+    seeds = base + turns[index % n]
+    # Past 2^64 - 1 (h within `specs` of it), take the seed from the block below.
+    return np.where(seeds < base, seeds - n, seeds)
 
 
 def _stacks(groups, operands: np.ndarray, dim: int):
@@ -275,34 +301,53 @@ def run_property_suite(
 ) -> list:
     """Randomized verification: `trials` seeded trials per id over the spec pool.
 
-    Per-trial seeds are ``derive_seed(master_seed, "trial:" + id, i)``, so the
-    outcome does not depend on execution order.  The trials of each dim, of
-    every ensemble of the pool, are drawn and checked as stacks, and each
-    trial's holds and slack/scale are bit-equal to those of run_single_trial.
+    The ids of one operand pool share their trials.  Trial i of the pool has
+    the seed ``derive_seed(master_seed, "trial:" + pool, i)``, with pool
+    "normal" or "all" as _pool names it, and with its remainder mod
+    len(pool), the number of specs the pool admits, set so that the specs
+    take turns in an order the master seed shuffles (_trial_seeds).  The
+    seed picks the trial's spec, pool[seed % len(pool)], and draws its
+    pair; every id of the pool is checked on that one pair.  So an id's
+    report depends neither on execution order nor on the other ids asked
+    for, and each spec gets trials // len(pool) trials or one more.  The
+    trials of each dim, of every ensemble of the pool, are drawn and checked
+    as stacks, each decomposed once for all the pool's ids, and each
+    trial's holds and slack/scale are bit-equal to those of
+    run_single_trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    master, index = np.uint64(master_seed & _MASK64), np.arange(trials, dtype=np.uint64)
-    reports = []
+    ids = list(ids)
+    members = {}
     for iid in ids:
-        pool = applicable_specs(iid, specs)
-        seeds = _derive_seeds(master, "trial:" + iid, index)
-        operands = np.array([_derive_seeds(seeds, label, 0) for label in _OPERAND_LABELS])
-        holds, rel = np.empty(trials, dtype=bool), np.empty(trials)
+        members.setdefault(_pool(iid), {})[iid] = None
+    # Every pool's specs, checked before any trial runs.
+    pools = [(label, list(m), applicable_specs(next(iter(m)), specs))
+             for label, m in members.items()]
+    master, index = np.uint64(master_seed & _MASK64), np.arange(trials, dtype=np.uint64)
+    reports = {}
+    for label, pool_ids, pool in pools:
+        seeds = _trial_seeds(master, label, index, len(pool))
+        operands = np.array([_derive_seeds(seeds, name, 0) for name in _OPERAND_LABELS])
+        shape = (len(pool_ids), trials)
+        holds, rel = np.empty(shape, dtype=bool), np.empty(shape)
         which = seeds % np.uint64(len(pool))
         for dim in dict.fromkeys(s.dim for s in pool):
             groups = [
                 (s.kind, np.flatnonzero(which == k)) for k, s in enumerate(pool) if s.dim == dim
             ]
             for trial, xy in _stacks(groups, operands, dim):
-                holds[trial], rel[trial] = _check_stack(iid, xy, tol)
-        # The first smallest slack/scale in trial order; a NaN is never the worst.
-        i = int(np.argmin(np.where(np.isnan(rel), math.inf, rel)))
-        worst, worst_seed = (float(rel[i]), int(seeds[i])) if rel[i] < math.inf else (math.inf, 0)
+                pair = _OperandStack(xy)
+                for k, iid in enumerate(pool_ids):
+                    holds[k, trial], rel[k, trial] = _check_stack(iid, pair, tol)
         kinds = tuple(dict.fromkeys(s.kind for s in pool))
-        violations = int(np.count_nonzero(~holds))
-        reports.append(SuiteReport(iid, trials, violations, worst, worst_seed, kinds))
-    return reports
+        for iid, h, r in zip(pool_ids, holds, rel):
+            # The first smallest slack/scale in trial order; a NaN is never the worst.
+            i = int(np.argmin(np.where(np.isnan(r), math.inf, r)))
+            worst, worst_seed = (float(r[i]), int(seeds[i])) if r[i] < math.inf else (math.inf, 0)
+            violations = int(np.count_nonzero(~h))
+            reports[iid] = SuiteReport(iid, trials, violations, worst, worst_seed, kinds)
+    return [reports[iid] for iid in ids]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The batched trial engine against the per-trial loop it replaces.
 
-run_property_suite draws and checks the trials of each spec as stacks of
-operands.  The reference here is the per-trial loop, kept in test code and
-built on run_single_trial, the replay oracle: the JSON of both must be
+run_property_suite draws the trials of each operand pool once, as stacks of
+operand pairs, and checks every id of the pool on the same stacks.  The
+reference here is the per-trial loop, kept in test code and built on
+run_single_trial, the replay oracle: the JSON of both must be
 byte-identical, and so must every trial's holds and slack/scale.
 """
 
@@ -17,6 +18,7 @@ from hsangle import (
     ComplexMatrix,
     INEQUALITY_IDS,
     GeneratorSpec,
+    NotNormalError,
     SuiteReport,
     applicable_specs,
     check,
@@ -26,28 +28,47 @@ from hsangle import (
     run_single_trial,
 )
 from hsangle import random_lab
-from hsangle.inequality_suite import _check_stack
-from hsangle.random_lab import _STACK_ENTRIES, _draw
+from hsangle.inequality_suite import _OperandStack, _check_stack
+from hsangle.random_lab import _MASK64, _STACK_ENTRIES, _draw, _pool, _trial_seeds
 from pins import GENERATE, pinned_digests
 
 
+def trial_seed(master_seed, label, i, specs):
+    """The seed of trial i of pool `label` with `specs` specs, one trial at a
+    time: the specs take turns in the order of their "turns:" hashes, and
+    the trial's spec replaces the remainder mod specs of derive_seed's
+    value, from the block below where that passes 2^64 - 1."""
+    turns = sorted(range(specs), key=lambda k: derive_seed(master_seed, "turns:" + label, k))
+    h = derive_seed(master_seed, "trial:" + label, i)
+    seed = h - h % specs + turns[i % specs]
+    return seed if seed <= _MASK64 else seed - specs
+
+
 def per_trial_suite(ids, specs, trials, tol, master_seed):
-    """run_property_suite as one run_single_trial per trial."""
+    """run_property_suite as one run_single_trial per id and trial."""
     reports = []
     for iid in ids:
-        pool = applicable_specs(iid, specs)
         violations, worst, worst_seed = 0, math.inf, 0
+        n = len(applicable_specs(iid, specs))
         for i in range(trials):
-            ts = derive_seed(master_seed, "trial:" + iid, i)
-            rep = run_single_trial(iid, pool, ts, tol)
+            ts = trial_seed(master_seed, _pool(iid), i, n)
+            rep = run_single_trial(iid, specs, ts, tol)
             if not rep.holds:
                 violations += 1
             rel = rep.slack / rep.scale
             if rel < worst:
                 worst, worst_seed = rel, ts
-        kinds = tuple(dict.fromkeys(s.kind for s in pool))
+        kinds = tuple(dict.fromkeys(s.kind for s in applicable_specs(iid, specs)))
         reports.append(SuiteReport(iid, trials, violations, worst, worst_seed, kinds))
     return reports
+
+
+def pools(ids):
+    """The ids grouped by operand pool, in the order run_property_suite takes them."""
+    out = {}
+    for iid in ids:
+        out.setdefault(_pool(iid), []).append(iid)
+    return out
 
 
 def as_json(reports):
@@ -76,16 +97,19 @@ def test_json_is_byte_identical_to_the_per_trial_loop(dims, trials, seed):
 
 
 def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
-    # The trials of every ensemble of a dim share their stacks: one stack
-    # per (id, dim) where the dim's trials fit in _STACK_ENTRIES // dim^2
-    # pairs, else as few as fit, each within the cap.  Each (kind, dim) is
-    # drawn as few times as its own trials need, so at dims 8 and 12 a draw
-    # may span two stacks.  The JSON is still the per-trial loop's.
-    checks, draws = [], []
+    # The trials of every ensemble of a dim share their stacks, and every id
+    # of the pool is checked on each: one stack per (pool, dim) where the
+    # dim's trials fit in _STACK_ENTRIES // dim^2 pairs, else as few as fit,
+    # each within the cap.  Each (kind, dim) is drawn once per pool and as
+    # few times as its own trials need, so at dims 8 and 12 a draw may span
+    # two stacks.  The JSON is still the per-trial loop's.
+    checks, stacks, draws = [], [], []
 
-    def counting_check_stack(iid, xy, tol):
-        checks.append((iid, xy.shape[2], xy.shape[1]))
-        return _check_stack(iid, xy, tol)
+    def counting_check_stack(iid, pair, tol):
+        checks.append((iid, pair.xy.shape[2], pair.xy.shape[1]))
+        if not stacks or stacks[-1] is not pair:
+            stacks.append(pair)
+        return _check_stack(iid, pair, tol)
 
     def counting_draw(kind, dim, seeds):
         draws.append((kind, dim))
@@ -96,32 +120,37 @@ def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
     dims, trials, seed = (1, 3, 8, 12), 300, 5
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
     batched = run_property_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed)
-    expected_checks, expected_draws = [], []
-    for iid in INEQUALITY_IDS:
-        pool = applicable_specs(iid, specs)
-        picked = [pool[derive_seed(seed, "trial:" + iid, i) % len(pool)] for i in range(trials)]
+    expected_checks, expected_stacks, expected_draws = [], [], []
+    for label, members in pools(INEQUALITY_IDS).items():
+        pool = applicable_specs(members[0], specs)
+        picked = [pool[trial_seed(seed, label, i, len(pool)) % len(pool)] for i in range(trials)]
         for dim in dims:
             step = _STACK_ENTRIES // dim**2
             at_dim = sum(s.dim == dim for s in picked)
             assert at_dim > 2 * len(pool) // len(dims)  # several kinds at each dim
-            expected_checks += [(iid, dim, min(step, at_dim - i)) for i in range(0, at_dim, step)]
+            for i in range(0, at_dim, step):
+                expected_stacks.append((dim, min(step, at_dim - i)))
+                expected_checks += [(iid, dim, min(step, at_dim - i)) for iid in members]
             for spec in pool:
                 if spec.dim == dim:
                     expected_draws += [(spec.kind, dim)] * -(-picked.count(spec) // step)
     assert checks == expected_checks
+    assert [(p.xy.shape[2], p.xy.shape[1]) for p in stacks] == expected_stacks
     assert draws == expected_draws
     assert as_json(batched) == as_json(per_trial_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed))
 
 
 def test_verify_draws_only_what_the_next_stack_needs(monkeypatch):
     # _STACK_ENTRIES bounds what a check holds; drawing lazily bounds what
-    # waits beside it.  Before each check, the pairs drawn but not yet
-    # checked beyond the stack in hand are fewer than one stack's worth.
-    events = []
+    # waits beside it.  Before each stack is checked, the pairs drawn but not
+    # yet checked beyond the stack in hand are fewer than one stack's worth.
+    events, stacks = [], []
 
-    def recording_check_stack(iid, xy, tol):
-        events.append(("check", xy.shape[2], xy.shape[1]))
-        return _check_stack(iid, xy, tol)
+    def recording_check_stack(iid, pair, tol):
+        if not stacks or stacks[-1] is not pair:
+            stacks.append(pair)
+            events.append(("check", pair.xy.shape[2], pair.xy.shape[1]))
+        return _check_stack(iid, pair, tol)
 
     def recording_draw(kind, dim, seeds):
         events.append(("draw", dim, seeds.shape[1]))
@@ -141,7 +170,78 @@ def test_verify_draws_only_what_the_next_stack_needs(monkeypatch):
         assert 0 <= waiting < _STACK_ENTRIES // dim**2
         split |= waiting > 0
         checked += pairs
-    assert drawn == checked and split
+    # Each pool draws and checks each of its trials' pairs once.
+    assert drawn == checked == 300 * len(pools(INEQUALITY_IDS)) and split
+
+
+def test_a_pool_draws_and_decomposes_each_trials_pair_once(monkeypatch):
+    # Per stack, one draw of its pairs and one SVD call over both operands
+    # of each, however many ids of the pool are checked on it; at dim 2 the
+    # moduli come in closed form, without the SVD.
+    svd, draw = np.linalg.svd, random_lab._draw
+    svds, draws = [], []
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(math.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    def counting_draw(kind, dim, seeds):
+        draws.append(seeds.size)
+        return draw(kind, dim, seeds)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(random_lab, "_draw", counting_draw)
+    dims, trials, seed = (1, 2, 3, 5), 200, 11
+    specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
+    for ids in (INEQUALITY_IDS, ("T36", "R33"), ("T213",), ("R33", "L32", "C32")):
+        svds.clear()
+        draws.clear()
+        run_property_suite(ids, specs, trials, 1e-9, seed)
+        expected_svds = []
+        for label, members in pools(ids).items():
+            pool = applicable_specs(members[0], specs)
+            picked = [pool[trial_seed(seed, label, i, len(pool)) % len(pool)] for i in range(trials)]
+            # One stack per (pool, dim) at these dims.
+            expected_svds += [2 * sum(s.dim == d for s in picked) for d in dims if d != 2]
+        assert sum(draws) == 2 * trials * len(pools(ids))
+        assert svds == expected_svds
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_specs_of_a_pool_take_turns_whatever_the_seed(seed):
+    # Each round of len(pool) trials runs every spec once, so each spec gets
+    # trials // len(pool) trials or one more, whatever the seed.
+    index = np.arange(1000, dtype=np.uint64)
+    for label, n in (("all", 48), ("normal", 32), ("all", 7), ("normal", 1)):
+        seeds = _trial_seeds(np.uint64(seed), label, index, n)
+        picks = (seeds % np.uint64(n)).tolist()
+        for start in range(0, 1000 - n + 1, n):
+            assert sorted(picks[start : start + n]) == list(range(n))
+        assert seeds.tolist() == [trial_seed(seed, label, i, n) for i in range(1000)]
+
+
+def test_a_call_of_fewer_trials_than_specs_meets_specs_the_seed_chooses():
+    firsts = {tuple(int(s) % 48 for s in _trial_seeds(np.uint64(m), "all", np.arange(3, dtype=np.uint64), 48))
+              for m in range(20)}
+    assert len(firsts) == 20
+
+
+def test_trial_seeds_near_the_top_stay_below_two_to_the_64(monkeypatch):
+    # Where the hashed seed lies within a pool's spec count of 2^64 - 1,
+    # the trial's remainder may not fit above it: the seed comes from the
+    # block below, with the same remainder.
+    top = np.array([_MASK64 - 40, _MASK64 - 2, _MASK64, _MASK64], dtype=np.uint64)
+    derive = random_lab._derive_seeds
+    monkeypatch.setattr(random_lab, "_derive_seeds", lambda master, label, index: (
+        top.copy() if label.startswith("trial:") else derive(master, label, index)))
+    seeds = _trial_seeds(np.uint64(0), "all", np.arange(4, dtype=np.uint64), 24)
+    turns = sorted(range(24), key=lambda k: derive_seed(0, "turns:all", k))[:4]
+    assert turns == [0, 5, 20, 17]
+    # 2^64 - 1 is 15 mod 24, so the blocks of 24 that hold these hashes
+    # start at _MASK64 - 63, - 15, - 15, - 15; turns 20 and 17 do not fit
+    # in the last block and come from the one below.
+    assert seeds.tolist() == [_MASK64 - 63, _MASK64 - 10, _MASK64 - 19, _MASK64 - 22]
+    assert (seeds % np.uint64(24)).tolist() == turns
 
 
 @pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
@@ -151,7 +251,7 @@ def test_each_stacked_trial_is_bit_equal_to_check(inequality_id):
         for dim in (1, 2, 3, 5, 8):
             seeds = np.arange(30, dtype=np.uint64) * np.uint64(2654435761) + np.uint64(dim)
             xy = _draw(kind, dim, np.stack((seeds, seeds + np.uint64(1))))
-            holds, rel = _check_stack(inequality_id, xy, 1e-9)
+            holds, rel = _check_stack(inequality_id, _OperandStack(xy), 1e-9)
             for i in range(len(seeds)):
                 spec = (GeneratorSpec(kind, dim, int(s)) for s in (seeds[i], seeds[i] + np.uint64(1)))
                 rep = check(inequality_id, *map(generate, spec))
@@ -167,13 +267,61 @@ def test_zero_operands_follow_check(inequality_id):
     a = _draw(kind, 3, np.arange(4, dtype=np.uint64))
     zero = np.zeros_like(a[0])
     xy = np.array([[zero, a[0], zero, a[1]], [a[2], zero, zero, a[3]]])
-    holds, rel = _check_stack(inequality_id, xy, 1e-9)
+    holds, rel = _check_stack(inequality_id, _OperandStack(xy), 1e-9)
     for i in range(xy.shape[1]):
         rep = check(inequality_id, ComplexMatrix(xy[0, i]), ComplexMatrix(xy[1, i]))
         assert holds[i] == rep.holds
         assert rel[i].tobytes() == np.float64(rep.slack / rep.scale).tobytes()
-    holds, rel = _check_stack(inequality_id, xy[:, 2:3], 1e-9)
+    holds, rel = _check_stack(inequality_id, _OperandStack(xy[:, 2:3]), 1e-9)
     assert holds.tolist() == [True] and rel.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ids_sharing_a_stack_check_what_each_checks_alone(dim):
+    # What one id forms on the shared stack (moduli, norms, cosines) serves
+    # the next bit for bit, in any order, with zero operands among the pairs.
+    a = _draw("ginibre", dim, np.arange(40, dtype=np.uint64))
+    xy = a.reshape(2, 20, dim, dim).copy()
+    xy[0, 3] = xy[1, 7] = xy[:, 11] = 0.0
+    ids = [iid for iid in INEQUALITY_IDS if iid != "R33"]
+    alone = {iid: _check_stack(iid, _OperandStack(xy), 1e-9) for iid in ids}
+    for order in (ids, ids[::-1]):
+        pair = _OperandStack(xy)
+        for iid in order:
+            holds, rel = _check_stack(iid, pair, 1e-9)
+            assert holds.tolist() == alone[iid][0].tolist()
+            assert rel.tobytes() == alone[iid][1].tobytes()
+
+
+SUITE_SPECS = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in range(1, 9)]
+
+
+def test_a_subset_run_reports_what_the_full_run_reports():
+    # A trial's seed depends on its id's pool only, not on the other ids.
+    full = {r.inequality_id: r for r in run_property_suite(INEQUALITY_IDS, SUITE_SPECS, 150, 1e-9, 7)}
+    for iid in INEQUALITY_IDS:
+        assert run_property_suite([iid], SUITE_SPECS, 150, 1e-9, 7) == [full[iid]]
+    subset = ["T37", "R33", "CS_21", "T37"]
+    assert run_property_suite(subset, SUITE_SPECS, 150, 1e-9, 7) == [full[i] for i in subset]
+
+
+def test_every_worst_seed_replays_with_the_suites_spec_list():
+    for report in run_property_suite(INEQUALITY_IDS, SUITE_SPECS, 300, 1e-9, 7):
+        rep = run_single_trial(report.inequality_id, SUITE_SPECS, report.worst_seed, 1e-9)
+        assert np.float64(rep.slack / rep.scale).tobytes() == np.float64(report.worst_slack).tobytes()
+
+
+def test_run_single_trial_picks_from_the_specs_the_id_admits():
+    # Given every ensemble, R33 picks among the normal ones, as the suite does.
+    normal = applicable_specs("R33", SUITE_SPECS)
+    assert len(normal) < len(SUITE_SPECS)
+    for i in range(40):
+        ts = derive_seed(7, "trial:normal", i)
+        try:
+            rep = run_single_trial("R33", SUITE_SPECS, ts, 1e-9)
+        except NotNormalError:
+            pytest.fail(f"run_single_trial drew a non-normal pair for R33 at seed {ts}")
+        assert rep == run_single_trial("R33", normal, ts, 1e-9)
 
 
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)

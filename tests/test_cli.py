@@ -218,11 +218,11 @@ class TestVerify:
 GOLDEN_OUTPUTS = [
     (
         ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
-        "354685c3ba67eebb9c538c2ff197c644403bd9641391d5cde4eae546e85d5ba4",
+        "930bdfb417b69e832ff219a323155428bfb53fad5cdf0c3eafcf66ff32e5af92",
     ),
     (
         ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
-        "b53fa32bf27513090ea94533296fef799788c5820955d99231e0cffd46e99d66",
+        "71d5ebc12ce625c789e58f7717d13b46a03892d6917af79799eb41b45008a25b",
     ),
     (
         ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),

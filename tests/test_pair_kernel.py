@@ -20,7 +20,6 @@ from hsangle import (
     applicable_specs,
     check,
     cosine_expansion,
-    derive_seed,
     franca_abs_2x2,
     generate,
     reproduce_witnesses,
@@ -28,6 +27,7 @@ from hsangle import (
     witness_triple,
 )
 from hsangle import cli, hs_geometry, inequality_suite, matrix_core, scan
+from hsangle.random_lab import _trial_seeds
 from hsangle.scan import SCAN_TARGETS, _normal_pair, _raw_pair, _ratio_for
 
 
@@ -69,25 +69,26 @@ def test_check_makes_one_svd_per_operand_and_none_for_cs21(inequality_id, svd_ca
 
 def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkeypatch, capsys):
     # Counted over the trials whose operands are not 2x2: those take the
-    # closed form and no SVD.
+    # closed form and no SVD.  Each operand pool draws its trials once and
+    # checks all its ids on them, so the SVD covers each pair once.
     digests = []
     for module in (inequality_suite, matrix_core):
         monkeypatch.setattr(module, "digest", lambda *mats: digests.append(mats))
     trials, dims, seed = 300, (1, 2, 3), 5
     assert cli.main(["verify", "--trials", str(trials), "--dims", "1..3", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    # One stack per (id, spec) that some trial picks; at these dims no stack
-    # reaches the size cap.
+    # One stack per (pool, dim) that some trial picks; at these dims no
+    # stack reaches the size cap.
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
     picked = []
-    for iid in INEQUALITY_IDS:
-        if iid != "CS_21":
-            pool = applicable_specs(iid, specs)
-            picks = [pool[derive_seed(seed, "trial:" + iid, i) % len(pool)] for i in range(trials)]
-            picked += [(iid, spec) for spec in picks if spec.dim != 2]
+    for label, iid in (("all", "CS_21"), ("normal", "R33")):
+        pool = applicable_specs(iid, specs)
+        seeds = _trial_seeds(np.uint64(seed), label, np.arange(trials, dtype=np.uint64), len(pool))
+        picks = [pool[int(t) % len(pool)] for t in seeds]
+        picked += [(label, spec.dim) for spec in picks if spec.dim != 2]
     assert all(a.shape[-2:] != (2, 2) for a in svd_calls)
     assert sum(map(matrices, svd_calls)) == 2 * len(picked)
-    assert len(svd_calls) <= len(set(picked))
+    assert len(svd_calls) == len(set(picked))
     assert digests == []
 
 

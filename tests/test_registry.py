@@ -20,6 +20,7 @@ from hsangle.inequality_suite import (
     NORMAL_ONLY_IDS,
     SQRT2,
     SUM_SHARP_CONSTANT,
+    _OperandStack,
     _sides,
 )
 from hsangle.random_lab import _draw, derive_seed
@@ -36,9 +37,10 @@ def test_degree_matches_power_of_two_scaling(inequality_id):
     for spec in applicable_specs(inequality_id, specs):
         seeds = [[derive_seed(7, f"{label}:{spec.kind}", i) for i in range(4)] for label in "xy"]
         xy = _draw(spec.kind, spec.dim, np.array(seeds, dtype=np.uint64))
-        base = _sides(inequality_id, xy)
+        base = _sides(inequality_id, _OperandStack(xy))
         for k in (-3, -1, 1, 2, 5):
-            for side, scaled in zip(base, _sides(inequality_id, np.ldexp(1.0, k) * xy)):
+            scaled_pair = _OperandStack(np.ldexp(1.0, k) * xy)
+            for side, scaled in zip(base, _sides(inequality_id, scaled_pair)):
                 np.testing.assert_array_equal(scaled, np.ldexp(side, degree * k))
 
 
