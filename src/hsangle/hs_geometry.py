@@ -92,9 +92,9 @@ class _PairStack:
     """A stack of operand pairs as one array xy of shape (2, n, d, d), with
     x = xy[0] and y = xy[1]; a single pair is a stack of one.  The norms of
     both operands (one _norms call), the inner products <x, y>, the cosines
-    and the sines are (n,) arrays, each computed once, on first use; nsum =
-    norm(x + y) and ndiff = norm(x - y) on each read.  cos and sin
-    presuppose nonzero operands."""
+    and the sines are (n,) arrays, each computed once, on first use, as are
+    nsum = norm(x + y) and ndiff = norm(x - y).  cos and sin presuppose
+    nonzero operands."""
 
     def __init__(self, xy: np.ndarray):
         self.xy = xy
@@ -103,8 +103,8 @@ class _PairStack:
     nx = property(lambda p: p.norms[0])
     ny = property(lambda p: p.norms[1])
     inner = _cached(lambda p: _inners(p.xy[0], p.xy[1]))
-    nsum = property(lambda p: _norms(p.xy[0] + p.xy[1]))
-    ndiff = property(lambda p: _norms(p.xy[0] - p.xy[1]))
+    nsum = _cached(lambda p: _norms(p.xy[0] + p.xy[1]))
+    ndiff = _cached(lambda p: _norms(p.xy[0] - p.xy[1]))
 
     @_cached
     def _scaled(self):

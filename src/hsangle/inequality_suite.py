@@ -88,6 +88,22 @@ class _OperandStack(_PairStack):
     abs = _cached(lambda p: _PairStack(p._moduli.abs()))
     adj = _cached(lambda p: _PairStack(p._moduli.adj()))
 
+    def take(self, sel: np.ndarray) -> _OperandStack:
+        """The pairs that the mask sel selects, as a stack whose moduli are
+        this stack's, sliced on first use: taking never decomposes again."""
+        return _TakenStack(self, sel)
+
+
+class _TakenStack(_OperandStack):
+    """The pairs of a stack that a mask selects; see _OperandStack.take."""
+
+    def __init__(self, stack: _OperandStack, sel: np.ndarray):
+        super().__init__(stack.xy[:, sel])
+        self._stack, self._sel = stack, sel
+
+    abs = _cached(lambda p: _PairStack(p._stack.abs.xy[:, p._sel]))
+    adj = _cached(lambda p: _PairStack(p._stack.adj.xy[:, p._sel]))
+
 
 @dataclass(frozen=True)
 class _Record:
@@ -162,7 +178,7 @@ def _sides(inequality_id: str, pair: _OperandStack):
     # statement holds trivially, with both sides 0.
     keep = pair.norms.all(axis=0)
     lhs, rhs = np.zeros(len(keep)), np.zeros(len(keep))
-    lhs[keep], rhs[keep] = record.sides(_OperandStack(pair.xy[:, keep]))
+    lhs[keep], rhs[keep] = record.sides(pair.take(keep))
     return lhs, rhs
 
 

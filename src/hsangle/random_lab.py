@@ -228,17 +228,16 @@ class SuiteReport:
         }
 
 
-def _pool(inequality_id: str) -> str:
-    """The name of the operand pool of an id, which its domain alone decides:
-    "normal" for the ids that admit only normal operands, "all" for the rest."""
-    return "normal" if _lookup(inequality_id).domain == "normal" else "all"
+def _admits(inequality_id: str, kind: str) -> bool:
+    """Whether an id admits the operands of an ensemble kind: an id whose
+    domain is "normal" admits only the kinds whose samples are normal."""
+    return _lookup(inequality_id).domain != "normal" or kind in NORMAL_ENSEMBLE_KINDS
 
 
 def applicable_specs(inequality_id: str, specs) -> list:
-    """Restrict the spec pool to ensembles the inequality admits."""
-    pool = list(specs)
-    if _pool(inequality_id) == "normal":
-        pool = [s for s in pool if s.kind in NORMAL_ENSEMBLE_KINDS]
+    """The specs of the list whose ensembles the inequality admits."""
+    _lookup(inequality_id)
+    pool = [s for s in specs if _admits(inequality_id, s.kind)]
     if not pool:
         raise ValueError(f"no applicable ensembles for {inequality_id}")
     return pool
@@ -247,17 +246,22 @@ def applicable_specs(inequality_id: str, specs) -> list:
 def run_single_trial(
     inequality_id: str, specs, trial_seed: int, tol: float
 ) -> InequalityReport:
-    """One trial: pick a spec the id admits by seed, draw a pair, check.
+    """One trial: pick the spec specs[seed % len(specs)], draw a pair, check.
+    A spec whose kind the id does not admit is refused with a ValueError.
     Given run_property_suite's specs, replays any of its trials bit for bit."""
-    pool = applicable_specs(inequality_id, specs)
-    spec = pool[trial_seed % len(pool)]
+    specs = list(specs)
+    if not specs:
+        raise ValueError(f"no ensembles to pick from for {inequality_id}")
+    spec = specs[trial_seed % len(specs)]
+    if not _admits(inequality_id, spec.kind):
+        raise ValueError(f"{inequality_id} does not admit {spec.kind} operands")
     seeds = [[derive_seed(trial_seed, label, 0)] for label in _OPERAND_LABELS]
     xy = _draw(spec.kind, spec.dim, np.array(seeds, dtype=np.uint64))
     return check(inequality_id, ComplexMatrix(xy[0, 0]), ComplexMatrix(xy[1, 0]), tol)
 
 
 def _trial_seeds(master, label: str, index: np.ndarray, specs: int) -> np.ndarray:
-    """The seeds of trials `index` of a pool of `specs` specs.  The specs
+    """The seeds of trials `index` of a sequence over `specs` specs.  The specs
     take turns, in the order of their hashes derive_seed(master, "turns:" +
     label, k): trial i runs the (i mod specs)-th spec of that order.  Its
     seed is derive_seed(master, "trial:" + label, i) with the remainder mod
@@ -299,54 +303,74 @@ def _stacks(groups, operands: np.ndarray, dim: int):
 def run_property_suite(
     ids, specs, trials: int, tol: float = 1e-9, master_seed: int = 0
 ) -> list:
-    """Randomized verification: `trials` seeded trials per id over the spec pool.
+    """Randomized verification: `trials` seeded trials per id over the spec list.
 
-    The ids of one operand pool share their trials.  Trial i of the pool has
-    the seed ``derive_seed(master_seed, "trial:" + pool, i)``, with pool
-    "normal" or "all" as _pool names it, and with its remainder mod
-    len(pool), the number of specs the pool admits, set so that the specs
-    take turns in an order the master seed shuffles (_trial_seeds).  The
-    seed picks the trial's spec, pool[seed % len(pool)], and draws its
-    pair; every id of the pool is checked on that one pair.  So an id's
-    report depends neither on execution order nor on the other ids asked
-    for, and each spec gets trials // len(pool) trials or one more.  The
-    trials of each dim, of every ensemble of the pool, are drawn and checked
-    as stacks, each decomposed once for all the pool's ids, and each
+    Every id reads one trial sequence.  Trial i has the seed
+    ``derive_seed(master_seed, "trial:all", i)`` with its remainder mod
+    len(specs) set so that the specs take turns in an order the master
+    seed shuffles (_trial_seeds).  The seed picks the trial's spec,
+    specs[seed % len(specs)], and draws its pair.  Each id takes the first
+    `trials` trials whose spec's kind it admits, and every id that takes a
+    trial is checked on its one pair: the ids that admit every spec take
+    trials 0 .. trials - 1, and R33 the first `trials` of the normal kinds.
+    So an id's report depends neither on execution order nor on the other
+    ids asked for, and only the trials some id takes are drawn.  The trials
+    of each dim, of every ensemble, are drawn and checked as stacks, each
+    decomposed once for all the ids; an id that takes only some pairs of a
+    stack reads them with the stack's moduli (_OperandStack.take).  Each
     trial's holds and slack/scale are bit-equal to those of
     run_single_trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ids = list(ids)
+    ids, specs = list(ids), list(specs)
+    # Every id's specs, checked before any trial runs.
+    kinds = {iid: tuple(dict.fromkeys(s.kind for s in applicable_specs(iid, specs))) for iid in ids}
+    # The ids that admit the same specs take the same trials.
     members = {}
-    for iid in ids:
-        members.setdefault(_pool(iid), {})[iid] = None
-    # Every pool's specs, checked before any trial runs.
-    pools = [(label, list(m), applicable_specs(next(iter(m)), specs))
-             for label, m in members.items()]
-    master, index = np.uint64(master_seed & _MASK64), np.arange(trials, dtype=np.uint64)
+    for iid in kinds:
+        members.setdefault(tuple(_admits(iid, s.kind) for s in specs), []).append(iid)
+    admits = np.array(list(members))
+    # Each round of len(specs) trials runs every spec once, so the first
+    # ceil(trials / m) rounds, m the fewest specs an id admits, hold the
+    # trials of every id.
+    rounds = -(-trials // int(admits.sum(axis=1).min()))
+    index = np.arange(rounds * len(specs), dtype=np.uint64)
+    seeds = _trial_seeds(np.uint64(master_seed & _MASK64), "all", index, len(specs))
+    which = (seeds % np.uint64(len(specs))).astype(np.intp)
+    # taken[g, i]: whether the ids of group g take trial i, as the at[g, i]-th
+    # of their trials.
+    admitted = admits[:, which]
+    rank = np.cumsum(admitted, axis=1)
+    taken = admitted & (rank <= trials)
+    drawn = taken.any(axis=0)
+    seeds, which, taken, at = seeds[drawn], which[drawn], taken[:, drawn], rank[:, drawn] - 1
+    operands = np.array([_derive_seeds(seeds, name, 0) for name in _OPERAND_LABELS])
+    holds = {iid: np.empty(trials, dtype=bool) for iid in kinds}
+    rel = {iid: np.empty(trials) for iid in kinds}
+    for dim in dict.fromkeys(s.dim for s in specs):
+        groups = [(s.kind, np.flatnonzero(which == k)) for k, s in enumerate(specs) if s.dim == dim]
+        for trial, xy in _stacks(groups, operands, dim):
+            pair = _OperandStack(xy)
+            for group, sel, pos in zip(members.values(), taken[:, trial], at[:, trial]):
+                if sel.all():
+                    sub = pair
+                elif sel.any():
+                    sub, pos = pair.take(sel), pos[sel]
+                else:
+                    continue
+                for iid in group:
+                    holds[iid][pos], rel[iid][pos] = _check_stack(iid, sub, tol)
     reports = {}
-    for label, pool_ids, pool in pools:
-        seeds = _trial_seeds(master, label, index, len(pool))
-        operands = np.array([_derive_seeds(seeds, name, 0) for name in _OPERAND_LABELS])
-        shape = (len(pool_ids), trials)
-        holds, rel = np.empty(shape, dtype=bool), np.empty(shape)
-        which = seeds % np.uint64(len(pool))
-        for dim in dict.fromkeys(s.dim for s in pool):
-            groups = [
-                (s.kind, np.flatnonzero(which == k)) for k, s in enumerate(pool) if s.dim == dim
-            ]
-            for trial, xy in _stacks(groups, operands, dim):
-                pair = _OperandStack(xy)
-                for k, iid in enumerate(pool_ids):
-                    holds[k, trial], rel[k, trial] = _check_stack(iid, pair, tol)
-        kinds = tuple(dict.fromkeys(s.kind for s in pool))
-        for iid, h, r in zip(pool_ids, holds, rel):
+    for group, sel in zip(members.values(), taken):
+        group_seeds = seeds[sel]
+        for iid in group:
+            h, r = holds[iid], rel[iid]
             # The first smallest slack/scale in trial order; a NaN is never the worst.
             i = int(np.argmin(np.where(np.isnan(r), math.inf, r)))
-            worst, worst_seed = (float(r[i]), int(seeds[i])) if r[i] < math.inf else (math.inf, 0)
+            worst, worst_seed = (float(r[i]), int(group_seeds[i])) if r[i] < math.inf else (math.inf, 0)
             violations = int(np.count_nonzero(~h))
-            reports[iid] = SuiteReport(iid, trials, violations, worst, worst_seed, kinds)
+            reports[iid] = SuiteReport(iid, trials, violations, worst, worst_seed, kinds[iid])
     return [reports[iid] for iid in ids]
 
 

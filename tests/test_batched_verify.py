@@ -1,12 +1,13 @@
 """The batched trial engine against the per-trial loop it replaces.
 
-run_property_suite draws the trials of each operand pool once, as stacks of
-operand pairs, and checks every id of the pool on the same stacks.  The
-reference here is the per-trial loop, kept in test code and built on
-run_single_trial, the replay oracle: the JSON of both must be
-byte-identical, and so must every trial's holds and slack/scale.
+run_property_suite draws one trial sequence, as stacks of operand pairs, and
+checks every id on the pairs of the trials it takes.  The reference here is
+the per-trial loop, kept in test code and built on run_single_trial, the
+replay oracle: the JSON of both must be byte-identical, and so must every
+trial's holds and slack/scale.
 """
 
+import functools
 import json
 import math
 
@@ -18,7 +19,6 @@ from hsangle import (
     ComplexMatrix,
     INEQUALITY_IDS,
     GeneratorSpec,
-    NotNormalError,
     SuiteReport,
     applicable_specs,
     check,
@@ -29,19 +29,42 @@ from hsangle import (
 )
 from hsangle import random_lab
 from hsangle.inequality_suite import _OperandStack, _check_stack
-from hsangle.random_lab import _MASK64, _STACK_ENTRIES, _draw, _pool, _trial_seeds
+from hsangle.random_lab import _MASK64, _STACK_ENTRIES, _draw, _trial_seeds
 from pins import GENERATE, pinned_digests
 
 
+@functools.cache
+def turns(master_seed, label, specs):
+    """The order in which `specs` specs take turns: that of their "turns:" hashes."""
+    return sorted(range(specs), key=lambda k: derive_seed(master_seed, "turns:" + label, k))
+
+
 def trial_seed(master_seed, label, i, specs):
-    """The seed of trial i of pool `label` with `specs` specs, one trial at a
-    time: the specs take turns in the order of their "turns:" hashes, and
-    the trial's spec replaces the remainder mod specs of derive_seed's
+    """The seed of trial i of sequence `label` with `specs` specs, one trial
+    at a time: the specs take turns in the order of their "turns:" hashes,
+    and the trial's spec replaces the remainder mod specs of derive_seed's
     value, from the block below where that passes 2^64 - 1."""
-    turns = sorted(range(specs), key=lambda k: derive_seed(master_seed, "turns:" + label, k))
     h = derive_seed(master_seed, "trial:" + label, i)
-    seed = h - h % specs + turns[i % specs]
+    seed = h - h % specs + turns(master_seed, label, specs)[i % specs]
     return seed if seed <= _MASK64 else seed - specs
+
+
+def taken(iid, specs, trials, master_seed):
+    """The (index, seed) of each trial an id takes: walking the one sequence,
+    the first `trials` whose spec's kind the id admits."""
+    admitted = {s.kind for s in applicable_specs(iid, specs)}
+    out, i = [], 0
+    while len(out) < trials:
+        ts = trial_seed(master_seed, "all", i, len(specs))
+        if specs[ts % len(specs)].kind in admitted:
+            out.append((i, ts))
+        i += 1
+    return out
+
+
+def drawn_trials(ids, specs, trials, master_seed):
+    """The (index, seed) of each trial some id takes, in sequence order."""
+    return sorted(set().union(*(taken(iid, specs, trials, master_seed) for iid in ids)))
 
 
 def per_trial_suite(ids, specs, trials, tol, master_seed):
@@ -49,9 +72,7 @@ def per_trial_suite(ids, specs, trials, tol, master_seed):
     reports = []
     for iid in ids:
         violations, worst, worst_seed = 0, math.inf, 0
-        n = len(applicable_specs(iid, specs))
-        for i in range(trials):
-            ts = trial_seed(master_seed, _pool(iid), i, n)
+        for _, ts in taken(iid, specs, trials, master_seed):
             rep = run_single_trial(iid, specs, ts, tol)
             if not rep.holds:
                 violations += 1
@@ -61,14 +82,6 @@ def per_trial_suite(ids, specs, trials, tol, master_seed):
         kinds = tuple(dict.fromkeys(s.kind for s in applicable_specs(iid, specs)))
         reports.append(SuiteReport(iid, trials, violations, worst, worst_seed, kinds))
     return reports
-
-
-def pools(ids):
-    """The ids grouped by operand pool, in the order run_property_suite takes them."""
-    out = {}
-    for iid in ids:
-        out.setdefault(_pool(iid), []).append(iid)
-    return out
 
 
 def as_json(reports):
@@ -97,46 +110,60 @@ def test_json_is_byte_identical_to_the_per_trial_loop(dims, trials, seed):
 
 
 def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
-    # The trials of every ensemble of a dim share their stacks, and every id
-    # of the pool is checked on each: one stack per (pool, dim) where the
-    # dim's trials fit in _STACK_ENTRIES // dim^2 pairs, else as few as fit,
-    # each within the cap.  Each (kind, dim) is drawn once per pool and as
-    # few times as its own trials need, so at dims 8 and 12 a draw may span
-    # two stacks.  The JSON is still the per-trial loop's.
+    # The trials of every ensemble of a dim share their stacks: one stack
+    # per dim where the dim's drawn trials fit in _STACK_ENTRIES // dim^2
+    # pairs, else as few as fit, each within the cap.  Each id is checked on
+    # each stack that holds trials it takes, on those pairs only.  Each
+    # (kind, dim) is drawn as few times as its trials need, so at dims 8
+    # and 12 a draw may span two stacks.  The JSON is still the per-trial
+    # loop's.
     checks, stacks, draws = [], [], []
+
+    def recording_stack(xy):
+        stacks.append((xy.shape[2], xy.shape[1]))
+        return _OperandStack(xy)
 
     def counting_check_stack(iid, pair, tol):
         checks.append((iid, pair.xy.shape[2], pair.xy.shape[1]))
-        if not stacks or stacks[-1] is not pair:
-            stacks.append(pair)
         return _check_stack(iid, pair, tol)
 
     def counting_draw(kind, dim, seeds):
         draws.append((kind, dim))
         return _draw(kind, dim, seeds)
 
+    monkeypatch.setattr(random_lab, "_OperandStack", recording_stack)
     monkeypatch.setattr(random_lab, "_check_stack", counting_check_stack)
     monkeypatch.setattr(random_lab, "_draw", counting_draw)
     dims, trials, seed = (1, 3, 8, 12), 300, 5
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
     batched = run_property_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed)
-    expected_checks, expected_stacks, expected_draws = [], [], []
-    for label, members in pools(INEQUALITY_IDS).items():
-        pool = applicable_specs(members[0], specs)
-        picked = [pool[trial_seed(seed, label, i, len(pool)) % len(pool)] for i in range(trials)]
-        for dim in dims:
-            step = _STACK_ENTRIES // dim**2
-            at_dim = sum(s.dim == dim for s in picked)
-            assert at_dim > 2 * len(pool) // len(dims)  # several kinds at each dim
-            for i in range(0, at_dim, step):
-                expected_stacks.append((dim, min(step, at_dim - i)))
-                expected_checks += [(iid, dim, min(step, at_dim - i)) for iid in members]
-            for spec in pool:
-                if spec.dim == dim:
-                    expected_draws += [(spec.kind, dim)] * -(-picked.count(spec) // step)
+    takes = {iid: {i for i, _ in taken(iid, specs, trials, seed)} for iid in INEQUALITY_IDS}
+    spec_of = {i: specs[ts % len(specs)] for i, ts in drawn_trials(INEQUALITY_IDS, specs, trials, seed)}
+    expected_checks, expected_stacks, expected_draws, partly = [], [], [], set()
+    for dim in dims:
+        step = _STACK_ENTRIES // dim**2
+        # The dim's trials, ensemble by ensemble.
+        at_dim = [i for spec in specs if spec.dim == dim for i in spec_of if spec_of[i] == spec]
+        assert {spec_of[i].kind for i in at_dim} == set(ENSEMBLE_KINDS)
+        for start in range(0, len(at_dim), step):
+            stack = at_dim[start : start + step]
+            expected_stacks.append((dim, len(stack)))
+            # The ids that admit the same specs are checked together, in the
+            # order the first of them is asked for.
+            for iid in [iid for iid in INEQUALITY_IDS if iid != "R33"] + ["R33"]:
+                mine = len(takes[iid] & set(stack))
+                if mine:
+                    expected_checks.append((iid, dim, mine))
+                if 0 < mine < len(stack):
+                    partly.add(iid)
+        for spec in specs:
+            if spec.dim == dim:
+                expected_draws += [(spec.kind, dim)] * -(-list(spec_of.values()).count(spec) // step)
     assert checks == expected_checks
-    assert [(p.xy.shape[2], p.xy.shape[1]) for p in stacks] == expected_stacks
+    assert stacks == expected_stacks
     assert draws == expected_draws
+    # R33 reads only some pairs of a stack, and so does the rest of the registry.
+    assert partly == set(INEQUALITY_IDS)
     assert as_json(batched) == as_json(per_trial_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed))
 
 
@@ -144,19 +171,17 @@ def test_verify_draws_only_what_the_next_stack_needs(monkeypatch):
     # _STACK_ENTRIES bounds what a check holds; drawing lazily bounds what
     # waits beside it.  Before each stack is checked, the pairs drawn but not
     # yet checked beyond the stack in hand are fewer than one stack's worth.
-    events, stacks = [], []
+    events = []
 
-    def recording_check_stack(iid, pair, tol):
-        if not stacks or stacks[-1] is not pair:
-            stacks.append(pair)
-            events.append(("check", pair.xy.shape[2], pair.xy.shape[1]))
-        return _check_stack(iid, pair, tol)
+    def recording_stack(xy):
+        events.append(("check", xy.shape[2], xy.shape[1]))
+        return _OperandStack(xy)
 
     def recording_draw(kind, dim, seeds):
         events.append(("draw", dim, seeds.shape[1]))
         return _draw(kind, dim, seeds)
 
-    monkeypatch.setattr(random_lab, "_check_stack", recording_check_stack)
+    monkeypatch.setattr(random_lab, "_OperandStack", recording_stack)
     monkeypatch.setattr(random_lab, "_draw", recording_draw)
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in (1, 3, 8, 12)]
     run_property_suite(INEQUALITY_IDS, specs, 300, 1e-9, 5)
@@ -170,47 +195,47 @@ def test_verify_draws_only_what_the_next_stack_needs(monkeypatch):
         assert 0 <= waiting < _STACK_ENTRIES // dim**2
         split |= waiting > 0
         checked += pairs
-    # Each pool draws and checks each of its trials' pairs once.
-    assert drawn == checked == 300 * len(pools(INEQUALITY_IDS)) and split
+    # Each trial some id takes is drawn and checked once.
+    assert drawn == checked == len(drawn_trials(INEQUALITY_IDS, specs, 300, 5)) and split
 
 
-def test_a_pool_draws_and_decomposes_each_trials_pair_once(monkeypatch):
-    # Per stack, one draw of its pairs and one SVD call over both operands
-    # of each, however many ids of the pool are checked on it; at dim 2 the
-    # moduli come in closed form, without the SVD.
+@pytest.mark.parametrize("ids", [INEQUALITY_IDS, ("R33",), ("T213", "L32")],
+                         ids=["registry", "R33", "T213-L32"])
+def test_one_sequence_draws_and_decomposes_each_taken_trials_pair_once(ids, monkeypatch):
+    # The full registry draws the pairs of trials 0 .. T-1, which the 13
+    # ids that admit every ensemble take, and of the trials that only R33
+    # takes, and no others.  Each drawn matrix reaches the SVD exactly once,
+    # however many ids read it, on a whole stack or on the pairs taken from
+    # one.
     svd, draw = np.linalg.svd, random_lab._draw
     svds, draws = [], []
 
     def counting_svd(a, *args, **kwargs):
-        svds.append(math.prod(a.shape[:-2]))
+        svds.extend(m.tobytes() for m in a.reshape(-1, *a.shape[-2:]))
         return svd(a, *args, **kwargs)
 
     def counting_draw(kind, dim, seeds):
-        draws.append(seeds.size)
-        return draw(kind, dim, seeds)
+        xy = draw(kind, dim, seeds)
+        draws.extend(m.tobytes() for m in xy.reshape(-1, dim, dim))
+        return xy
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(random_lab, "_draw", counting_draw)
-    dims, trials, seed = (1, 2, 3, 5), 200, 11
+    dims, trials, seed = (1, 3, 8, 12), 300, 11
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
-    for ids in (INEQUALITY_IDS, ("T36", "R33"), ("T213",), ("R33", "L32", "C32")):
-        svds.clear()
-        draws.clear()
-        run_property_suite(ids, specs, trials, 1e-9, seed)
-        expected_svds = []
-        for label, members in pools(ids).items():
-            pool = applicable_specs(members[0], specs)
-            picked = [pool[trial_seed(seed, label, i, len(pool)) % len(pool)] for i in range(trials)]
-            # One stack per (pool, dim) at these dims.
-            expected_svds += [2 * sum(s.dim == d for s in picked) for d in dims if d != 2]
-        assert sum(draws) == 2 * trials * len(pools(ids))
-        assert svds == expected_svds
+    run_property_suite(ids, specs, trials, 1e-9, seed)
+    if ids == INEQUALITY_IDS:
+        r33_only = [i for i, _ in taken("R33", specs, trials, seed) if i >= trials]
+        assert 0 < len(r33_only) < trials
+        assert len(draws) == 2 * (trials + len(r33_only))
+    assert len(draws) == 2 * len(drawn_trials(ids, specs, trials, seed))
+    assert sorted(svds) == sorted(draws)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_specs_of_a_pool_take_turns_whatever_the_seed(seed):
-    # Each round of len(pool) trials runs every spec once, so each spec gets
-    # trials // len(pool) trials or one more, whatever the seed.
+    # Each round of n trials runs every spec once, so each of n specs gets
+    # trials // n trials or one more, whatever the seed and the label.
     index = np.arange(1000, dtype=np.uint64)
     for label, n in (("all", 48), ("normal", 32), ("all", 7), ("normal", 1)):
         seeds = _trial_seeds(np.uint64(seed), label, index, n)
@@ -227,7 +252,7 @@ def test_a_call_of_fewer_trials_than_specs_meets_specs_the_seed_chooses():
 
 
 def test_trial_seeds_near_the_top_stay_below_two_to_the_64(monkeypatch):
-    # Where the hashed seed lies within a pool's spec count of 2^64 - 1,
+    # Where the hashed seed lies within the spec count of 2^64 - 1,
     # the trial's remainder may not fit above it: the seed comes from the
     # block below, with the same remainder.
     top = np.array([_MASK64 - 40, _MASK64 - 2, _MASK64, _MASK64], dtype=np.uint64)
@@ -297,7 +322,8 @@ SUITE_SPECS = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in ra
 
 
 def test_a_subset_run_reports_what_the_full_run_reports():
-    # A trial's seed depends on its id's pool only, not on the other ids.
+    # The trials an id takes depend on the specs it admits only, not on the
+    # other ids.
     full = {r.inequality_id: r for r in run_property_suite(INEQUALITY_IDS, SUITE_SPECS, 150, 1e-9, 7)}
     for iid in INEQUALITY_IDS:
         assert run_property_suite([iid], SUITE_SPECS, 150, 1e-9, 7) == [full[iid]]
@@ -311,17 +337,19 @@ def test_every_worst_seed_replays_with_the_suites_spec_list():
         assert np.float64(rep.slack / rep.scale).tobytes() == np.float64(report.worst_slack).tobytes()
 
 
-def test_run_single_trial_picks_from_the_specs_the_id_admits():
-    # Given every ensemble, R33 picks among the normal ones, as the suite does.
-    normal = applicable_specs("R33", SUITE_SPECS)
-    assert len(normal) < len(SUITE_SPECS)
-    for i in range(40):
-        ts = derive_seed(7, "trial:normal", i)
-        try:
-            rep = run_single_trial("R33", SUITE_SPECS, ts, 1e-9)
-        except NotNormalError:
-            pytest.fail(f"run_single_trial drew a non-normal pair for R33 at seed {ts}")
-        assert rep == run_single_trial("R33", normal, ts, 1e-9)
+def test_run_single_trial_replays_r33_from_the_suites_spec_list_and_refuses_other_kinds():
+    # R33 takes trials of the normal kinds from the one sequence over every
+    # ensemble; each of its worst seeds replays from that list.  A seed that
+    # picks a kind R33 does not admit is refused by name, before any draw.
+    for master in range(6):
+        (report,) = run_property_suite(["R33"], SUITE_SPECS, 40, 1e-9, master)
+        rep = run_single_trial("R33", SUITE_SPECS, report.worst_seed, 1e-9)
+        assert np.float64(rep.slack / rep.scale).tobytes() == np.float64(report.worst_slack).tobytes()
+    ginibre = next(i for i, s in enumerate(SUITE_SPECS) if s.kind == "ginibre")
+    seed = 1000 * len(SUITE_SPECS) + ginibre
+    with pytest.raises(ValueError, match="R33 does not admit ginibre"):
+        run_single_trial("R33", SUITE_SPECS, seed, 1e-9)
+    assert run_single_trial("CS_21", SUITE_SPECS, seed, 1e-9).holds
 
 
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)

@@ -218,11 +218,11 @@ class TestVerify:
 GOLDEN_OUTPUTS = [
     (
         ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
-        "930bdfb417b69e832ff219a323155428bfb53fad5cdf0c3eafcf66ff32e5af92",
+        "2b70a06b2cb5ea42fcc8845812b7805207f2c117e40b338fd72d24894464a220",
     ),
     (
         ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
-        "71d5ebc12ce625c789e58f7717d13b46a03892d6917af79799eb41b45008a25b",
+        "b52b9e49fbaa50d0e444c862a4761accb29f866acc7ff2f3f24a4fe8568bae38",
     ),
     (
         ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),

@@ -27,7 +27,8 @@ from hsangle import (
     witness_triple,
 )
 from hsangle import cli, hs_geometry, inequality_suite, matrix_core, scan
-from hsangle.random_lab import _trial_seeds
+from hsangle.inequality_suite import _OperandStack, _check_stack
+from hsangle.random_lab import _draw, _trial_seeds
 from hsangle.scan import SCAN_TARGETS, _normal_pair, _raw_pair, _ratio_for
 
 
@@ -69,23 +70,24 @@ def test_check_makes_one_svd_per_operand_and_none_for_cs21(inequality_id, svd_ca
 
 def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkeypatch, capsys):
     # Counted over the trials whose operands are not 2x2: those take the
-    # closed form and no SVD.  Each operand pool draws its trials once and
-    # checks all its ids on them, so the SVD covers each pair once.
+    # closed form and no SVD.  The registry draws one trial sequence and
+    # checks each id on the trials it takes, so the SVD covers each drawn
+    # pair once.
     digests = []
     for module in (inequality_suite, matrix_core):
         monkeypatch.setattr(module, "digest", lambda *mats: digests.append(mats))
     trials, dims, seed = 300, (1, 2, 3), 5
     assert cli.main(["verify", "--trials", str(trials), "--dims", "1..3", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    # One stack per (pool, dim) that some trial picks; at these dims no
-    # stack reaches the size cap.
+    # One stack per dim that some drawn trial picks; at these dims no stack
+    # reaches the size cap.  R33 takes the first `trials` trials of the
+    # normal kinds, the other ids trials 0 .. trials - 1.
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
-    picked = []
-    for label, iid in (("all", "CS_21"), ("normal", "R33")):
-        pool = applicable_specs(iid, specs)
-        seeds = _trial_seeds(np.uint64(seed), label, np.arange(trials, dtype=np.uint64), len(pool))
-        picks = [pool[int(t) % len(pool)] for t in seeds]
-        picked += [(label, spec.dim) for spec in picks if spec.dim != 2]
+    normal = {s.kind for s in applicable_specs("R33", specs)}
+    seeds = _trial_seeds(np.uint64(seed), "all", np.arange(2 * trials, dtype=np.uint64), len(specs))
+    picks = [specs[int(t) % len(specs)] for t in seeds]
+    r33 = [i for i, spec in enumerate(picks) if spec.kind in normal][:trials]
+    picked = [picks[i].dim for i in sorted(set(range(trials)) | set(r33)) if picks[i].dim != 2]
     assert all(a.shape[-2:] != (2, 2) for a in svd_calls)
     assert sum(map(matrices, svd_calls)) == 2 * len(picked)
     assert len(svd_calls) == len(set(picked))
@@ -114,6 +116,18 @@ def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypat
     assert sum(k for k, _ in evals) == 400
     assert all(e == [2 * k] for k, e in evals)
     assert len(svd_calls) == len(evals)
+
+
+def test_a_stack_with_zero_operands_is_decomposed_once(svd_calls):
+    # The angle ids check the pairs without a zero operand on the moduli of
+    # the whole stack, which the other ids read too: one SVD call in all.
+    a = _draw("ginibre", 3, np.arange(12, dtype=np.uint64)).reshape(2, 6, 3, 3).copy()
+    a[0, 1] = a[1, 4] = 0.0
+    pair = _OperandStack(a)
+    for inequality_id in INEQUALITY_IDS:
+        if inequality_id != "R33":
+            _check_stack(inequality_id, pair, 1e-9)
+    assert [matrices(m) for m in svd_calls] == [12]
 
 
 # 2x2 moduli come in closed form: no check, scan, verify or modulus at dim 2

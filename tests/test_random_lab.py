@@ -16,7 +16,6 @@ from hsangle import (
     INEQUALITY_IDS,
     GeneratorSpec,
     UnknownInequalityError,
-    applicable_specs,
     derive_seed,
     generate,
     hs_norm,
@@ -228,7 +227,7 @@ class TestPropertySuite:
             specs = self.specs(dims)
             for report in run_property_suite(INEQUALITY_IDS, specs, trials, 1e-9, 99):
                 iid = report.inequality_id
-                rep = run_single_trial(iid, applicable_specs(iid, specs), report.worst_seed, 1e-9)
+                rep = run_single_trial(iid, specs, report.worst_seed, 1e-9)
                 replayed = np.float64(rep.slack / rep.scale)
                 assert replayed.tobytes() == np.float64(report.worst_slack).tobytes()
 
