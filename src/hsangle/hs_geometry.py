@@ -94,7 +94,8 @@ class _PairStack:
     both operands (one _norms call), the inner products <x, y>, the cosines
     and the sines are (n,) arrays, each computed once, on first use, as are
     nsum = norm(x + y) and ndiff = norm(x - y).  cos and sin presuppose
-    nonzero operands."""
+    nonzero operands; inequality_suite._sides reads them over a stack with
+    zero operands too, and discards those rows."""
 
     def __init__(self, xy: np.ndarray):
         self.xy = xy

@@ -88,22 +88,6 @@ class _OperandStack(_PairStack):
     abs = _cached(lambda p: _PairStack(p._moduli.abs()))
     adj = _cached(lambda p: _PairStack(p._moduli.adj()))
 
-    def take(self, sel: np.ndarray) -> _OperandStack:
-        """The pairs that the mask sel selects, as a stack whose moduli are
-        this stack's, sliced on first use: taking never decomposes again."""
-        return _TakenStack(self, sel)
-
-
-class _TakenStack(_OperandStack):
-    """The pairs of a stack that a mask selects; see _OperandStack.take."""
-
-    def __init__(self, stack: _OperandStack, sel: np.ndarray):
-        super().__init__(stack.xy[:, sel])
-        self._stack, self._sel = stack, sel
-
-    abs = _cached(lambda p: _PairStack(p._stack.abs.xy[:, p._sel]))
-    adj = _cached(lambda p: _PairStack(p._stack.adj.xy[:, p._sel]))
-
 
 @dataclass(frozen=True)
 class _Record:
@@ -163,23 +147,27 @@ def _lookup(inequality_id: str) -> _Record:
     return _REGISTRY[inequality_id]
 
 
-def _sides(inequality_id: str, pair: _OperandStack):
-    """The sides lhs, rhs of a registry id, as (n,) arrays, over a stack of
-    operand pairs.  Every id checked on the same pairs reads the one stack,
-    so its moduli, norms, cosines and sines are formed once for them all."""
+def _sides(inequality_id: str, pair: _OperandStack, sel=slice(None)):
+    """The sides lhs, rhs of a registry id, as arrays over the rows of a
+    stack of operand pairs that the mask sel selects (every row by default).
+    The formula runs over the whole stack, whose moduli, norms, cosines and
+    sines every id checked on it shares, so they are formed once for them
+    all; each row's sides are formed from that row alone."""
     record = _lookup(inequality_id)
     if record.domain == "normal":
-        for name, normal in zip("XY", _normal_mask(pair.xy)):
+        for name, normal in zip("XY", _normal_mask(pair.xy[:, sel])):
             if not normal.all():
                 raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
     if record.domain != "angle" or pair.norms.all():
-        return record.sides(pair)
+        lhs, rhs = record.sides(pair)
+        return lhs[sel], rhs[sel]
     # The angle ids presuppose nonzero operands; with a zero operand the
-    # statement holds trivially, with both sides 0.
+    # statement holds trivially, with both sides 0, whatever the formula
+    # gave that row.
     keep = pair.norms.all(axis=0)
-    lhs, rhs = np.zeros(len(keep)), np.zeros(len(keep))
-    lhs[keep], rhs[keep] = record.sides(pair.take(keep))
-    return lhs, rhs
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lhs, rhs = record.sides(pair)
+    return np.where(keep, lhs, 0.0)[sel], np.where(keep, rhs, 0.0)[sel]
 
 
 def check(
@@ -204,10 +192,11 @@ def check(
     return InequalityReport(inequality_id, lhs, rhs, slack, holds, scale, digest(x, y))
 
 
-def _check_stack(inequality_id: str, pair: _OperandStack, tol: float):
-    """check of a registry id over a stack of operand pairs: the arrays holds
-    and slack/scale, entry by entry bit-equal to check's."""
-    lhs, rhs = _sides(inequality_id, pair)
+def _check_stack(inequality_id: str, pair: _OperandStack, tol: float, sel=slice(None)):
+    """check of a registry id over the rows of a stack of operand pairs that
+    the mask sel selects (every row by default): the arrays holds and
+    slack/scale, entry by entry bit-equal to check's."""
+    lhs, rhs = _sides(inequality_id, pair, sel)
     scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
     slack = rhs - lhs
     return slack >= -tol * scale, slack / scale

@@ -260,20 +260,20 @@ def run_single_trial(
     return check(inequality_id, ComplexMatrix(xy[0, 0]), ComplexMatrix(xy[1, 0]), tol)
 
 
-def _trial_seeds(master, label: str, index: np.ndarray, specs: int) -> np.ndarray:
-    """The seeds of trials `index` of a sequence over `specs` specs.  The specs
-    take turns, in the order of their hashes derive_seed(master, "turns:" +
-    label, k): trial i runs the (i mod specs)-th spec of that order.  Its
-    seed is derive_seed(master, "trial:" + label, i) with the remainder mod
+def _trial_seeds(master, index: np.ndarray, specs: int) -> np.ndarray:
+    """The seeds of trials `index` of the sequence over `specs` specs.  The
+    specs take turns, in the order of their hashes derive_seed(master,
+    "turns:all", k): trial i runs the (i mod specs)-th spec of that order.
+    Its seed is derive_seed(master, "trial:all", i) with the remainder mod
     `specs` replaced by that spec's index, since a seed picks spec seed %
     specs, as run_single_trial does.  So every spec gets trials // specs
     trials or one more, and a call's work barely depends on the master
     seed, while a call of fewer trials than specs still meets specs the
     seed chooses."""
     n = np.uint64(specs)
-    order = _derive_seeds(master, "turns:" + label, np.arange(specs, dtype=np.uint64))
+    order = _derive_seeds(master, "turns:all", np.arange(specs, dtype=np.uint64))
     turns = np.argsort(order, kind="stable").astype(np.uint64)
-    h = _derive_seeds(master, "trial:" + label, index)
+    h = _derive_seeds(master, "trial:all", index)
     base = h - h % n
     seeds = base + turns[index % n]
     # Past 2^64 - 1 (h within `specs` of it), take the seed from the block below.
@@ -316,61 +316,55 @@ def run_property_suite(
     So an id's report depends neither on execution order nor on the other
     ids asked for, and only the trials some id takes are drawn.  The trials
     of each dim, of every ensemble, are drawn and checked as stacks, each
-    decomposed once for all the ids; an id that takes only some pairs of a
-    stack reads them with the stack's moduli (_OperandStack.take).  Each
-    trial's holds and slack/scale are bit-equal to those of
-    run_single_trial.
+    decomposed once for all the ids; trials 0 .. trials - 1 are stacked
+    apart from the later ones, which only R33 takes, so that the ids that
+    take every trial are checked on every pair of each stack they read.
+    Each id is checked once per stack that holds trials it takes, on the
+    rows it takes (_check_stack's mask).  Each trial's holds and
+    slack/scale are bit-equal to those of run_single_trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ids, specs = list(ids), list(specs)
+    if not ids:
+        return []
     # Every id's specs, checked before any trial runs.
     kinds = {iid: tuple(dict.fromkeys(s.kind for s in applicable_specs(iid, specs))) for iid in ids}
-    # The ids that admit the same specs take the same trials.
-    members = {}
-    for iid in kinds:
-        members.setdefault(tuple(_admits(iid, s.kind) for s in specs), []).append(iid)
-    admits = np.array(list(members))
+    admits = np.array([[_admits(iid, s.kind) for s in specs] for iid in kinds])
     # Each round of len(specs) trials runs every spec once, so the first
     # ceil(trials / m) rounds, m the fewest specs an id admits, hold the
     # trials of every id.
     rounds = -(-trials // int(admits.sum(axis=1).min()))
     index = np.arange(rounds * len(specs), dtype=np.uint64)
-    seeds = _trial_seeds(np.uint64(master_seed & _MASK64), "all", index, len(specs))
+    seeds = _trial_seeds(np.uint64(master_seed & _MASK64), index, len(specs))
     which = (seeds % np.uint64(len(specs))).astype(np.intp)
-    # taken[g, i]: whether the ids of group g take trial i, as the at[g, i]-th
-    # of their trials.
+    # taken[k, i]: whether the k-th id takes trial i.
     admitted = admits[:, which]
-    rank = np.cumsum(admitted, axis=1)
-    taken = admitted & (rank <= trials)
+    taken = admitted & (np.cumsum(admitted, axis=1) <= trials)
     drawn = taken.any(axis=0)
-    seeds, which, taken, at = seeds[drawn], which[drawn], taken[:, drawn], rank[:, drawn] - 1
+    head = index[drawn] < trials
+    seeds, which, taken = seeds[drawn], which[drawn], taken[:, drawn]
     operands = np.array([_derive_seeds(seeds, name, 0) for name in _OPERAND_LABELS])
-    holds = {iid: np.empty(trials, dtype=bool) for iid in kinds}
-    rel = {iid: np.empty(trials) for iid in kinds}
+    # An id's holds and slack/scale for each drawn trial, where it takes it.
+    holds = {iid: np.empty(len(seeds), dtype=bool) for iid in kinds}
+    rel = {iid: np.empty(len(seeds)) for iid in kinds}
     for dim in dict.fromkeys(s.dim for s in specs):
-        groups = [(s.kind, np.flatnonzero(which == k)) for k, s in enumerate(specs) if s.dim == dim]
-        for trial, xy in _stacks(groups, operands, dim):
-            pair = _OperandStack(xy)
-            for group, sel, pos in zip(members.values(), taken[:, trial], at[:, trial]):
-                if sel.all():
-                    sub = pair
-                elif sel.any():
-                    sub, pos = pair.take(sel), pos[sel]
-                else:
-                    continue
-                for iid in group:
-                    holds[iid][pos], rel[iid][pos] = _check_stack(iid, sub, tol)
+        for part in (head, ~head):
+            groups = [(s.kind, np.flatnonzero((which == k) & part)) for k, s in enumerate(specs) if s.dim == dim]
+            for trial, xy in _stacks(groups, operands, dim):
+                pair = _OperandStack(xy)
+                for iid, sel in zip(kinds, taken[:, trial]):
+                    mine = trial[sel]
+                    if len(mine):
+                        holds[iid][mine], rel[iid][mine] = _check_stack(iid, pair, tol, sel)
     reports = {}
-    for group, sel in zip(members.values(), taken):
-        group_seeds = seeds[sel]
-        for iid in group:
-            h, r = holds[iid], rel[iid]
-            # The first smallest slack/scale in trial order; a NaN is never the worst.
-            i = int(np.argmin(np.where(np.isnan(r), math.inf, r)))
-            worst, worst_seed = (float(r[i]), int(group_seeds[i])) if r[i] < math.inf else (math.inf, 0)
-            violations = int(np.count_nonzero(~h))
-            reports[iid] = SuiteReport(iid, trials, violations, worst, worst_seed, kinds[iid])
+    for iid, sel in zip(kinds, taken):
+        h, r = holds[iid][sel], rel[iid][sel]
+        # The first smallest slack/scale in trial order; a NaN is never the worst.
+        i = int(np.argmin(np.where(np.isnan(r), math.inf, r)))
+        worst, worst_seed = (float(r[i]), int(seeds[sel][i])) if r[i] < math.inf else (math.inf, 0)
+        violations = int(np.count_nonzero(~h))
+        reports[iid] = SuiteReport(iid, trials, violations, worst, worst_seed, kinds[iid])
     return [reports[iid] for iid in ids]
 
 

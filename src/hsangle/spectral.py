@@ -123,7 +123,10 @@ def _quantities(a: np.ndarray):
     = sqrt(tr(X*X) + 2 delta) = sigma_1 + sigma_2.  Quantity-major: each
     product, half sum and quantity is one contiguous row over the stack."""
     f = a.view(float).reshape(-1, 8).T
-    p = f.take(_LEFT, axis=0) * f.take(_RIGHT, axis=0) * _SIGN
+    # In place, so that no more than two (52, n) arrays are held at once.
+    p = f.take(_LEFT, axis=0)
+    p *= f.take(_RIGHT, axis=0)
+    p *= _SIGN
     k = len(_QUANTITIES)
     half = p[: 2 * k] + p[2 * k :]
     q = half[:k] + half[k:]

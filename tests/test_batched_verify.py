@@ -28,24 +28,24 @@ from hsangle import (
     run_single_trial,
 )
 from hsangle import random_lab
-from hsangle.inequality_suite import _OperandStack, _check_stack
-from hsangle.random_lab import _MASK64, _STACK_ENTRIES, _draw, _trial_seeds
+from hsangle.inequality_suite import NotNormalError, _OperandStack, _check_stack, _sides
+from hsangle.random_lab import NORMAL_ENSEMBLE_KINDS, _MASK64, _STACK_ENTRIES, _draw, _trial_seeds
 from pins import GENERATE, pinned_digests
 
 
 @functools.cache
-def turns(master_seed, label, specs):
-    """The order in which `specs` specs take turns: that of their "turns:" hashes."""
-    return sorted(range(specs), key=lambda k: derive_seed(master_seed, "turns:" + label, k))
+def turns(master_seed, specs):
+    """The order in which `specs` specs take turns: that of their "turns:all" hashes."""
+    return sorted(range(specs), key=lambda k: derive_seed(master_seed, "turns:all", k))
 
 
-def trial_seed(master_seed, label, i, specs):
-    """The seed of trial i of sequence `label` with `specs` specs, one trial
-    at a time: the specs take turns in the order of their "turns:" hashes,
+def trial_seed(master_seed, i, specs):
+    """The seed of trial i of the sequence with `specs` specs, one trial at
+    a time: the specs take turns in the order of their "turns:all" hashes,
     and the trial's spec replaces the remainder mod specs of derive_seed's
     value, from the block below where that passes 2^64 - 1."""
-    h = derive_seed(master_seed, "trial:" + label, i)
-    seed = h - h % specs + turns(master_seed, label, specs)[i % specs]
+    h = derive_seed(master_seed, "trial:all", i)
+    seed = h - h % specs + turns(master_seed, specs)[i % specs]
     return seed if seed <= _MASK64 else seed - specs
 
 
@@ -55,7 +55,7 @@ def taken(iid, specs, trials, master_seed):
     admitted = {s.kind for s in applicable_specs(iid, specs)}
     out, i = [], 0
     while len(out) < trials:
-        ts = trial_seed(master_seed, "all", i, len(specs))
+        ts = trial_seed(master_seed, i, len(specs))
         if specs[ts % len(specs)].kind in admitted:
             out.append((i, ts))
         i += 1
@@ -110,22 +110,23 @@ def test_json_is_byte_identical_to_the_per_trial_loop(dims, trials, seed):
 
 
 def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
-    # The trials of every ensemble of a dim share their stacks: one stack
-    # per dim where the dim's drawn trials fit in _STACK_ENTRIES // dim^2
-    # pairs, else as few as fit, each within the cap.  Each id is checked on
-    # each stack that holds trials it takes, on those pairs only.  Each
-    # (kind, dim) is drawn as few times as its trials need, so at dims 8
-    # and 12 a draw may span two stacks.  The JSON is still the per-trial
-    # loop's.
+    # The trials of every ensemble of a dim share their stacks, trials 0 ..
+    # T-1 apart from the later ones that only R33 takes: one stack per
+    # (dim, part) where its drawn trials fit in _STACK_ENTRIES // dim^2
+    # pairs, else as few as fit, each within the cap.  Each id is checked
+    # once on each stack that holds trials it takes, with a mask of those
+    # pairs.  Each (kind, dim, part) is drawn as few times as its trials
+    # need, so at dims 8 and 12 a draw may span two stacks.  The JSON is
+    # still the per-trial loop's.
     checks, stacks, draws = [], [], []
 
     def recording_stack(xy):
         stacks.append((xy.shape[2], xy.shape[1]))
         return _OperandStack(xy)
 
-    def counting_check_stack(iid, pair, tol):
-        checks.append((iid, pair.xy.shape[2], pair.xy.shape[1]))
-        return _check_stack(iid, pair, tol)
+    def counting_check_stack(iid, pair, tol, sel):
+        checks.append((iid, pair.xy.shape[2], len(sel), int(sel.sum())))
+        return _check_stack(iid, pair, tol, sel)
 
     def counting_draw(kind, dim, seeds):
         draws.append((kind, dim))
@@ -142,28 +143,28 @@ def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
     expected_checks, expected_stacks, expected_draws, partly = [], [], [], set()
     for dim in dims:
         step = _STACK_ENTRIES // dim**2
-        # The dim's trials, ensemble by ensemble.
-        at_dim = [i for spec in specs if spec.dim == dim for i in spec_of if spec_of[i] == spec]
-        assert {spec_of[i].kind for i in at_dim} == set(ENSEMBLE_KINDS)
-        for start in range(0, len(at_dim), step):
-            stack = at_dim[start : start + step]
-            expected_stacks.append((dim, len(stack)))
-            # The ids that admit the same specs are checked together, in the
-            # order the first of them is asked for.
-            for iid in [iid for iid in INEQUALITY_IDS if iid != "R33"] + ["R33"]:
-                mine = len(takes[iid] & set(stack))
-                if mine:
-                    expected_checks.append((iid, dim, mine))
-                if 0 < mine < len(stack):
-                    partly.add(iid)
-        for spec in specs:
-            if spec.dim == dim:
-                expected_draws += [(spec.kind, dim)] * -(-list(spec_of.values()).count(spec) // step)
+        for head in (True, False):
+            # The part's trials at this dim, ensemble by ensemble.
+            mine = {spec: [i for i in spec_of if spec_of[i] == spec and (i < trials) == head]
+                    for spec in specs if spec.dim == dim}
+            at_dim = [i for trials_of_spec in mine.values() for i in trials_of_spec]
+            assert {spec_of[i].kind for i in at_dim} == set(ENSEMBLE_KINDS if head else NORMAL_ENSEMBLE_KINDS)
+            for start in range(0, len(at_dim), step):
+                stack = at_dim[start : start + step]
+                expected_stacks.append((dim, len(stack)))
+                for iid in INEQUALITY_IDS:
+                    selected = len(takes[iid] & set(stack))
+                    if selected:
+                        expected_checks.append((iid, dim, len(stack), selected))
+                    if 0 < selected < len(stack):
+                        partly.add(iid)
+            expected_draws += [(spec.kind, dim) for spec, t in mine.items() for _ in range(0, len(t), step)]
     assert checks == expected_checks
     assert stacks == expected_stacks
     assert draws == expected_draws
-    # R33 reads only some pairs of a stack, and so does the rest of the registry.
-    assert partly == set(INEQUALITY_IDS)
+    # Only R33 reads some pairs of a stack; every other id reads all of each
+    # stack it is checked on.
+    assert partly == {"R33"}
     assert as_json(batched) == as_json(per_trial_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed))
 
 
@@ -205,8 +206,7 @@ def test_one_sequence_draws_and_decomposes_each_taken_trials_pair_once(ids, monk
     # The full registry draws the pairs of trials 0 .. T-1, which the 13
     # ids that admit every ensemble take, and of the trials that only R33
     # takes, and no others.  Each drawn matrix reaches the SVD exactly once,
-    # however many ids read it, on a whole stack or on the pairs taken from
-    # one.
+    # however many ids read it, each by a mask of the rows it takes.
     svd, draw = np.linalg.svd, random_lab._draw
     svds, draws = [], []
 
@@ -235,18 +235,18 @@ def test_one_sequence_draws_and_decomposes_each_taken_trials_pair_once(ids, monk
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_specs_of_a_pool_take_turns_whatever_the_seed(seed):
     # Each round of n trials runs every spec once, so each of n specs gets
-    # trials // n trials or one more, whatever the seed and the label.
+    # trials // n trials or one more, whatever the seed.
     index = np.arange(1000, dtype=np.uint64)
-    for label, n in (("all", 48), ("normal", 32), ("all", 7), ("normal", 1)):
-        seeds = _trial_seeds(np.uint64(seed), label, index, n)
+    for n in (48, 32, 7, 1):
+        seeds = _trial_seeds(np.uint64(seed), index, n)
         picks = (seeds % np.uint64(n)).tolist()
         for start in range(0, 1000 - n + 1, n):
             assert sorted(picks[start : start + n]) == list(range(n))
-        assert seeds.tolist() == [trial_seed(seed, label, i, n) for i in range(1000)]
+        assert seeds.tolist() == [trial_seed(seed, i, n) for i in range(1000)]
 
 
 def test_a_call_of_fewer_trials_than_specs_meets_specs_the_seed_chooses():
-    firsts = {tuple(int(s) % 48 for s in _trial_seeds(np.uint64(m), "all", np.arange(3, dtype=np.uint64), 48))
+    firsts = {tuple(int(s) % 48 for s in _trial_seeds(np.uint64(m), np.arange(3, dtype=np.uint64), 48))
               for m in range(20)}
     assert len(firsts) == 20
 
@@ -259,7 +259,7 @@ def test_trial_seeds_near_the_top_stay_below_two_to_the_64(monkeypatch):
     derive = random_lab._derive_seeds
     monkeypatch.setattr(random_lab, "_derive_seeds", lambda master, label, index: (
         top.copy() if label.startswith("trial:") else derive(master, label, index)))
-    seeds = _trial_seeds(np.uint64(0), "all", np.arange(4, dtype=np.uint64), 24)
+    seeds = _trial_seeds(np.uint64(0), np.arange(4, dtype=np.uint64), 24)
     turns = sorted(range(24), key=lambda k: derive_seed(0, "turns:all", k))[:4]
     assert turns == [0, 5, 20, 17]
     # 2^64 - 1 is 15 mod 24, so the blocks of 24 that hold these hashes
@@ -299,6 +299,24 @@ def test_zero_operands_follow_check(inequality_id):
         assert rel[i].tobytes() == np.float64(rep.slack / rep.scale).tobytes()
     holds, rel = _check_stack(inequality_id, _OperandStack(xy[:, 2:3]), 1e-9)
     assert holds.tolist() == [True] and rel.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_r33_reads_the_rows_its_mask_selects(dim):
+    # On a stack that mixes normal and ginibre pairs, R33's sides over the
+    # normal rows are those of a stack of only those rows, bit for bit; a
+    # ginibre row among the selected ones is refused.
+    normal = _draw("normal", dim, np.arange(8, dtype=np.uint64)).reshape(2, 4, dim, dim)
+    ginibre = _draw("ginibre", dim, np.arange(8, dtype=np.uint64)).reshape(2, 4, dim, dim)
+    xy = np.concatenate((normal, ginibre), axis=1)[:, [0, 4, 5, 1, 2, 6, 3, 7]]
+    sel = np.isin(np.arange(8), (0, 3, 4, 6))
+    pair = _OperandStack(xy)
+    sides = _sides("R33", pair, sel)
+    alone = _sides("R33", _OperandStack(xy[:, sel]))
+    assert [s.tobytes() for s in sides] == [s.tobytes() for s in alone]
+    sel[5] = True
+    with pytest.raises(NotNormalError, match="R33 requires normal operands; X is not"):
+        _sides("R33", pair, sel)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

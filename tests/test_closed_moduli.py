@@ -4,6 +4,7 @@ accuracy against the 50-digit reference of tests/hp_oracle.py, including
 near-singular, rank-one and zero X, and its exact homogeneity under
 power-of-two scaling."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,8 @@ from hsangle import (
     generate,
     witness_triple,
 )
-from hsangle.spectral import _Moduli
+from hsangle.random_lab import _draw
+from hsangle.spectral import _Moduli, _quantities
 
 
 def near_singular(eps):
@@ -107,3 +109,18 @@ def test_each_matrix_of_a_stack_gets_its_moduli_alone(size):
     for i, x in enumerate(ComplexMatrix(m) for m in a):
         assert stacked.abs()[i].tobytes() == abs_op(x).a.tobytes()
         assert stacked.adj()[i].tobytes() == abs_adjoint(x).a.tobytes()
+
+
+def test_the_closed_form_holds_two_product_arrays_at_once():
+    # The 52 signed products of a stack of n matrices form one (52, n)
+    # array, multiplied in place; a third array of them at once would
+    # take the peak past 2.5 of them.
+    n = 333
+    a = np.ascontiguousarray(_draw("ginibre", 2, np.arange(n, dtype=np.uint64)))
+    tracemalloc.start()
+    try:
+        _quantities(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 52 * n * 8

@@ -79,15 +79,16 @@ def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkey
     trials, dims, seed = 300, (1, 2, 3), 5
     assert cli.main(["verify", "--trials", str(trials), "--dims", "1..3", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    # One stack per dim that some drawn trial picks; at these dims no stack
-    # reaches the size cap.  R33 takes the first `trials` trials of the
-    # normal kinds, the other ids trials 0 .. trials - 1.
+    # One stack per dim and part that some drawn trial picks, trials 0 ..
+    # trials - 1 apart from the later ones; at these dims no stack reaches
+    # the size cap.  R33 takes the first `trials` trials of the normal
+    # kinds, the other ids trials 0 .. trials - 1.
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
     normal = {s.kind for s in applicable_specs("R33", specs)}
-    seeds = _trial_seeds(np.uint64(seed), "all", np.arange(2 * trials, dtype=np.uint64), len(specs))
+    seeds = _trial_seeds(np.uint64(seed), np.arange(2 * trials, dtype=np.uint64), len(specs))
     picks = [specs[int(t) % len(specs)] for t in seeds]
     r33 = [i for i, spec in enumerate(picks) if spec.kind in normal][:trials]
-    picked = [picks[i].dim for i in sorted(set(range(trials)) | set(r33)) if picks[i].dim != 2]
+    picked = [(picks[i].dim, i < trials) for i in sorted(set(range(trials)) | set(r33)) if picks[i].dim != 2]
     assert all(a.shape[-2:] != (2, 2) for a in svd_calls)
     assert sum(map(matrices, svd_calls)) == 2 * len(picked)
     assert len(svd_calls) == len(set(picked))

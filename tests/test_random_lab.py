@@ -244,6 +244,12 @@ class TestPropertySuite:
         with pytest.raises(ValueError):
             run_property_suite(["CS_21"], self.specs(), 0, 1e-9, 0)
 
+    def test_a_run_of_no_ids_reports_nothing(self):
+        specs = [GeneratorSpec("ginibre", 2), GeneratorSpec("normal", 3)]
+        assert run_property_suite([], specs, 5) == []
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_property_suite([], specs, 0)
+
     def test_json_shape(self):
         (report,) = run_property_suite(["T31"], self.specs(), 20, 1e-9, 1)
         d = report.to_json_dict()
