@@ -84,8 +84,13 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def _inners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x, y> = tr(y* x) of a pair of matrices, or of each pair of two stacks."""
-    return (_ct(y) @ x).trace(axis1=-2, axis2=-1)
+    """<x, y> = tr(y* x) of a pair of matrices, or of each pair of two
+    stacks: the sum of conj(y_ij) x_ij, one vecdot over the entries, which
+    conjugates y.  O(d^2), where forming y* x to read its trace is O(d^3).
+    The entries are summed from contiguous rows, copied if need be, since a
+    strided row takes another summation order."""
+    x, y = (np.ascontiguousarray(m).reshape(m.shape[:-2] + (-1,)) for m in (x, y))
+    return np.vecdot(y, x)
 
 
 class _PairStack:
@@ -112,12 +117,14 @@ class _PairStack:
         """xy and the norms, each operand scaled by _unit, so that neither
         the inner product nor nx * ny underflows or overflows.  When every
         norm lies in _SAFE_RANGE, where nx * ny can do neither, they are
-        returned unscaled.  A norm that overflowed float64 unscaled is taken
-        again over the scaled operand."""
+        returned unscaled.  A zero norm is not tested: the angles of a pair
+        with a zero operand are undefined, and its row is discarded or
+        refused.  A norm that overflowed float64 unscaled is taken again over
+        the scaled operand."""
         n = self.norms
-        v = n.reshape(-1)
+        v = n[n != 0.0]
         lo, hi = _SAFE_RANGE
-        if v.size and lo <= np.minimum.reduce(v) <= np.maximum.reduce(v) <= hi:
+        if not v.size or lo <= np.minimum.reduce(v) <= np.maximum.reduce(v) <= hi:
             return self.xy, n
         xy, e = _unit(self.xy)
         n = np.ldexp(n, -e)
@@ -129,8 +136,9 @@ class _PairStack:
     @_cached
     def cos(self) -> np.ndarray:
         xy, n = self._scaled
+        inner = self.inner if xy is self.xy else _inners(xy[0], xy[1])
         # Clamped into [-1, 1] against roundoff.
-        return np.fmin(1.0, np.fmax(-1.0, _inners(xy[0], xy[1]).real / (n[0] * n[1])))
+        return np.fmin(1.0, np.fmax(-1.0, inner.real / (n[0] * n[1])))
 
     @_cached
     def sin(self) -> np.ndarray:

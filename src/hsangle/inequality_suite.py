@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .matrix_core import ComplexMatrix, ShapeError, _cached, _ct, digest
-from .spectral import _Moduli, _is_psd
+from .spectral import _Moduli, _exactly_hermitian, _is_psd, _require_square
 from .hs_geometry import _PairStack, _angle_pairs, _norms, _unit
 
 SQRT2 = math.sqrt(2.0)
@@ -69,24 +69,34 @@ class InequalityReport:
 
 def _normal_mask(a: np.ndarray, tol: float = NORMALITY_TOL) -> np.ndarray:
     """is_normal of each matrix of a stack (..., d, d)."""
-    # Decided on X scaled by _unit, so that the commutator cannot overflow
-    # or underflow; the scaling is exact.
-    a = _unit(a)[0]
-    return _norms(a @ _ct(a) - _ct(a) @ a) <= tol * np.square(_norms(a))
+    # An exactly Hermitian X is normal and forms no commutator.
+    normal = _exactly_hermitian(a)
+    rest = ~normal
+    if rest.any():
+        # Decided on X scaled by _unit, so that the commutator cannot
+        # overflow or underflow; the scaling is exact.
+        b = _unit(a[rest])[0]
+        normal[rest] = _norms(b @ _ct(b) - _ct(b) @ b) <= tol * np.square(_norms(b))
+    return normal
 
 
 def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
+    """True iff X is exactly Hermitian or norm(XX* - X*X) <= tol norm(X)^2:
+    relative, so that scaling X by any power of two keeps the decision."""
+    _require_square(x, "is_normal")
     return bool(_normal_mask(x.a[None], tol)[0])
 
 
 class _OperandStack(_PairStack):
     """A stack of operand pairs with the pairs of their moduli, abs =
-    (|X|, |Y|) and adj = (|X*|, |Y*|), formed on first use from one SVD call
-    over both operands of every pair."""
+    (|X|, |Y|) and adj = (|X*|, |Y*|), formed on first use over both
+    operands of every pair: by the closed form for 2x2, else by one eigh
+    call over the exactly Hermitian operands and one SVD call over the
+    rest.  When every operand is exactly Hermitian, adj is abs itself."""
 
     _moduli = _cached(lambda p: _Moduli(p.xy))
     abs = _cached(lambda p: _PairStack(p._moduli.abs()))
-    adj = _cached(lambda p: _PairStack(p._moduli.adj()))
+    adj = _cached(lambda p: p.abs if p._moduli.self_adjoint else _PairStack(p._moduli.adj()))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Hermitian eigendecomposition and the decompositions built on it.
 
 Provides the operator absolute value |X| = (X*X)^(1/2) and |X*|, in closed
-form for 2x2 X and from the SVD otherwise, the polar decomposition X = U|X|
-with U the canonical partial isometry supported on range(|X|), and a PSD
-test.
+form for 2x2 X, from eigh for exactly Hermitian X and from the SVD
+otherwise, the polar decomposition X = U|X| with U the canonical partial
+isometry supported on range(|X|), and a PSD test.
 """
 
 from __future__ import annotations
@@ -78,6 +78,14 @@ def hermitian_eig(h: ComplexMatrix) -> HermitianEigen:
     return HermitianEigen(w, ComplexMatrix(v))
 
 
+def _exactly_hermitian(a: np.ndarray) -> np.ndarray:
+    """Whether a matrix, or each matrix of a stack, equals its adjoint bit
+    for bit; a non-square one does not."""
+    if a.shape[-1] != a.shape[-2]:
+        return np.zeros(a.shape[:-2], dtype=bool)
+    return (a == _ct(a)).all(axis=(-2, -1))
+
+
 def _vdv(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """V diag(d) V* for a matrix V and vector d, or for each of a stack."""
     return (v * d[..., None, :]) @ _ct(v)
@@ -142,19 +150,57 @@ class _Moduli:
     (XX* + delta I) / r, and 0 for X = 0.  delta is taken from X itself, not
     as sqrt(det(X*X)), which would square the spectrum.  A matrix whose r
     leaves _SAFE_RANGE is scaled by _unit first, and its moduli scaled back.
-    Otherwise both come from the one SVD X = W S V*: |X| = V S V* and |X*| =
-    W S W*.  The SVD (w, s, vh) is taken on first use, at any dim, so polar
-    reads U from it."""
+    Otherwise each square X is tested once for exact Hermitian symmetry, bit
+    for bit.  An exactly Hermitian X = V L V* is its own adjoint, so |X| =
+    |X*| = V|L|V*, from one eigh call over all such X of the stack.  Every
+    other X takes the one SVD call over the rest, X = W S V*: |X| = V S V*
+    and |X*| = W S W*.  By the Araki-Yamagami bound norm(|A| - |B|) <=
+    sqrt(2) norm(A - B) (C32), the backward-stable eigh gives |X| to the same
+    order as the SVD.  Either way each matrix gets the bits it gets alone."""
 
     def __init__(self, a: np.ndarray):
         self.a = a
 
+    _hermitian = _cached(lambda m: _exactly_hermitian(m.a))
+
+    @property
+    def self_adjoint(self) -> bool:
+        """Whether adj() is abs(), as it is when every matrix is exactly
+        Hermitian; not tested for 2x2, whose closed form forms both."""
+        return self.a.shape[-2:] != _CLOSED_SHAPE and bool(self._hermitian.all())
+
+    def _rows(self, mask: np.ndarray) -> np.ndarray:
+        """The matrices the mask selects: a itself when it selects them all."""
+        return self.a if mask.all() else self.a[mask]
+
+    @_cached
+    def _eigh(self) -> np.ndarray:
+        """|X| = |X*| = V|L|V* of the exactly Hermitian matrices."""
+        w, v = _lapack(np.linalg.eigh, "eigendecomposition", self._rows(self._hermitian))
+        return _hermitian_part(_vdv(v, abs(w)))
+
     @_cached
     def _svd(self):
-        # |X| above 2x2 and U come from the SVD of X, not from eig(X*X): squaring
-        # the spectrum amplifies roundoff at small singular values to sqrt(eps) *
+        """The SVD (w, s, vh) of the matrices that are not exactly Hermitian."""
+        # |X| and |X*| come from the SVD of X, not from eig(X*X): squaring the
+        # spectrum amplifies roundoff at small singular values to sqrt(eps) *
         # sigma_max, which is fatal at exactly-singular witnesses.
-        return _lapack(np.linalg.svd, "singular value decomposition", self.a, full_matrices=False)
+        return _lapack(np.linalg.svd, "singular value decomposition",
+                       self._rows(~self._hermitian), full_matrices=False)
+
+    def _modulus(self, adjoint: bool) -> np.ndarray:
+        """|X*| if adjoint, else |X|, of each matrix, by _eigh or _svd."""
+        h = self._hermitian
+        if h.all():
+            return self._eigh
+        w, s, vh = self._svd
+        # Only asked for |X*| of square X, where W and S conform.
+        m = _hermitian_part(_vdv(w if adjoint else _ct(vh), s))
+        if not h.any():
+            return m
+        out = np.empty_like(self.a)
+        out[h], out[~h] = self._eigh, m
+        return out
 
     @_cached
     def _closed(self) -> np.ndarray:
@@ -176,15 +222,12 @@ class _Moduli:
     def abs(self) -> np.ndarray:
         if self.a.shape[-2:] == _CLOSED_SHAPE:
             return self._closed[..., 0, :, :]
-        _, s, vh = self._svd
-        return _hermitian_part(_vdv(_ct(vh), s))
+        return self._modulus(False)
 
     def adj(self) -> np.ndarray:
         if self.a.shape[-2:] == _CLOSED_SHAPE:
             return self._closed[..., 1, :, :]
-        # Only asked for square X, where W and S conform.
-        w, s, _ = self._svd
-        return _hermitian_part(_vdv(w, s))
+        return self._modulus(True)
 
 
 def abs_op(x: ComplexMatrix) -> ComplexMatrix:
@@ -202,7 +245,10 @@ def polar(x: ComplexMatrix) -> PolarParts:
     """Polar decomposition X = U|X| with U vanishing on ker|X|."""
     _require_square(x, "polar")
     m = _Moduli(x.a)
-    w, s, vh = m._svd
+    # U from the SVD of X: the one the moduli take, unless X is exactly
+    # Hermitian and its moduli come from eigh.
+    w, s, vh = (_lapack(np.linalg.svd, "singular value decomposition", x.a, full_matrices=False)
+                if m._hermitian else m._svd)
     mask = s > POLAR_RANK_REL * s[0]
     return PolarParts(ComplexMatrix(w[:, mask] @ vh[mask, :]), ComplexMatrix(m.abs()))
 

@@ -77,6 +77,12 @@ def moduli(a):
         )
 
 
+def inner(a, b) -> complex:
+    """<A, B> = tr(B* A) of numpy matrices, rounded to complex128 once."""
+    with mp.workdps(DIGITS):
+        return complex(_inner(_matrix(a), _matrix(b)))
+
+
 def norm(a) -> float:
     """The Hilbert-Schmidt norm of a numpy matrix, rounded to float64 once."""
     with mp.workdps(DIGITS):

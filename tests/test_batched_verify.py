@@ -29,6 +29,7 @@ from hsangle import (
 )
 from hsangle import random_lab
 from hsangle.inequality_suite import NotNormalError, _OperandStack, _check_stack, _sides
+from hsangle.matrix_core import _ct
 from hsangle.random_lab import NORMAL_ENSEMBLE_KINDS, _MASK64, _STACK_ENTRIES, _draw, _trial_seeds
 from pins import GENERATE, pinned_digests
 
@@ -205,21 +206,26 @@ def test_verify_draws_only_what_the_next_stack_needs(monkeypatch):
 def test_one_sequence_draws_and_decomposes_each_taken_trials_pair_once(ids, monkeypatch):
     # The full registry draws the pairs of trials 0 .. T-1, which the 13
     # ids that admit every ensemble take, and of the trials that only R33
-    # takes, and no others.  Each drawn matrix reaches the SVD exactly once,
-    # however many ids read it, each by a mask of the rows it takes.
-    svd, draw = np.linalg.svd, random_lab._draw
-    svds, draws = [], []
+    # takes, and no others.  Each drawn matrix reaches exactly one
+    # decomposition, once, however many ids read it, each by a mask of the
+    # rows it takes: eigh if it is exactly Hermitian, else the SVD.
+    svd, eigh, draw = np.linalg.svd, np.linalg.eigh, random_lab._draw
+    svds, eighs, draws = [], [], []
 
-    def counting_svd(a, *args, **kwargs):
-        svds.extend(m.tobytes() for m in a.reshape(-1, *a.shape[-2:]))
-        return svd(a, *args, **kwargs)
+    def counting(solver, into):
+        def counted(a, *args, **kwargs):
+            into.extend(a.reshape(-1, *a.shape[-2:]).copy())
+            return solver(a, *args, **kwargs)
+
+        return counted
 
     def counting_draw(kind, dim, seeds):
         xy = draw(kind, dim, seeds)
         draws.extend(m.tobytes() for m in xy.reshape(-1, dim, dim))
         return xy
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting(svd, svds))
+    monkeypatch.setattr(np.linalg, "eigh", counting(eigh, eighs))
     monkeypatch.setattr(random_lab, "_draw", counting_draw)
     dims, trials, seed = (1, 3, 8, 12), 300, 11
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
@@ -229,7 +235,9 @@ def test_one_sequence_draws_and_decomposes_each_taken_trials_pair_once(ids, monk
         assert 0 < len(r33_only) < trials
         assert len(draws) == 2 * (trials + len(r33_only))
     assert len(draws) == 2 * len(drawn_trials(ids, specs, trials, seed))
-    assert sorted(svds) == sorted(draws)
+    assert sorted(m.tobytes() for m in svds + eighs) == sorted(draws)
+    assert eighs and all(np.array_equal(m, _ct(m)) for m in eighs)
+    assert not any(np.array_equal(m, _ct(m)) for m in svds)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -218,11 +218,11 @@ class TestVerify:
 GOLDEN_OUTPUTS = [
     (
         ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
-        "2b70a06b2cb5ea42fcc8845812b7805207f2c117e40b338fd72d24894464a220",
+        "8953f36cf72f66551d1a20710348de8088ea4e7314ad571adf9b11238b1d5529",
     ),
     (
         ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
-        "b52b9e49fbaa50d0e444c862a4761accb29f866acc7ff2f3f24a4fe8568bae38",
+        "99bf8ae8fb81c5398eb64f47221602be046c1f467f406470d07662d4ac0320a6",
     ),
     (
         ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),

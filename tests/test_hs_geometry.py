@@ -29,7 +29,9 @@ from hsangle import (
 )
 
 
-from hsangle.hs_geometry import _unit
+from hsangle import hs_geometry
+from hsangle.hs_geometry import _PairStack, _unit
+from hsangle.random_lab import _draw
 
 
 def random_matrix(rng, rows, cols=None):
@@ -259,6 +261,29 @@ class TestAngles:
             assert abs(rep.sin - base.sin) <= 1e-15
             assert abs(math.ldexp(rep.norm_x, -k) - base.norm_x) <= 1e-15 * base.norm_x
             assert abs(math.ldexp(rep.norm_y, -k) - base.norm_y) <= 1e-15 * base.norm_y
+
+
+def test_a_zero_operand_leaves_the_other_pairs_unscaled(monkeypatch):
+    # Only nonzero norms are range-tested: the pair with the zero operand
+    # has no angle, and rescaling the whole stack for it would cost a _unit
+    # copy of it.  The other pairs keep the bits of a stack without that
+    # pair.  No entry is scaled: _norms itself takes the norm of the zero
+    # operand again over _unit, as a zero sum of squares may have
+    # underflowed, but before the count starts; and the NaN residual of
+    # that pair's sine sends _norms to rescue an empty selection.
+    xy = _draw("ginibre", 3, np.arange(400, dtype=np.uint64)).reshape(2, 200, 3, 3).copy()
+    xy[1, 7] = 0.0
+    pair = _PairStack(xy)
+    assert (pair.norms == 0.0).sum() == 1
+    calls = []
+    monkeypatch.setattr(hs_geometry, "_unit", lambda a, **kw: calls.append(a.size) or _unit(a, **kw))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos, sin = pair.cos, pair.sin
+    assert sum(calls) == 0
+    keep = np.arange(200) != 7
+    rest = _PairStack(np.ascontiguousarray(xy[:, keep]))
+    assert cos[keep].tobytes() == rest.cos.tobytes()
+    assert sin[keep].tobytes() == rest.sin.tobytes()
 
 
 class TestPredicates:

@@ -156,6 +156,10 @@ class TestRegistry:
                 x = generate(GeneratorSpec("normal", dim, seed))
                 assert is_normal(scale(2.0**k, x))
 
+    def test_is_normal_requires_a_square_matrix(self):
+        with pytest.raises(ShapeError, match="2x3"):
+            is_normal(ComplexMatrix(np.ones((2, 3), dtype=complex)))
+
     def test_subnormal_operands_stay_normal(self):
         # 2^-e near the largest entry overflows when that entry is subnormal.
         assert is_normal(ComplexMatrix.from_rows([[1e-310 + 2e-310j]]))

@@ -1,8 +1,9 @@
 """The one path from an operand pair to the registry sides: check, the
 scanner's ratios and the sharp-witness reproduction all read the same
 formulas over one pair type, the moduli of both operands of a pair come
-from one SVD call, or from the closed form for 2x2, and each norm of an
-angle pair is computed once."""
+from one eigh call over the exactly Hermitian ones and one SVD call over
+the rest, or from the closed form for 2x2, and each norm and inner
+product of a pair stack is computed once."""
 
 import math
 
@@ -27,23 +28,34 @@ from hsangle import (
     witness_triple,
 )
 from hsangle import cli, hs_geometry, inequality_suite, matrix_core, scan
-from hsangle.inequality_suite import _OperandStack, _check_stack
+from hsangle.inequality_suite import _OperandStack, _check_stack, _normal_mask
 from hsangle.random_lab import _draw, _trial_seeds
 from hsangle.scan import SCAN_TARGETS, _normal_pair, _raw_pair, _ratio_for
+
+
+def decompositions(monkeypatch, name):
+    """The arrays passed to np.linalg's solver of that name from now on."""
+    calls = []
+    solver = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 @pytest.fixture
 def svd_calls(monkeypatch):
     """The matrices passed to np.linalg.svd since the test began."""
-    calls = []
-    svd = np.linalg.svd
+    return decompositions(monkeypatch, "svd")
 
-    def counting(a, *args, **kwargs):
-        calls.append(a)
-        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The matrices passed to np.linalg.eigh since the test began."""
+    return decompositions(monkeypatch, "eigh")
 
 
 def matrices(a):
@@ -68,11 +80,12 @@ def test_check_makes_one_svd_per_operand_and_none_for_cs21(inequality_id, svd_ca
         assert [matrices(a) for a in svd_calls] == ([] if inequality_id == "CS_21" else [2])
 
 
-def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkeypatch, capsys):
+def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, eigh_calls, monkeypatch, capsys):
     # Counted over the trials whose operands are not 2x2: those take the
     # closed form and no SVD.  The registry draws one trial sequence and
-    # checks each id on the trials it takes, so the SVD covers each drawn
-    # pair once.
+    # checks each id on the trials it takes, so the two decompositions, eigh
+    # for the exactly Hermitian operands and the SVD for the rest, cover
+    # each drawn pair once, in one call each per stack.
     digests = []
     for module in (inequality_suite, matrix_core):
         monkeypatch.setattr(module, "digest", lambda *mats: digests.append(mats))
@@ -89,9 +102,10 @@ def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, monkey
     picks = [specs[int(t) % len(specs)] for t in seeds]
     r33 = [i for i, spec in enumerate(picks) if spec.kind in normal][:trials]
     picked = [(picks[i].dim, i < trials) for i in sorted(set(range(trials)) | set(r33)) if picks[i].dim != 2]
-    assert all(a.shape[-2:] != (2, 2) for a in svd_calls)
-    assert sum(map(matrices, svd_calls)) == 2 * len(picked)
-    assert len(svd_calls) == len(set(picked))
+    calls = svd_calls + eigh_calls
+    assert all(a.shape[-2:] != (2, 2) for a in calls)
+    assert sum(map(matrices, calls)) == 2 * len(picked)
+    assert len(svd_calls) == len(eigh_calls) == len(set(picked))
     assert digests == []
 
 
@@ -119,16 +133,73 @@ def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypat
     assert len(svd_calls) == len(evals)
 
 
-def test_a_stack_with_zero_operands_is_decomposed_once(svd_calls):
+def test_a_stack_with_zero_operands_is_decomposed_once(svd_calls, eigh_calls):
     # The angle ids check the pairs without a zero operand on the moduli of
-    # the whole stack, which the other ids read too: one SVD call in all.
+    # the whole stack, which the other ids read too: one call in all of
+    # each decomposition, eigh for the zero operands, which are exactly
+    # Hermitian, and the SVD for the ten others.
     a = _draw("ginibre", 3, np.arange(12, dtype=np.uint64)).reshape(2, 6, 3, 3).copy()
     a[0, 1] = a[1, 4] = 0.0
     pair = _OperandStack(a)
     for inequality_id in INEQUALITY_IDS:
         if inequality_id != "R33":
             _check_stack(inequality_id, pair, 1e-9)
-    assert [matrices(m) for m in svd_calls] == [12]
+    assert [matrices(m) for m in svd_calls] == [10]
+    assert [matrices(m) for m in eigh_calls] == [2]
+
+
+def test_each_pair_stack_takes_its_inner_products_once(monkeypatch):
+    # <X, Y>, <|X|, |Y|> and <|X*|, |Y*|>, each read by T213 and by the
+    # cosines of the angle ids, are one _inners call each.
+    sizes = []
+    inners = hs_geometry._inners
+
+    def counting(x, y):
+        sizes.append(matrices(x))
+        return inners(x, y)
+
+    monkeypatch.setattr(hs_geometry, "_inners", counting)
+    pair = _OperandStack(_draw("ginibre", 3, np.arange(12, dtype=np.uint64)).reshape(2, 6, 3, 3))
+    for inequality_id in INEQUALITY_IDS:
+        if inequality_id != "R33":
+            _check_stack(inequality_id, pair, 1e-9)
+    assert sizes == [6, 6, 6]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_the_moduli_of_an_all_hermitian_stack_are_one_pair(dim, svd_calls, eigh_calls):
+    # Each exactly Hermitian X has |X*| = |X|: adj is abs itself, from one
+    # eigh call.  A stack with one other operand forms both, and so does
+    # the 2x2 closed form, which tests no operand.
+    h = _draw("hermitian", dim, np.arange(8, dtype=np.uint64)).reshape(2, 4, dim, dim)
+    pair = _OperandStack(h)
+    assert pair.adj is pair.abs
+    assert [matrices(m) for m in eigh_calls] == [8] and svd_calls == []
+    mixed = h.copy()
+    mixed[1, 2] = _draw("ginibre", dim, np.arange(1, dtype=np.uint64))[0]
+    assert _OperandStack(mixed).adj is not _OperandStack(mixed).abs
+    closed = _OperandStack(_draw("hermitian", 2, np.arange(8, dtype=np.uint64)).reshape(2, 4, 2, 2))
+    assert closed.adj is not closed.abs
+
+
+def test_a_hermitian_operand_forms_no_commutator(monkeypatch):
+    # The commutator and its norm are formed only for the operands that are
+    # not exactly Hermitian: one _norms call of each over the 3 of them.
+    sizes = []
+    norms = inequality_suite._norms
+
+    def counting(a):
+        sizes.append(matrices(a))
+        return norms(a)
+
+    monkeypatch.setattr(inequality_suite, "_norms", counting)
+    a = np.concatenate([_draw(kind, 3, np.arange(4, dtype=np.uint64)) for kind in ("hermitian", "normal")])
+    a[5] = a[1]  # a Hermitian operand in place of a normal one
+    a = a.reshape(2, 4, 3, 3)
+    assert _normal_mask(a).all()
+    assert sizes == [3, 3]
+    sizes.clear()
+    assert _normal_mask(a[0]).all() and sizes == []
 
 
 # 2x2 moduli come in closed form: no check, scan, verify or modulus at dim 2
