@@ -76,10 +76,13 @@ def _norms(a: np.ndarray) -> np.ndarray:
     v = a.reshape(-1, a.shape[-2] * a.shape[-1])
     n = _rownorms(v)
     lo, hi = _SAFE_RANGE
+    # A NaN norm (the sine residual of a pair with a zero operand) fails the
+    # range test but is neither below nor above it: nothing to rescue.
     if n.size and not lo <= np.minimum.reduce(n) <= np.maximum.reduce(n) <= hi:
         out = (n < lo) | (n > hi)
-        u, e = _unit(v[out], axis=-1)
-        n[out] = np.ldexp(_rownorms(u), e)
+        if out.any():
+            u, e = _unit(v[out], axis=-1)
+            n[out] = np.ldexp(_rownorms(u), e)
     return n.reshape(a.shape[:-2])
 
 

@@ -67,24 +67,17 @@ class InequalityReport:
         return asdict(self)
 
 
-def _normal_mask(a: np.ndarray, tol: float = NORMALITY_TOL) -> np.ndarray:
-    """is_normal of each matrix of a stack (..., d, d)."""
-    # An exactly Hermitian X is normal and forms no commutator.
-    normal = _exactly_hermitian(a)
-    rest = ~normal
-    if rest.any():
-        # Decided on X scaled by _unit, so that the commutator cannot
-        # overflow or underflow; the scaling is exact.
-        b = _unit(a[rest])[0]
-        normal[rest] = _norms(b @ _ct(b) - _ct(b) @ b) <= tol * np.square(_norms(b))
-    return normal
-
-
 def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
     """True iff X is exactly Hermitian or norm(XX* - X*X) <= tol norm(X)^2:
     relative, so that scaling X by any power of two keeps the decision."""
     _require_square(x, "is_normal")
-    return bool(_normal_mask(x.a[None], tol)[0])
+    # An exactly Hermitian X is normal and forms no commutator.
+    if _exactly_hermitian(x.a):
+        return True
+    # Decided on X scaled by _unit, so that the commutator cannot overflow
+    # or underflow; the scaling is exact.
+    b = _unit(x.a)[0]
+    return bool(_norms(b @ _ct(b) - _ct(b) @ b) <= tol * np.square(_norms(b)))
 
 
 class _OperandStack(_PairStack):
@@ -104,7 +97,10 @@ class _Record:
     """One registry id: sides(p) is (lhs, rhs) as (n,) arrays over an
     _OperandStack, both scaled by t^degree when both operands are scaled by
     t; domain is "angle" (a zero operand makes both sides 0), "normal" or
-    None; target and floor define the scan ratio (target None: no scan)."""
+    None; target and floor define the scan ratio (target None: no scan).
+    A "normal" domain is enforced where operands enter: check tests its
+    operands, verify draws only normal ensembles and the scanner decodes
+    only normal pairs."""
 
     sides: Callable
     degree: int
@@ -157,27 +153,22 @@ def _lookup(inequality_id: str) -> _Record:
     return _REGISTRY[inequality_id]
 
 
-def _sides(inequality_id: str, pair: _OperandStack, sel=slice(None)):
+def _sides(inequality_id: str, pair: _OperandStack):
     """The sides lhs, rhs of a registry id, as arrays over the rows of a
-    stack of operand pairs that the mask sel selects (every row by default).
-    The formula runs over the whole stack, whose moduli, norms, cosines and
-    sines every id checked on it shares, so they are formed once for them
-    all; each row's sides are formed from that row alone."""
+    stack of operand pairs in its domain.  The formula runs over the whole
+    stack, whose moduli, norms, cosines and sines every id checked on it
+    shares, so they are formed once for them all; each row's sides are
+    formed from that row alone."""
     record = _lookup(inequality_id)
-    if record.domain == "normal":
-        for name, normal in zip("XY", _normal_mask(pair.xy[:, sel])):
-            if not normal.all():
-                raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
     if record.domain != "angle" or pair.norms.all():
-        lhs, rhs = record.sides(pair)
-        return lhs[sel], rhs[sel]
+        return record.sides(pair)
     # The angle ids presuppose nonzero operands; with a zero operand the
     # statement holds trivially, with both sides 0, whatever the formula
     # gave that row.
     keep = pair.norms.all(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         lhs, rhs = record.sides(pair)
-    return np.where(keep, lhs, 0.0)[sel], np.where(keep, rhs, 0.0)[sel]
+    return np.where(keep, lhs, 0.0), np.where(keep, rhs, 0.0)
 
 
 def check(
@@ -188,12 +179,16 @@ def check(
     holds is slack >= -tol * scale with scale = max(|lhs|, |rhs|, 1): a
     relative test, as the sides are homogeneous of the record's degree.
     """
-    _lookup(inequality_id)
+    record = _lookup(inequality_id)
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ShapeError(
             f"check requires square matrices of equal dimension, got "
             f"{x.rows}x{x.cols} and {y.rows}x{y.cols}"
         )
+    if record.domain == "normal":
+        for name, m in zip("XY", (x, y)):
+            if not is_normal(m):
+                raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
     pair = _OperandStack(np.array(((x.a,), (y.a,))))
     lhs, rhs = (side.item() for side in _sides(inequality_id, pair))
     scale = max(abs(lhs), abs(rhs), 1.0)
@@ -206,7 +201,7 @@ def _check_stack(inequality_id: str, pair: _OperandStack, tol: float, sel=slice(
     """check of a registry id over the rows of a stack of operand pairs that
     the mask sel selects (every row by default): the arrays holds and
     slack/scale, entry by entry bit-equal to check's."""
-    lhs, rhs = _sides(inequality_id, pair, sel)
+    lhs, rhs = (side[sel] for side in _sides(inequality_id, pair))
     scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
     slack = rhs - lhs
     return slack >= -tol * scale, slack / scale

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import ComplexMatrix
-from .inequality_suite import _REGISTRY, _OperandStack, _lookup
+from .inequality_suite import _REGISTRY, _OperandStack, _lookup, _sides
 from .random_lab import _STACK_ENTRIES, MAX_DIM, CounterRng, _phase_fixed_q, derive_seed
 from .spectral import _CLOSED_SHAPE, _vdv
 
@@ -61,7 +61,7 @@ def _ratio_for(inequality_id: str):
 
     def ratio(x, y):
         pair = _OperandStack(np.array((x, y)))
-        lhs, rhs = r.sides(pair)
+        lhs, rhs = _sides(inequality_id, pair)
         floor = r.target * r.floor * np.maximum(pair.norms.max(axis=0), 1.0) if r.floor else 0.0
         out = np.empty(len(rhs))
         out.fill(-math.inf)

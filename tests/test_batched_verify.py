@@ -28,7 +28,7 @@ from hsangle import (
     run_single_trial,
 )
 from hsangle import random_lab
-from hsangle.inequality_suite import NotNormalError, _OperandStack, _check_stack, _sides
+from hsangle.inequality_suite import NotNormalError, _OperandStack, _check_stack
 from hsangle.matrix_core import _ct
 from hsangle.random_lab import NORMAL_ENSEMBLE_KINDS, _MASK64, _STACK_ENTRIES, _draw, _trial_seeds
 from pins import GENERATE, pinned_digests
@@ -311,20 +311,20 @@ def test_zero_operands_follow_check(inequality_id):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_r33_reads_the_rows_its_mask_selects(dim):
-    # On a stack that mixes normal and ginibre pairs, R33's sides over the
-    # normal rows are those of a stack of only those rows, bit for bit; a
-    # ginibre row among the selected ones is refused.
+    # On a stack that mixes normal and ginibre pairs, R33's check over the
+    # normal rows is that of a stack of only those rows, bit for bit.  The
+    # stack is not tested for normality: check refuses a non-normal X or Y
+    # where the operands enter, and verify draws only normal ensembles.
     normal = _draw("normal", dim, np.arange(8, dtype=np.uint64)).reshape(2, 4, dim, dim)
     ginibre = _draw("ginibre", dim, np.arange(8, dtype=np.uint64)).reshape(2, 4, dim, dim)
     xy = np.concatenate((normal, ginibre), axis=1)[:, [0, 4, 5, 1, 2, 6, 3, 7]]
     sel = np.isin(np.arange(8), (0, 3, 4, 6))
-    pair = _OperandStack(xy)
-    sides = _sides("R33", pair, sel)
-    alone = _sides("R33", _OperandStack(xy[:, sel]))
-    assert [s.tobytes() for s in sides] == [s.tobytes() for s in alone]
-    sel[5] = True
-    with pytest.raises(NotNormalError, match="R33 requires normal operands; X is not"):
-        _sides("R33", pair, sel)
+    masked = _check_stack("R33", _OperandStack(xy), 1e-9, sel)
+    alone = _check_stack("R33", _OperandStack(xy[:, sel]), 1e-9)
+    assert [s.tobytes() for s in masked] == [s.tobytes() for s in alone]
+    for name, (x, y) in (("X", (ginibre[0, 0], normal[1, 0])), ("Y", (normal[0, 0], ginibre[1, 0]))):
+        with pytest.raises(NotNormalError, match=f"R33 requires normal operands; {name} is not"):
+            check("R33", ComplexMatrix(x), ComplexMatrix(y))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

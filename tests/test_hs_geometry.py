@@ -12,6 +12,7 @@ from hsangle import (
     ZeroOperandError,
     adjoint,
     angle_report,
+    check,
     cos_angle,
     cosine_expansion,
     generate,
@@ -267,10 +268,11 @@ def test_a_zero_operand_leaves_the_other_pairs_unscaled(monkeypatch):
     # Only nonzero norms are range-tested: the pair with the zero operand
     # has no angle, and rescaling the whole stack for it would cost a _unit
     # copy of it.  The other pairs keep the bits of a stack without that
-    # pair.  No entry is scaled: _norms itself takes the norm of the zero
+    # pair.  No _unit call is made: _norms itself takes the norm of the zero
     # operand again over _unit, as a zero sum of squares may have
     # underflowed, but before the count starts; and the NaN residual of
-    # that pair's sine sends _norms to rescue an empty selection.
+    # that pair's sine is neither below nor above the safe range, so it is
+    # not rescued.
     xy = _draw("ginibre", 3, np.arange(400, dtype=np.uint64)).reshape(2, 200, 3, 3).copy()
     xy[1, 7] = 0.0
     pair = _PairStack(xy)
@@ -279,11 +281,21 @@ def test_a_zero_operand_leaves_the_other_pairs_unscaled(monkeypatch):
     monkeypatch.setattr(hs_geometry, "_unit", lambda a, **kw: calls.append(a.size) or _unit(a, **kw))
     with np.errstate(invalid="ignore", divide="ignore"):
         cos, sin = pair.cos, pair.sin
-    assert sum(calls) == 0
+    assert calls == []
     keep = np.arange(200) != 7
     rest = _PairStack(np.ascontiguousarray(xy[:, keep]))
     assert cos[keep].tobytes() == rest.cos.tobytes()
     assert sin[keep].tobytes() == rest.sin.tobytes()
+
+
+def test_check_with_a_zero_operand_scales_no_empty_selection(monkeypatch):
+    # The zero operand's norm, and those of its moduli, are taken again over
+    # _unit; the NaN residuals of the three sines T214iii reads are not.
+    calls = []
+    monkeypatch.setattr(hs_geometry, "_unit", lambda a, **kw: calls.append(a.size) or _unit(a, **kw))
+    rep = check("T214iii", generate(GeneratorSpec("ginibre", 3, 0)), zeros(3, 3))
+    assert rep.holds and rep.lhs == rep.rhs == 0.0
+    assert calls and 0 not in calls
 
 
 class TestPredicates:

@@ -23,12 +23,15 @@ from hsangle import (
     cosine_expansion,
     franca_abs_2x2,
     generate,
+    is_normal,
     reproduce_witnesses,
+    run_property_suite,
     sin_angle,
     witness_triple,
 )
 from hsangle import cli, hs_geometry, inequality_suite, matrix_core, scan
-from hsangle.inequality_suite import _OperandStack, _check_stack, _normal_mask
+from hsangle.hs_geometry import _norms
+from hsangle.inequality_suite import _OperandStack, _check_stack
 from hsangle.random_lab import _draw, _trial_seeds
 from hsangle.scan import SCAN_TARGETS, _normal_pair, _raw_pair, _ratio_for
 
@@ -183,8 +186,8 @@ def test_the_moduli_of_an_all_hermitian_stack_are_one_pair(dim, svd_calls, eigh_
 
 
 def test_a_hermitian_operand_forms_no_commutator(monkeypatch):
-    # The commutator and its norm are formed only for the operands that are
-    # not exactly Hermitian: one _norms call of each over the 3 of them.
+    # is_normal forms the commutator and its norm only for an operand that
+    # is not exactly Hermitian: one _norms call of each over it.
     sizes = []
     norms = inequality_suite._norms
 
@@ -193,13 +196,22 @@ def test_a_hermitian_operand_forms_no_commutator(monkeypatch):
         return norms(a)
 
     monkeypatch.setattr(inequality_suite, "_norms", counting)
-    a = np.concatenate([_draw(kind, 3, np.arange(4, dtype=np.uint64)) for kind in ("hermitian", "normal")])
-    a[5] = a[1]  # a Hermitian operand in place of a normal one
-    a = a.reshape(2, 4, 3, 3)
-    assert _normal_mask(a).all()
-    assert sizes == [3, 3]
-    sizes.clear()
-    assert _normal_mask(a[0]).all() and sizes == []
+    for kind in ("hermitian", "normal"):
+        a = _draw(kind, 3, np.arange(4, dtype=np.uint64))
+        sizes.clear()
+        assert all(is_normal(ComplexMatrix(m)) for m in a)
+        assert sizes == ([] if kind == "hermitian" else [1] * 8)
+
+
+def test_verify_forms_no_commutator(monkeypatch):
+    # R33's domain is enforced by verify's ensemble admission, not on the
+    # stacks it checks: a full-registry call tests no operand for normality.
+    norms = []
+    monkeypatch.setattr(inequality_suite, "_norms", lambda a: norms.append(a) or _norms(a))
+    specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in (1, 2, 3)]
+    reports = run_property_suite(INEQUALITY_IDS, specs, 200, master_seed=3)
+    assert [r.violations for r in reports] == [0] * len(INEQUALITY_IDS)
+    assert norms == []
 
 
 # 2x2 moduli come in closed form: no check, scan, verify or modulus at dim 2

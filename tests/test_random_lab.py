@@ -19,6 +19,7 @@ from hsangle import (
     derive_seed,
     generate,
     hs_norm,
+    is_normal,
     is_psd,
     reproduce_witnesses,
     run_property_suite,
@@ -27,7 +28,17 @@ from hsangle import (
 )
 import hsangle
 from hsangle import scan
-from hsangle.random_lab import _GOLDEN, _MASK64, _OPERAND_LABELS, _derive_seeds, fnv1a64, mix64
+from hsangle.random_lab import (
+    _GOLDEN,
+    _MASK64,
+    _OPERAND_LABELS,
+    MAX_DIM,
+    NORMAL_ENSEMBLE_KINDS,
+    _derive_seeds,
+    _draw,
+    fnv1a64,
+    mix64,
+)
 from pins import charged_points, pinned_digests
 
 def _unxorshift(z: int, shift: int) -> int:
@@ -182,6 +193,14 @@ class TestGenerate:
             m = generate(GeneratorSpec("normal", 6, seed)).a
             dev = np.linalg.norm(m @ m.conj().T - m.conj().T @ m)
             assert dev <= 1e-12 * (1.0 + np.linalg.norm(m) ** 2)
+
+    @pytest.mark.parametrize("kind", NORMAL_ENSEMBLE_KINDS)
+    def test_every_normal_kind_draw_is_normal(self, kind):
+        # verify tests no R33 operand for normality: it admits only these
+        # kinds, so each of their draws must pass is_normal at every dim.
+        for dim in range(1, MAX_DIM + 1):
+            seeds = np.arange(64 if dim <= 8 else 8, dtype=np.uint64) + np.uint64(dim << 32)
+            assert all(is_normal(ComplexMatrix(m)) for m in _draw(kind, dim, seeds))
 
     def test_unitary_orthonormal(self):
         for seed in range(10):
