@@ -14,8 +14,10 @@ from .spectral import _CLOSED_SHAPE, _vdv
 SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not None}
 
 # Restarts run in lockstep, each a chain of at most _SCAN_POLISH_CHAIN
-# Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations.
+# Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations;
+# _SLICE_RESTARTS of them in the gauge-fixed slice (_search_space).
 _SCAN_RESTARTS, _SCAN_POLISH_CHAIN, _SCAN_POLISH_FEV = 7, 4, 6000
+_SLICE_RESTARTS = 9
 # The simplices, (n+1) x n floats per restart, hold at most this many bytes:
 # fewer restarts run where seven do not fit (above dim 23, above 22 for R33),
 # and a dim whose one simplex does not fit (above 38, above 37 for R33) is
@@ -89,16 +91,48 @@ def _normal_pair(p: np.ndarray, dim: int) -> np.ndarray:
     return _vdv(_phase_fixed_q(_raw_pair(p[:, : 4 * dim * dim], dim)), q[:, 0] + 1j * q[:, 1])
 
 
-def _simplex_fit(dim: int, normal: bool):
-    """The parameter count n of a scan at dim (a normal pair adds the two
-    diagonals) and how many (n+1) x n simplices fit _SCAN_SIMPLEX_BYTES."""
-    n = 4 * dim * dim + (4 * dim if normal else 0)
-    return n, _SCAN_SIMPLEX_BYTES // (8 * n * (n + 1))
+def _slice_pair(p: np.ndarray, dim: int) -> np.ndarray:
+    """The pair stack (2, k, dim, dim) of X = diag(s), s real, and Y free,
+    of the k parameter rows of p (k, 2 dim^2 + dim), or of one row:
+    [s, re Y, im Y], Y row-major.  A ratio invariant under (X, Y) ->
+    (UXW, UYW) takes every value it has on pairs on this slice: with
+    X = W diag(s) V*, (X, Y) has the ratio of (diag(s), W* Y V)."""
+    p = p.reshape(-1, dim * (2 * dim + 1))
+    xy = np.zeros((2, len(p), dim, dim), dtype=complex)
+    xy[0].reshape(len(p), -1)[:, :: dim + 1] = p[:, :dim]
+    y = p[:, dim:].reshape(-1, 2, dim, dim)
+    xy.real[1], xy.imag[1] = y[:, 0], y[:, 1]
+    return xy
 
 
-def _largest_fit(normal: bool, simplices: int = 1) -> int:
-    """The largest dim at which that many simplices fit _SCAN_SIMPLEX_BYTES."""
-    return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(d, normal)[1] >= simplices)
+def _search_space(inequality_id: str, dim: int):
+    """(decode, n, restarts) of a scan of inequality_id at dim: the decoder
+    of its parameter rows, their count n and the lockstep restarts.  R33
+    searches normal pairs.  At dim 2 an id whose target a pair attains (no
+    denominator floor: T36 and T37) searches the gauge-fixed slice, where
+    _SLICE_RESTARTS search better than _SCAN_RESTARTS do on free pairs;
+    above dim 2 the slice searched worse, and C32, whose supremum is
+    approached only as Y -> X, searched worse in it at dim 2 too.  Every
+    other scan searches free pairs."""
+    record = _lookup(inequality_id)
+    if record.domain == "normal":
+        return _normal_pair, 4 * dim * dim + 4 * dim, _SCAN_RESTARTS
+    if dim == 2 and not record.floor:
+        return _slice_pair, 2 * dim * dim + dim, _SLICE_RESTARTS
+    return _raw_pair, 4 * dim * dim, _SCAN_RESTARTS
+
+
+def _simplex_fit(inequality_id: str, dim: int) -> int:
+    """How many (n+1) x n simplices of a scan of inequality_id at dim fit
+    _SCAN_SIMPLEX_BYTES."""
+    n = _search_space(inequality_id, dim)[1]
+    return _SCAN_SIMPLEX_BYTES // (8 * n * (n + 1))
+
+
+def _largest_fit(inequality_id: str, simplices: int = 1) -> int:
+    """The largest dim at which that many simplices of a scan of
+    inequality_id fit _SCAN_SIMPLEX_BYTES."""
+    return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(inequality_id, d) >= simplices)
 
 
 class _Budget:
@@ -146,17 +180,17 @@ def sharpness_scan(
     """Maximize the lhs/rhs-coefficient ratio within exactly `iterations`
     evaluations.
 
-    _SCAN_RESTARTS restarts (fewer if the budget ends in their first
-    simplices, or if their simplices would hold more than
-    _SCAN_SIMPLEX_BYTES; a dim where one does is refused) run Nelder-Mead
-    (Nelder and Mead 1965; coefficients 1, 2, 1/2, 1/2) in lockstep.  Each
-    step evaluates the initial simplices of the polishes that begin, then
-    the reflections and the expansions and contractions that follow them,
-    then the shrink points.  At dim 2, where the moduli come in closed form
-    and a stack of 30 points costs about as much as one of a single point,
-    the reflections and all three points that may follow each are one stack;
-    above dim 2 they are two stacks, the second holding only the points that
-    follow.  A restart draws a standard normal start point and runs a chain
+    The restarts of the id's search space at dim (_search_space; fewer if
+    the budget ends in their first simplices, or if their simplices would
+    hold more than _SCAN_SIMPLEX_BYTES; a dim where one does is refused) run
+    Nelder-Mead (Nelder and Mead 1965; coefficients 1, 2, 1/2, 1/2) in
+    lockstep over its parameter rows.  Each step evaluates the initial
+    simplices of the polishes that begin, then the reflections and the
+    expansions and contractions that follow them, then the shrink points.
+    At dim 2, where the moduli come in closed form and a stack of 36 points
+    costs about as much as one of a single point, the reflections and all
+    three points that may follow each are one stack; above dim 2 they are
+    two stacks, the second holding only the points that follow.  A restart draws a standard normal start point and runs a chain
     of polishes, each starting where the last ended, until one fails to
     improve; then it draws a fresh start, in restart order.  A polish ends
     at the stop rules, when fewer than two of its _SCAN_POLISH_FEV
@@ -178,20 +212,19 @@ def sharpness_scan(
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    normal = record.domain == "normal"
-    decode = _normal_pair if normal else _raw_pair
-    n, fit = _simplex_fit(dim, normal)
+    decode, n, restarts = _search_space(inequality_id, dim)
+    fit = _simplex_fit(inequality_id, dim)
     if not fit:
         raise ValueError(
             f"a scan of {inequality_id} at dim {dim} needs more than the "
             f"{_SCAN_SIMPLEX_BYTES >> 20} MiB its Nelder-Mead simplex may hold; "
-            f"the largest dim that fits is {_largest_fit(normal)}"
+            f"the largest dim that fits is {_largest_fit(inequality_id)}"
         )
     rng = CounterRng(derive_seed(master_seed, "scan:" + inequality_id, dim))
     budget, lookahead = _Budget(inequality_id, dim, decode, iterations), (dim, dim) == _CLOSED_SHAPE
     # The simplices are vertex-major: sim[v] holds vertex v of every restart
     # and fsim[v] its values, each sorted from best (v = 0) to worst.
-    r, axis = min(_SCAN_RESTARTS, -(-iterations // (n + 1)), fit), np.arange(n)
+    r, axis = min(restarts, -(-iterations // (n + 1)), fit), np.arange(n)
     cols, sim, fsim = np.arange(r), np.empty((n + 1, r, n)), np.empty((n + 1, r))
     fev, link, last = np.zeros(r, dtype=int), np.zeros(r, dtype=int), np.full(r, -math.inf)
     x0, fresh, begin = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool), True

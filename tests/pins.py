@@ -63,17 +63,20 @@ def charged_points(iid: str, dim: int, n: int, seed: int) -> list:
     restart charges to its budget, in order."""
     from hsangle import scan
 
-    rows, charge, restarts = [], scan._Budget.charge, scan._SCAN_RESTARTS
+    rows, charge, space = [], scan._Budget.charge, scan._search_space
 
     def recording_charge(budget, points, f=None):
         rows.extend(points[: budget.left])
         return charge(budget, points, f)
 
-    scan._Budget.charge, scan._SCAN_RESTARTS = recording_charge, 1
+    def one_restart(inequality_id, d):
+        return space(inequality_id, d)[:2] + (1,)
+
+    scan._Budget.charge, scan._search_space = recording_charge, one_restart
     try:
         scan.sharpness_scan(iid, dim, n, seed)
     finally:
-        scan._Budget.charge, scan._SCAN_RESTARTS = charge, restarts
+        scan._Budget.charge, scan._search_space = charge, space
     return rows
 
 

@@ -10,7 +10,7 @@ import hsangle
 from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale, witness_triple
 from hsangle.cli import _COMMANDS, main
 from hsangle.random_lab import MAX_DIM
-from hsangle.scan import _SCAN_RESTARTS, _simplex_fit
+from hsangle.scan import _SCAN_RESTARTS, _search_space, _simplex_fit
 from pins import pinned_digests
 
 
@@ -226,7 +226,7 @@ GOLDEN_OUTPUTS = [
     ),
     (
         ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
-        "fb508db005d0316e0ca4324e05ba7878a3ad8afd6536583a0f2b5836fa1e75a8",
+        "a886ca2e9c2b21ef1b5dfefae19a418725130c1ba6f7d9dcd537cccacef11c1b",
     ),
     # The normal-pair decoder and the C32/R33 degenerate-denominator guard.
     (
@@ -238,7 +238,7 @@ GOLDEN_OUTPUTS = [
     # scan, whose moduli come from the SVD.
     (
         ("scan", "--id", "T36", "--dim", "2", "--iters", "4000", "--seed", "42"),
-        "3fbe533d59ab91ec89ce217647e356030e5811acec7e5e9c4d488ed340a08bfb",
+        "95439317bb0648683711e383fd0a83ff008dba4cb7c616d09a56504b6ebf42f9",
     ),
     (
         ("scan", "--id", "C32", "--dim", "2", "--iters", "4000", "--seed", "42"),
@@ -253,11 +253,11 @@ GOLDEN_OUTPUTS = [
     # QR of _normal_pair.
     (
         ("scan", "--id", "T37", "--dim", "2", "--iters", "37", "--seed", "1"),
-        "77b76cc8468ce64b839849ed0bce3a393269e35decf974303c0494e2539ec8b2",
+        "928f82d4f97fa429fb066f470677774ff1c58a1b02fae469a0bedd83d3c47870",
     ),
     (
         ("scan", "--id", "T36", "--dim", "2", "--iters", "1001", "--seed", "9"),
-        "f2558789936a4aa4dc809eebdadcc4711292732657ed3b7922f8acc73a92ce90",
+        "47f574658690eebaa75cf5d19e077999ee5f1a72dc084e4d8f888ace182b94be",
     ),
     (
         ("scan", "--id", "R33", "--dim", "2", "--iters", "2500", "--seed", "11"),
@@ -323,17 +323,21 @@ class TestScan:
 
     def test_help_states_the_dims_that_the_simplex_cap_gives(self, capsys):
         # The largest dims at which every restart's simplex, and one, fit
-        # the cap: T37's raw pair, then R33's normal pair with its two
-        # diagonals.
-        def largest(normal, simplices):
-            return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(d, normal)[1] >= simplices)
+        # the cap: T37's free pair, then R33's normal pair with its two
+        # diagonals; and the restarts of T37's slice at dim 2.
+        def largest(iid, simplices):
+            return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(iid, d) >= simplices)
 
         (all_raw, all_normal), (one_raw, one_normal) = (
-            [largest(normal, k) for normal in (False, True)] for k in (_SCAN_RESTARTS, 1)
+            [largest(iid, k) for iid in ("T37", "R33")] for k in (_SCAN_RESTARTS, 1)
         )
         with pytest.raises(SystemExit):
             main(["scan", "--help"])
         text = " ".join(capsys.readouterr().out.split())
+        assert (
+            f"{_SCAN_RESTARTS} Nelder-Mead restarts run in lockstep "
+            f"({_search_space('T37', 2)[2]} for T36 and T37 at dim 2"
+        ) in text
         assert (
             f"fewer than {_SCAN_RESTARTS} restarts run above dim {all_raw} ({all_normal} for R33), "
             f"and a dim above {one_raw} ({one_normal} for R33)"

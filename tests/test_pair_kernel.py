@@ -33,7 +33,7 @@ from hsangle import cli, hs_geometry, inequality_suite, matrix_core, scan
 from hsangle.hs_geometry import _norms
 from hsangle.inequality_suite import _OperandStack, _check_stack
 from hsangle.random_lab import _draw, _trial_seeds
-from hsangle.scan import SCAN_TARGETS, _normal_pair, _raw_pair, _ratio_for
+from hsangle.scan import SCAN_TARGETS, _ratio_for, _search_space
 
 
 def decompositions(monkeypatch, name):
@@ -241,7 +241,7 @@ def test_verify_and_moduli_at_dim_2_make_no_svd(svd_calls, capsys):
 @pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))
 def test_stacked_ratio_is_the_one_point_ratio_bit_for_bit(inequality_id):
     ratio = _ratio_for(inequality_id)
-    decode, nparams = (_normal_pair, 24) if inequality_id == "R33" else (_raw_pair, 16)
+    decode, nparams, _ = _search_space(inequality_id, 2)
     p = np.random.default_rng(29).normal(size=(16, nparams))
     if inequality_id in ("C32", "R33"):
         # Point 3 has Y = X up to one part in 2^50: a degenerate denominator.
@@ -264,12 +264,45 @@ def test_stacked_ratio_is_the_one_point_ratio_bit_for_bit(inequality_id):
 def test_scan_ratio_is_target_times_lhs_over_rhs(inequality_id):
     target = SCAN_TARGETS[inequality_id]
     ratio = _ratio_for(inequality_id)
-    decode, nparams = (_normal_pair, 48) if inequality_id == "R33" else (_raw_pair, 36)
+    decode, nparams, _ = _search_space(inequality_id, 3)
     rng = np.random.default_rng(17)
     for _ in range(50):
         xy = decode(rng.normal(size=nparams), 3)
         rep = check(inequality_id, ComplexMatrix(xy[0, 0]), ComplexMatrix(xy[1, 0]))
         assert abs(ratio(*xy) - target * rep.lhs / rep.rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_slice_pair_puts_s_on_the_diagonal_of_x_and_y_in_place(dim):
+    # A row is [s, re Y, im Y]: dim + 2 dim^2 reals.
+    p = np.random.default_rng(31).normal(size=(5, dim * (2 * dim + 1)))
+    xy = scan._slice_pair(p, dim)
+    assert xy.shape == (2, 5, dim, dim)
+    for i, row in enumerate(p):
+        y = np.empty((dim, dim), dtype=complex)
+        y.real, y.imag = row[dim:].reshape(2, dim, dim)
+        assert xy[0, i].tobytes() == np.diag(row[:dim]).astype(complex).tobytes()
+        assert xy[1, i].tobytes() == y.tobytes()
+        assert scan._slice_pair(row, dim).tobytes() == xy[:, i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+@pytest.mark.parametrize("inequality_id", ["T36", "T37"])
+def test_the_slice_keeps_the_ratio_of_every_pair(inequality_id, kind):
+    # The premise of the scan's slice at dim 2: with X = W diag(s) V*, the
+    # pair (diag(s), W* Y V) is jointly unitarily equivalent to (X, Y), so
+    # the slice's point [s, re W* Y V, im W* Y V] has the ratio of (X, Y).
+    decode, n, _ = _search_space(inequality_id, 2)
+    assert decode is scan._slice_pair
+    ratio = _ratio_for(inequality_id)
+    x, y = (np.array([m.a for m in ms]) for ms in zip(*(pair(kind, 2, seed) for seed in range(32))))
+    w, s, vh = np.linalg.svd(x)
+    gauged = w.conj().swapaxes(1, 2) @ y @ vh.conj().swapaxes(1, 2)
+    p = np.concatenate([s, gauged.real.reshape(-1, 4), gauged.imag.reshape(-1, 4)], axis=1)
+    assert p.shape == (32, n)
+    free, sliced = ratio(x, y), ratio(*decode(p, 2))
+    assert np.isfinite(free).all()
+    assert np.all(np.abs(sliced - free) <= 1e-14 * free)
 
 
 def test_repro_values_are_the_check_sides():

@@ -333,12 +333,14 @@ class TestSharpnessScan:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("fit", [7, 6, 2, 1])
+    @pytest.mark.parametrize("fit", [9, 7, 6, 2, 1])
     def test_restarts_fit_the_simplex_cap(self, monkeypatch, fit):
-        # T37 at dim 2 has n = 16 parameters, so a simplex holds 8 n (n + 1)
-        # bytes.  The first stack charged is the initial simplices of every
-        # restart; where all seven restarts fit, the cap changes nothing.
-        default, simplex = sharpness_scan("T37", 2, 2000, 7), 8 * 16 * 17
+        # T37 at dim 2 searches the slice's n = 10 parameters with nine
+        # restarts, so a simplex holds 8 n (n + 1) bytes.  The first stack
+        # charged is the initial simplices of every restart; where all nine
+        # restarts fit, the cap changes nothing.
+        _, n, restarts = scan._search_space("T37", 2)
+        default, simplex = sharpness_scan("T37", 2, 2000, 7), 8 * n * (n + 1)
         sizes, charge = [], scan._Budget.charge
 
         def recording_charge(budget, points, f=None):
@@ -348,13 +350,20 @@ class TestSharpnessScan:
         monkeypatch.setattr(scan._Budget, "charge", recording_charge)
         monkeypatch.setattr(scan, "_SCAN_SIMPLEX_BYTES", (fit + 1) * simplex - 1)
         result = sharpness_scan("T37", 2, 2000, 7)
-        assert sizes[0] == fit * 17
-        if fit == scan._SCAN_RESTARTS:
+        assert (n, restarts) == (10, 9) and sizes[0] == fit * (n + 1)
+        if fit == restarts:
             assert result.best_ratio == default.best_ratio
             assert result.witness_x.a.tobytes() == default.witness_x.a.tobytes()
         monkeypatch.setattr(scan, "_SCAN_SIMPLEX_BYTES", simplex - 1)
         with pytest.raises(ValueError, match="largest dim that fits is 1$"):
             sharpness_scan("T37", 2, 2000, 7)
+
+    def test_the_stalled_benchmark_seed_ends_in_the_band(self):
+        # run_seed("scan_sharp", 4) of perfbench/workloads.py: T37 ended at
+        # 0.9998975 of its target there when it searched free pairs with
+        # seven restarts; the slice with nine reaches 0.9999979.
+        result = sharpness_scan("T37", 2, 100_000, 4268117012)
+        assert 0.9999 * result.target <= result.best_ratio <= result.target * (1.0 + 1e-9)
 
     def test_r33_normal_parameterization(self):
         result = sharpness_scan("R33", 2, 3000, 5)
@@ -421,23 +430,26 @@ class TestSharpnessScan:
         # the first stack, the initial simplices of every restart (35 to 343
         # points at these dims), which is then cut.
         for dim in (1, 2, 3):
+            _, m, restarts = scan._search_space(iid, dim)
             for n in (1, 7, 101, 250):
                 points, charged[:] = 0, []
                 sharpness_scan(iid, dim, n, 0)
                 assert len(charged) == n
                 # The ratio sees exactly the charged points, except at dim 2
-                # once the initial simplices are charged (they hold at most
-                # 175 points here): a step there also values the points it
-                # does not take.  A scan whose budget ends in its initial
-                # simplices evaluates nothing after them.
-                if dim == 2 and n == 250:
+                # once the initial simplices are charged (99 points for T36
+                # and T37 in the slice, 119 for C32, 175 for R33): a step
+                # there also values the points it does not take.  A scan
+                # whose budget ends in its initial simplices evaluates
+                # nothing after them.
+                if dim == 2 and n > restarts * (m + 1):
                     assert points > n
                 else:
                     assert points == n
 
     # The ratio calls and the points they value, which the pins of bits do
     # not see: a step at dim 2 values its reflections and the three points
-    # that may follow each in one stack of 28 points, and a step at dim 3
+    # that may follow each in one stack (36 points for T37 and T36, whose
+    # nine restarts search the slice), and a step at dim 3
     # values only the points it charges.  Splitting the dim-2 stack, or
     # looking ahead at dim 3, moves these counts and no bit.  tests/pins.py
     # counts them at its pinned dispatch level, since the Nelder-Mead path
@@ -445,8 +457,8 @@ class TestSharpnessScan:
     @pytest.mark.parametrize(
         "key, counts",
         [
-            ("scan-structure T37 2 20000 21", [2179, 61103]),
-            ("scan-structure T36 2 20000 21", [2157, 60487]),
+            ("scan-structure T37 2 20000 21", [1456, 48963]),
+            ("scan-structure T36 2 20000 21", [1553, 55971]),
             ("scan-structure T37 3 6000 21", [1055, 6000]),
         ],
         ids=["T37-2", "T36-2", "T37-3"],
@@ -464,14 +476,13 @@ class TestSharpnessScan:
         # the same stop rules and the budget as its maxfev.
         minimize = pytest.importorskip("scipy.optimize").minimize
         charged = charged_points(iid, dim, n, 4)
-        decode = scan._normal_pair if iid == "R33" else scan._raw_pair
+        decode, nparams, _ = scan._search_space(iid, dim)
         ratio, seen = scan._ratio_for(iid), []
 
         def objective(p):
             seen.append(p.copy())
             return -ratio(*decode(p, dim))[0]
 
-        nparams = 4 * dim * dim + (4 * dim if iid == "R33" else 0)
         x0 = CounterRng(derive_seed(4, "scan:" + iid, dim)).normals(nparams)
         result = minimize(
             objective, x0, method="Nelder-Mead",
@@ -493,7 +504,7 @@ class TestSharpnessScan:
         [
             (
                 "scan-parity T37 2 1500 4 1500",
-                "95124be41373b78429e3b4c59c436f4a0f3af909715b3cd62a95a8110073dbbf",
+                "08ae15f7c7e91ee216b4fbe4c300a6a8d14224532fc88f519331951158b08846",
             ),
             (
                 "scan-parity R33 1 900 4 680",
@@ -516,8 +527,7 @@ class TestSharpnessScan:
         # set the best.  The best is the first charged point of the largest
         # ratio, recomputed here as one stack.
         result = sharpness_scan(iid, 2, n, seed)
-        decode = scan._normal_pair if iid == "R33" else scan._raw_pair
-        xy = decode(np.array(charged), 2)
+        xy = scan._search_space(iid, 2)[0](np.array(charged), 2)
         ratios = np.fmax(scan._ratio_for(iid)(*xy), -np.inf)
         i = ratios.argmax()
         assert result.best_ratio == ratios[i]
