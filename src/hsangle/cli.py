@@ -29,7 +29,7 @@ from .random_lab import (
     reproduce_witnesses,
     run_property_suite,
 )
-from .scan import _SCAN_RESTARTS, _SCAN_SIMPLEX_BYTES, _largest_fit, _search_space, sharpness_scan
+from .scan import _SCAN_RESTARTS, _SCAN_SIMPLEX_BYTES, _SLICE_RESTARTS, _largest_fit, sharpness_scan
 
 # Every custom input error (ValidationError, ZeroOperandError, ...) is a
 # ValueError; OSError covers unreadable and unwritable paths, MemoryError a
@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help=f"1..{MAX_DIM}; {_SCAN_RESTARTS} Nelder-Mead restarts run in lockstep "
-        f"({_search_space('T37', 2)[2]} for T36 and T37 at dim 2, which search pairs with a "
-        f"diagonal X); the simplices may hold {_SCAN_SIMPLEX_BYTES >> 20} MiB, "
+        f"({_SLICE_RESTARTS} where a scan fixes X diagonal); "
+        f"the simplices may hold {_SCAN_SIMPLEX_BYTES >> 20} MiB, "
         f"so fewer than {_SCAN_RESTARTS} restarts run above dim "
         f"{_largest_fit('T37', _SCAN_RESTARTS)} ({_largest_fit('R33', _SCAN_RESTARTS)} for R33), "
         f"and a dim above {_largest_fit('T37')} ({_largest_fit('R33')} for R33), "

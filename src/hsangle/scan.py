@@ -14,10 +14,11 @@ from .spectral import _CLOSED_SHAPE, _vdv
 SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not None}
 
 # Restarts run in lockstep, each a chain of at most _SCAN_POLISH_CHAIN
-# Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations;
-# _SLICE_RESTARTS of them in the gauge-fixed slice (_search_space).
+# Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations; in the
+# gauge-fixed slice (_search_space), _SLICE_RESTARTS of them with polishes
+# of at most _SLICE_POLISH_FEV.
 _SCAN_RESTARTS, _SCAN_POLISH_CHAIN, _SCAN_POLISH_FEV = 7, 4, 6000
-_SLICE_RESTARTS = 9
+_SLICE_RESTARTS, _SLICE_POLISH_FEV = 9, 3000
 # The simplices, (n+1) x n floats per restart, hold at most this many bytes:
 # fewer restarts run where seven do not fit (above dim 23, above 22 for R33),
 # and a dim whose one simplex does not fit (above 38, above 37 for R33) is
@@ -106,20 +107,21 @@ def _slice_pair(p: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _search_space(inequality_id: str, dim: int):
-    """(decode, n, restarts) of a scan of inequality_id at dim: the decoder
-    of its parameter rows, their count n and the lockstep restarts.  R33
-    searches normal pairs.  At dim 2 an id whose target a pair attains (no
-    denominator floor: T36 and T37) searches the gauge-fixed slice, where
-    _SLICE_RESTARTS search better than _SCAN_RESTARTS do on free pairs;
-    above dim 2 the slice searched worse, and C32, whose supremum is
-    approached only as Y -> X, searched worse in it at dim 2 too.  Every
-    other scan searches free pairs."""
+    """(decode, n, restarts, polish) of a scan of inequality_id at dim: the
+    decoder of its parameter rows, their count n, the lockstep restarts and
+    the evaluations a polish may take.  R33 searches normal pairs.  At dim 2
+    an id whose target a pair attains (no denominator floor: T36 and T37)
+    searches the gauge-fixed slice, with _SLICE_RESTARTS restarts of
+    _SLICE_POLISH_FEV-evaluation polishes; longer polishes left more of its
+    scans short of the band.  Above dim 2 the slice searched worse, and
+    C32, whose supremum is approached only as Y -> X, searched worse in it
+    at dim 2 too.  Every other scan searches free pairs."""
     record = _lookup(inequality_id)
     if record.domain == "normal":
-        return _normal_pair, 4 * dim * dim + 4 * dim, _SCAN_RESTARTS
+        return _normal_pair, 4 * dim * dim + 4 * dim, _SCAN_RESTARTS, _SCAN_POLISH_FEV
     if dim == 2 and not record.floor:
-        return _slice_pair, 2 * dim * dim + dim, _SLICE_RESTARTS
-    return _raw_pair, 4 * dim * dim, _SCAN_RESTARTS
+        return _slice_pair, 2 * dim * dim + dim, _SLICE_RESTARTS, _SLICE_POLISH_FEV
+    return _raw_pair, 4 * dim * dim, _SCAN_RESTARTS, _SCAN_POLISH_FEV
 
 
 def _simplex_fit(inequality_id: str, dim: int) -> int:
@@ -190,18 +192,19 @@ def sharpness_scan(
     At dim 2, where the moduli come in closed form and a stack of 36 points
     costs about as much as one of a single point, the reflections and all
     three points that may follow each are one stack; above dim 2 they are
-    two stacks, the second holding only the points that follow.  A restart draws a standard normal start point and runs a chain
-    of polishes, each starting where the last ended, until one fails to
-    improve; then it draws a fresh start, in restart order.  A polish ends
-    at the stop rules, when fewer than two of its _SCAN_POLISH_FEV
-    evaluations remain, or at a shrink that would pass them (an initial
-    simplex of more points is evaluated whole).  The budget counts the
-    charged points exactly: those plain Nelder-Mead evaluates, in its order,
-    never the points that a step at dim 2 values ahead but does not take.
-    The last stack is cut to the budget, and the scan ends once it is spent.
-    A stack is decoded and evaluated _STACK_ENTRIES entries per operand at a
-    time.  Deterministic in master_seed.  The scanner corroborates
-    sharpness; it certifies nothing.
+    two stacks, the second holding only the points that follow.  A restart
+    draws a standard normal start point and runs a chain of polishes, each
+    starting where the last ended, until one fails to improve; then it draws
+    a fresh start, in restart order.  A polish ends at the stop rules, when
+    fewer than two of the evaluations the search space gives it remain, or
+    at a shrink that would pass them (an initial simplex of more points is
+    evaluated whole).  The budget counts the charged points exactly: those
+    plain Nelder-Mead evaluates, in its order, never the points that a step
+    at dim 2 values ahead but does not take.  The last stack is cut to the
+    budget, and the scan ends once it is spent.  A stack is decoded and
+    evaluated _STACK_ENTRIES entries per operand at a time.  Deterministic
+    in master_seed.  The scanner corroborates sharpness; it certifies
+    nothing.
     """
     record = _lookup(inequality_id)
     if record.target is None:
@@ -212,7 +215,7 @@ def sharpness_scan(
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    decode, n, restarts = _search_space(inequality_id, dim)
+    decode, n, restarts, polish = _search_space(inequality_id, dim)
     fit = _simplex_fit(inequality_id, dim)
     if not fit:
         raise ValueError(
@@ -268,7 +271,7 @@ def sharpness_scan(
         np.copyto(fworst, fr, where=moved)
         np.copyto(fworst, f2, where=take)
         fev += 1 + second
-        over = shrink & (fev > _SCAN_POLISH_FEV - n)
+        over = shrink & (fev > polish - n)
         shrink ^= over
         if np.count_nonzero(shrink):
             h = sim[:1, shrink] + 0.5 * (sim[1:, shrink] - sim[:1, shrink])
@@ -285,7 +288,7 @@ def sharpness_scan(
         flat = fsim[-1] <= fsim[0] + _SCAN_FATOL
         if np.count_nonzero(flat):
             flat[flat] = np.abs(sim[1:, flat] - sim[:1, flat]).max(axis=(0, 2)) <= _SCAN_XATOL
-        fresh = flat | over | (fev > _SCAN_POLISH_FEV - 2)
+        fresh = flat | over | (fev > polish - 2)
         begin = np.count_nonzero(fresh)
         if begin:
             value = -fsim[0, fresh]

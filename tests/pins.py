@@ -70,7 +70,8 @@ def charged_points(iid: str, dim: int, n: int, seed: int) -> list:
         return charge(budget, points, f)
 
     def one_restart(inequality_id, d):
-        return space(inequality_id, d)[:2] + (1,)
+        decode, n, _, polish = space(inequality_id, d)
+        return decode, n, 1, polish
 
     scan._Budget.charge, scan._search_space = recording_charge, one_restart
     try:

@@ -10,7 +10,7 @@ import hsangle
 from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale, witness_triple
 from hsangle.cli import _COMMANDS, main
 from hsangle.random_lab import MAX_DIM
-from hsangle.scan import _SCAN_RESTARTS, _search_space, _simplex_fit
+from hsangle.scan import _SCAN_RESTARTS, _SLICE_RESTARTS, _simplex_fit
 from pins import pinned_digests
 
 
@@ -324,7 +324,7 @@ class TestScan:
     def test_help_states_the_dims_that_the_simplex_cap_gives(self, capsys):
         # The largest dims at which every restart's simplex, and one, fit
         # the cap: T37's free pair, then R33's normal pair with its two
-        # diagonals; and the restarts of T37's slice at dim 2.
+        # diagonals; and the restarts in the gauge-fixed slice.
         def largest(iid, simplices):
             return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(iid, d) >= simplices)
 
@@ -336,7 +336,7 @@ class TestScan:
         text = " ".join(capsys.readouterr().out.split())
         assert (
             f"{_SCAN_RESTARTS} Nelder-Mead restarts run in lockstep "
-            f"({_search_space('T37', 2)[2]} for T36 and T37 at dim 2"
+            f"({_SLICE_RESTARTS} where a scan fixes X diagonal)"
         ) in text
         assert (
             f"fewer than {_SCAN_RESTARTS} restarts run above dim {all_raw} ({all_normal} for R33), "
