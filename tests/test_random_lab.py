@@ -39,7 +39,7 @@ from hsangle.random_lab import (
     fnv1a64,
     mix64,
 )
-from pins import charged_points, pinned_digests
+from pins import charged_points
 
 def _unxorshift(z: int, shift: int) -> int:
     """The inverse of z ^ (z >> shift) on 64 bits, by repeating it."""
@@ -472,29 +472,6 @@ class TestSharpnessScan:
                 else:
                     assert points == n
 
-    # The ratio calls and the points they value, which the pins of bits do
-    # not see: a step at dim 2 values its reflections and the three points
-    # that may follow each in one stack (36 points for T37 and T36, whose
-    # nine restarts search the slice), and a step at dim 3
-    # values only the points it charges.  Splitting the dim-2 stack, or
-    # looking ahead at dim 3, moves these counts and no bit.  tests/pins.py
-    # counts them at its pinned dispatch level, since the Nelder-Mead path
-    # they follow rests on the last bits of the values.
-    @pytest.mark.parametrize(
-        "key, counts",
-        [
-            ("scan-structure T37 2 20000 21", [1456, 48963]),
-            ("scan-structure T36 2 20000 21", [1553, 55971]),
-            ("scan-structure T37 3 6000 21", [1055, 6000]),
-        ],
-        ids=["T37-2", "T36-2", "T37-3"],
-    )
-    def test_ratio_calls_and_valued_points_are_pinned(self, key, counts):
-        digests = pinned_digests()
-        if digests is None:
-            pytest.skip("this machine cannot enable numpy's X86_V3 dispatch")
-        assert digests[key] == counts
-
     # R33 at dim 1 meets the stop rules after 680 of the 900 evaluations.
     @pytest.mark.parametrize("iid, dim, n, stops", [("T37", 2, 1500, False), ("R33", 1, 900, True)])
     def test_one_restart_evaluates_the_points_of_scipy_nelder_mead(self, iid, dim, n, stops):
@@ -520,30 +497,6 @@ class TestSharpnessScan:
         if stops:
             # The chain's next polish starts from the best vertex.
             assert charged[m].tobytes() == result.x.tobytes()
-
-    # sha256 of the points that scipy 1.17.1's Nelder-Mead evaluates in each
-    # case of the test above (its `seen`), captured once at the pinned
-    # dispatch level of tests/pins.py.  pins.py digests the scanner's charged
-    # points at that level, so the parity is checked where scipy is absent.
-    @pytest.mark.parametrize(
-        "key, sha256",
-        [
-            (
-                "scan-parity T37 2 1500 4 1500",
-                "08ae15f7c7e91ee216b4fbe4c300a6a8d14224532fc88f519331951158b08846",
-            ),
-            (
-                "scan-parity R33 1 900 4 680",
-                "40a4b6048ee74c4917fd56398c5183923eb2ef02f2bf4d8d6e1e12939064e0f7",
-            ),
-        ],
-        ids=["T37", "R33"],
-    )
-    def test_one_restart_charges_the_pinned_points_of_scipy_nelder_mead(self, key, sha256):
-        digests = pinned_digests()
-        if digests is None:
-            pytest.skip("this machine cannot enable numpy's X86_V3 dispatch")
-        assert digests[key] == sha256
 
     @pytest.mark.parametrize(
         "iid, n, seed", [("T37", 3000, 1), ("T36", 3000, 2), ("C32", 2000, 3), ("R33", 2000, 4)]
