@@ -29,7 +29,7 @@ import numpy as np
 
 from .matrix_core import ComplexMatrix, _ct
 from .inequality_suite import SQRT2, InequalityReport, _OperandStack, _check_stack, _lookup, check
-from .spectral import _vdv
+from .spectral import _hermitian_part, _vdv
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -182,14 +182,13 @@ def _draw(kind: str, dim: int, seeds: np.ndarray) -> np.ndarray:
     if kind == "ginibre":
         return _gaussian(rng, dim, dim)
     if kind == "hermitian":
-        g = _gaussian(rng, dim, dim)
-        return (g + _ct(g)) / 2.0
+        return _hermitian_part(_gaussian(rng, dim, dim))
     if kind == "normal":
         v = _phase_fixed_q(_gaussian(rng, dim, dim))
         return _vdv(v, rng.complex_normals(dim))
     if kind == "psd":
         g = _gaussian(rng, dim, dim)
-        return _ct(g) @ g / dim
+        return _hermitian_part(_ct(g) @ g / dim)
     if kind == "rank_deficient":
         r = (dim + 1) // 2
         left = _gaussian(rng, dim, r)

@@ -109,6 +109,8 @@ def test_each_matrix_of_a_stack_gets_its_moduli_alone(size):
     for i, x in enumerate(ComplexMatrix(m) for m in a):
         assert stacked.abs()[i].tobytes() == abs_op(x).a.tobytes()
         assert stacked.adj()[i].tobytes() == abs_adjoint(x).a.tobytes()
+        assert_exactly_hermitian(stacked.abs()[i])
+        assert_exactly_hermitian(stacked.adj()[i])
 
 
 def test_the_closed_form_holds_two_product_arrays_at_once():

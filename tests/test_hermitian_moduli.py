@@ -22,14 +22,13 @@ from hsangle import (
     identity,
 )
 from hsangle.hs_geometry import _inners, _unit
-from hsangle.matrix_core import _ct
 from hsangle.random_lab import _draw
-from hsangle.spectral import _Moduli
+from hsangle.spectral import _Moduli, _exactly_hermitian
 
 
 def mixed_stack(dim, n=24):
-    """n matrices of dim, in a shuffled order: exactly Hermitian, psd and
-    ginibre draws, zero matrices, and draws scaled by 2^600 and 2^-600."""
+    """n matrices of dim, in a shuffled order: hermitian, psd and ginibre
+    draws, zero matrices, and draws scaled by 2^600 and 2^-600."""
     seeds = np.arange(n, dtype=np.uint64)
     parts = [_draw(kind, dim, seeds) for kind in ("hermitian", "psd", "ginibre")]
     a = np.concatenate([p[: n // 4] for p in parts] + [np.zeros((n - 3 * (n // 4), dim, dim))])
@@ -51,9 +50,11 @@ def stacks(dim):
 @pytest.mark.parametrize("dim", [3, 8, 64])
 def test_each_matrix_of_a_stack_gets_its_moduli_alone(dim, layout):
     a = stacks(dim)[layout]
-    h = (a == _ct(a)).all(axis=(-2, -1))
+    h = _exactly_hermitian(a)
     assert h.any() and not h.all()
     stacked = _Moduli(a)
+    # Every modulus is exactly Hermitian, by either route.
+    assert _exactly_hermitian(stacked.abs()).all() and _exactly_hermitian(stacked.adj()).all()
     for idx in np.ndindex(a.shape[:-2]):
         x = ComplexMatrix(a[idx])
         assert stacked.abs()[idx].tobytes() == abs_op(x).a.tobytes()
@@ -79,11 +80,8 @@ def test_each_pair_of_a_stack_gets_its_inner_product_alone(dim, layout):
 @pytest.mark.parametrize("kind", ["hermitian", "psd"])
 @pytest.mark.parametrize("dim", range(3, 9))
 def test_eigh_moduli_are_within_1e_15_of_the_oracle(kind, dim):
-    # A psd draw is exactly Hermitian or not depending on the zgemm kernel;
-    # its Hermitian part, bit-equal to it where it is, is exactly Hermitian.
     for seed in range(3):
         a = generate(GeneratorSpec(kind, dim, seed)).a
-        a = (a + _ct(a)) / 2.0
         assert _Moduli(a)._hermitian
         x = ComplexMatrix(a)
         bound = 1e-15 * hs_norm(x)

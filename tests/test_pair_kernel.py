@@ -21,6 +21,7 @@ from hsangle import (
     applicable_specs,
     check,
     cosine_expansion,
+    derive_seed,
     franca_abs_2x2,
     generate,
     is_normal,
@@ -32,7 +33,7 @@ from hsangle import (
 from hsangle import cli, hs_geometry, inequality_suite, matrix_core, scan
 from hsangle.hs_geometry import _norms
 from hsangle.inequality_suite import _OperandStack, _check_stack
-from hsangle.random_lab import _draw, _trial_seeds
+from hsangle.random_lab import _OPERAND_LABELS, _draw, _trial_seeds
 from hsangle.scan import SCAN_TARGETS, _ratio_for, _search_space
 
 
@@ -110,6 +111,30 @@ def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, eigh_c
     assert sum(map(matrices, calls)) == 2 * len(picked)
     assert len(svd_calls) == len(eigh_calls) == len(set(picked))
     assert digests == []
+
+
+@pytest.mark.parametrize("dim", [3, 5, 8])
+def test_hermitian_and_psd_operands_take_eigh_and_the_others_the_svd(dim, svd_calls, eigh_calls):
+    # Every hermitian and psd draw is exactly Hermitian on every machine, so
+    # eigh receives exactly the operands of those kinds, and the SVD the
+    # others, of the trials that the picks draw: trials 0 .. trials - 1 and
+    # R33's first `trials` of the normal kinds.
+    trials, seed = 60, 5
+    specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS]
+    run_property_suite(INEQUALITY_IDS, specs, trials, master_seed=seed)
+    normal = {s.kind for s in applicable_specs("R33", specs)}
+    seeds = _trial_seeds(np.uint64(seed), np.arange(2 * trials, dtype=np.uint64), len(specs))
+    picks = [specs[int(t) % len(specs)].kind for t in seeds]
+    r33 = [i for i, kind in enumerate(picks) if kind in normal][:trials]
+    routes = {"eigh": [], "svd": []}
+    for i in sorted(set(range(trials)) | set(r33)):
+        operands = [[derive_seed(int(seeds[i]), label, 0)] for label in _OPERAND_LABELS]
+        xy = _draw(picks[i], dim, np.array(operands, dtype=np.uint64))
+        route = "eigh" if picks[i] in ("hermitian", "psd") else "svd"
+        routes[route] += [m.tobytes() for m in xy.reshape(-1, dim, dim)]
+    for route, calls in (("eigh", eigh_calls), ("svd", svd_calls)):
+        received = [m.tobytes() for a in calls for m in a.reshape(-1, dim, dim)]
+        assert sorted(received) == sorted(routes[route])
 
 
 @pytest.mark.parametrize("inequality_id", ["T36", "T37"])

@@ -39,6 +39,7 @@ from hsangle.random_lab import (
     fnv1a64,
     mix64,
 )
+from hsangle.spectral import _exactly_hermitian
 from pins import charged_points
 
 def _unxorshift(z: int, shift: int) -> int:
@@ -198,9 +199,13 @@ class TestGenerate:
     def test_every_normal_kind_draw_is_normal(self, kind):
         # verify tests no R33 operand for normality: it admits only these
         # kinds, so each of their draws must pass is_normal at every dim.
+        # Every hermitian and psd draw is exactly Hermitian, whatever the
+        # matmul kernel, so its moduli take eigh on every machine.
         for dim in range(1, MAX_DIM + 1):
             seeds = np.arange(64 if dim <= 8 else 8, dtype=np.uint64) + np.uint64(dim << 32)
-            assert all(is_normal(ComplexMatrix(m)) for m in _draw(kind, dim, seeds))
+            draws = _draw(kind, dim, seeds)
+            assert all(is_normal(ComplexMatrix(m)) for m in draws)
+            assert kind not in ("hermitian", "psd") or _exactly_hermitian(draws).all()
 
     def test_unitary_orthonormal(self):
         for seed in range(10):
