@@ -16,9 +16,10 @@ SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not Non
 # Restarts run in lockstep, each a chain of at most _SCAN_POLISH_CHAIN
 # Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations; in the
 # gauge-fixed slice (_search_space), _SLICE_RESTARTS of them with polishes
-# of at most _SLICE_POLISH_FEV.
+# of at most _SLICE_POLISH_FEV.  Restarts x polish is what a scan leaves
+# unfinished when its budget ends, so the two change together.
 _SCAN_RESTARTS, _SCAN_POLISH_CHAIN, _SCAN_POLISH_FEV = 7, 4, 6000
-_SLICE_RESTARTS, _SLICE_POLISH_FEV = 9, 3000
+_SLICE_RESTARTS, _SLICE_POLISH_FEV = 18, 1500
 # The simplices, (n+1) x n floats per restart, hold at most this many bytes:
 # fewer restarts run where seven do not fit (above dim 23, above 22 for R33),
 # and a dim whose one simplex does not fit (above 38, above 37 for R33) is
@@ -112,10 +113,11 @@ def _search_space(inequality_id: str, dim: int):
     the evaluations a polish may take.  R33 searches normal pairs.  At dim 2
     an id whose target a pair attains (no denominator floor: T36 and T37)
     searches the gauge-fixed slice, with _SLICE_RESTARTS restarts of
-    _SLICE_POLISH_FEV-evaluation polishes; longer polishes left more of its
-    scans short of the band.  Above dim 2 the slice searched worse, and
-    C32, whose supremum is approached only as Y -> X, searched worse in it
-    at dim 2 too.  Every other scan searches free pairs."""
+    _SLICE_POLISH_FEV-evaluation polishes: restarts x polish is what a
+    scan leaves unfinished when its budget ends, and a larger product left
+    more of its scans short of the band.  Above dim 2 the slice searched
+    worse, and C32, whose supremum is approached only as Y -> X, searched
+    worse in it at dim 2 too.  Every other scan searches free pairs."""
     record = _lookup(inequality_id)
     if record.domain == "normal":
         return _normal_pair, 4 * dim * dim + 4 * dim, _SCAN_RESTARTS, _SCAN_POLISH_FEV
@@ -189,8 +191,8 @@ def sharpness_scan(
     lockstep over its parameter rows.  Each step evaluates the initial
     simplices of the polishes that begin, then the reflections and the
     expansions and contractions that follow them, then the shrink points.
-    At dim 2, where the moduli come in closed form and a stack of 36 points
-    costs about as much as one of a single point, the reflections and all
+    At dim 2, where the moduli come in closed form and a stack of 72 points
+    costs less than twice as much as one point, the reflections and all
     three points that may follow each are one stack; above dim 2 they are
     two stacks, the second holding only the points that follow.  A restart
     draws a standard normal start point and runs a chain of polishes, each

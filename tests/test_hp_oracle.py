@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 
 from hp_oracle import DIGITS, registry_sides, relative_slack
+from pins import PINS
 from hsangle import ENSEMBLE_KINDS, INEQUALITY_IDS, GeneratorSpec, check, generate, sharpness_scan
 from hsangle.random_lab import NORMAL_ENSEMBLE_KINDS
 
@@ -37,8 +38,13 @@ def test_check_matches_the_50_digit_oracle(kind):
     assert deviations[worst] <= ORACLE_TOL, worst
 
 
+def _scan_case(argv):
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    return flags["--id"], int(flags["--dim"]), int(flags["--iters"]), int(flags["--seed"])
+
+
 # The scans of the CLI pins in tests/pins.py, as (id, dim, iterations, seed).
-PINNED_SCANS = [("T37", 2, 4000, 42), ("T36", 2, 4000, 42), ("C32", 2, 4000, 42), ("T37", 3, 3000, 5)]
+PINNED_SCANS = [_scan_case(argv) for kind, argv, _ in PINS if kind == "cli" and argv[0] == "scan"]
 
 
 @pytest.mark.parametrize("iid, dim, n, seed", PINNED_SCANS)
