@@ -21,7 +21,7 @@ import numpy as np
 from .matrix_core import ComplexMatrix, ValidationError
 from .spectral import EigensolverError, abs_op, franca_abs_2x2, polar, polar_identity_residuals
 from .hs_geometry import angle_report
-from .inequality_suite import INEQUALITY_IDS, check
+from .inequality_suite import DEFAULT_CHECK_TOL, INEQUALITY_IDS, check
 from .random_lab import (
     ENSEMBLE_KINDS,
     MAX_DIM,
@@ -29,7 +29,7 @@ from .random_lab import (
     reproduce_witnesses,
     run_property_suite,
 )
-from .scan import _SCAN_RESTARTS, _SCAN_SIMPLEX_BYTES, _SLICE_RESTARTS, _largest_fit, sharpness_scan
+from .scan import _DIM_HELP, sharpness_scan
 
 # Every custom input error (ValidationError, ZeroOperandError, ...) is a
 # ValueError; OSError covers unreadable and unwritable paths, MemoryError a
@@ -38,11 +38,12 @@ _INPUT_ERRORS = (ValueError, OSError, EigensolverError, MemoryError)
 
 
 def _tolerance(cli_tol) -> float:
-    """--tol, else HSANGLE_TOL, else 1e-9; either must be finite and positive."""
+    """--tol, else HSANGLE_TOL, else DEFAULT_CHECK_TOL; either must be finite
+    and positive."""
     if cli_tol is not None:
         source, raw = "--tol", cli_tol
     else:
-        source, raw = "HSANGLE_TOL", os.environ.get("HSANGLE_TOL", "1e-9")
+        source, raw = "HSANGLE_TOL", os.environ.get("HSANGLE_TOL", DEFAULT_CHECK_TOL)
     try:
         tol = float(raw)
     except ValueError as exc:
@@ -155,18 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="search for extremal pairs")
     p.add_argument("--id", required=True, dest="inequality_id", metavar="ID")
-    p.add_argument(
-        "--dim",
-        type=int,
-        required=True,
-        help=f"1..{MAX_DIM}; {_SCAN_RESTARTS} Nelder-Mead restarts run in lockstep "
-        f"({_SLICE_RESTARTS} where a scan fixes X diagonal); "
-        f"the simplices may hold {_SCAN_SIMPLEX_BYTES >> 20} MiB, "
-        f"so fewer than {_SCAN_RESTARTS} restarts run above dim "
-        f"{_largest_fit('T37', _SCAN_RESTARTS)} ({_largest_fit('R33', _SCAN_RESTARTS)} for R33), "
-        f"and a dim above {_largest_fit('T37')} ({_largest_fit('R33')} for R33), "
-        "whose one simplex does not fit, exits 2",
-    )
+    p.add_argument("--dim", type=int, required=True, help=_DIM_HELP)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 

@@ -85,11 +85,12 @@ class _OperandStack(_PairStack):
     (|X|, |Y|) and adj = (|X*|, |Y*|), formed on first use over both
     operands of every pair: by the closed form for 2x2, else by one eigh
     call over the exactly Hermitian operands and one SVD call over the
-    rest.  When every operand is exactly Hermitian, adj is abs itself."""
+    rest.  When every operand is exactly Hermitian, abs and adj hold the
+    one array that eigh gives."""
 
     _moduli = _cached(lambda p: _Moduli(p.xy))
     abs = _cached(lambda p: _PairStack(p._moduli.abs()))
-    adj = _cached(lambda p: p.abs if p._moduli.self_adjoint else _PairStack(p._moduli.adj()))
+    adj = _cached(lambda p: _PairStack(p._moduli.adj()))
 
 
 @dataclass(frozen=True)

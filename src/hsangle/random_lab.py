@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import ComplexMatrix, _ct
-from .inequality_suite import SQRT2, InequalityReport, _OperandStack, _check_stack, _lookup, check
+from .inequality_suite import (DEFAULT_CHECK_TOL, SQRT2, InequalityReport, _OperandStack,
+                               _check_stack, _lookup, check)
 from .spectral import _hermitian_part, _vdv
 
 _MASK64 = (1 << 64) - 1
@@ -300,7 +301,7 @@ def _stacks(groups, operands: np.ndarray, dim: int):
 
 
 def run_property_suite(
-    ids, specs, trials: int, tol: float = 1e-9, master_seed: int = 0
+    ids, specs, trials: int, tol: float = DEFAULT_CHECK_TOL, master_seed: int = 0
 ) -> list:
     """Randomized verification: `trials` seeded trials per id over the spec list.
 
@@ -313,13 +314,11 @@ def run_property_suite(
     trial is checked on its one pair: the ids that admit every spec take
     trials 0 .. trials - 1, and R33 the first `trials` of the normal kinds.
     So an id's report depends neither on execution order nor on the other
-    ids asked for, and only the trials some id takes are drawn.  The trials
-    of each dim, of every ensemble, are drawn and checked as stacks, each
-    decomposed once for all the ids; trials 0 .. trials - 1 are stacked
-    apart from the later ones, which only R33 takes, so that the ids that
-    take every trial are checked on every pair of each stack they read.
-    Each id is checked once per stack that holds trials it takes, on the
-    rows it takes (_check_stack's mask).  Each trial's holds and
+    ids asked for, and only the trials some id takes are drawn.  The drawn
+    trials of each dim, of every ensemble, are one sequence of stacks, spec
+    by spec and in trial order (_stacks), each decomposed once for all the
+    ids.  Each id is checked once per stack that holds trials it takes, on
+    the rows it takes (_check_stack's mask).  Each trial's holds and
     slack/scale are bit-equal to those of run_single_trial.
     """
     if trials < 1:
@@ -341,21 +340,19 @@ def run_property_suite(
     admitted = admits[:, which]
     taken = admitted & (np.cumsum(admitted, axis=1) <= trials)
     drawn = taken.any(axis=0)
-    head = index[drawn] < trials
     seeds, which, taken = seeds[drawn], which[drawn], taken[:, drawn]
     operands = np.array([_derive_seeds(seeds, name, 0) for name in _OPERAND_LABELS])
     # An id's holds and slack/scale for each drawn trial, where it takes it.
     holds = {iid: np.empty(len(seeds), dtype=bool) for iid in kinds}
     rel = {iid: np.empty(len(seeds)) for iid in kinds}
     for dim in dict.fromkeys(s.dim for s in specs):
-        for part in (head, ~head):
-            groups = [(s.kind, np.flatnonzero((which == k) & part)) for k, s in enumerate(specs) if s.dim == dim]
-            for trial, xy in _stacks(groups, operands, dim):
-                pair = _OperandStack(xy)
-                for iid, sel in zip(kinds, taken[:, trial]):
-                    mine = trial[sel]
-                    if len(mine):
-                        holds[iid][mine], rel[iid][mine] = _check_stack(iid, pair, tol, sel)
+        groups = [(s.kind, np.flatnonzero(which == k)) for k, s in enumerate(specs) if s.dim == dim]
+        for trial, xy in _stacks(groups, operands, dim):
+            pair = _OperandStack(xy)
+            for iid, sel in zip(kinds, taken[:, trial]):
+                mine = trial[sel]
+                if len(mine):
+                    holds[iid][mine], rel[iid][mine] = _check_stack(iid, pair, tol, sel)
     reports = {}
     for iid, sel in zip(kinds, taken):
         h, r = holds[iid][sel], rel[iid][sel]

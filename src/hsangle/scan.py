@@ -58,13 +58,14 @@ class ScanResult:
 
 def _ratio_for(inequality_id: str):
     """The scan objective target * lhs / rhs of the registry record, at most
-    the target and equal to it at a sharp pair: ratio(x, y) maps the halves
-    (k, d, d) of a pair stack to the k ratios.  A denominator that vanishes,
-    or falls below the record's floor relative to the operands, gives -inf."""
+    the target and equal to it at a sharp pair: ratio(xy) maps a pair stack
+    (2, k, d, d), such as a decoder gives, to the k ratios.  A denominator
+    that vanishes, or falls below the record's floor relative to the
+    operands, gives -inf."""
     r = _lookup(inequality_id)
 
-    def ratio(x, y):
-        pair = _OperandStack(np.array((x, y)))
+    def ratio(xy):
+        pair = _OperandStack(xy)
         lhs, rhs = _sides(inequality_id, pair)
         floor = r.target * r.floor * np.maximum(pair.norms.max(axis=0), 1.0) if r.floor else 0.0
         out = np.empty(len(rhs))
@@ -139,6 +140,18 @@ def _largest_fit(inequality_id: str, simplices: int = 1) -> int:
     return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(inequality_id, d) >= simplices)
 
 
+# hsangle scan's --dim help: the restarts, and the dims the simplex cap gives.
+_DIM_HELP = (
+    f"1..{MAX_DIM}; {_SCAN_RESTARTS} Nelder-Mead restarts run in lockstep "
+    f"({_SLICE_RESTARTS} where a scan fixes X diagonal); "
+    f"the simplices may hold {_SCAN_SIMPLEX_BYTES >> 20} MiB, "
+    f"so fewer than {_SCAN_RESTARTS} restarts run above dim "
+    f"{_largest_fit('T37', _SCAN_RESTARTS)} ({_largest_fit('R33', _SCAN_RESTARTS)} for R33), "
+    f"and a dim above {_largest_fit('T37')} ({_largest_fit('R33')} for R33), "
+    "whose one simplex does not fit, exits 2"
+)
+
+
 class _Budget:
     """A scan's evaluations left and the best point charged to it; the one
     place that values parameter rows, by the id's ratio over the pairs that
@@ -153,11 +166,11 @@ class _Budget:
         """Writes -ratio of each row of points, minimized, to f, or to a new
         array (a NaN ratio gives +inf), chunk rows at a time.  Returns f."""
         if f is None and 0 < len(points) <= self.chunk:
-            return np.fmin(-self.ratio(*self.decode(points, self.dim)), math.inf)
+            return np.fmin(-self.ratio(self.decode(points, self.dim)), math.inf)
         f = np.empty(len(points)) if f is None else f
         for i in range(0, len(points), self.chunk):
             p = points[i : i + self.chunk]
-            np.fmin(-self.ratio(*self.decode(p, self.dim)), math.inf, out=f[i : i + len(p)])
+            np.fmin(-self.ratio(self.decode(p, self.dim)), math.inf, out=f[i : i + len(p)])
         return f
 
     def charge(self, points: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:

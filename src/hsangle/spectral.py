@@ -152,7 +152,8 @@ class _Moduli:
     leaves _SAFE_RANGE is scaled by _unit first, and its moduli scaled back.
     Otherwise each square X is tested once for exact Hermitian symmetry, bit
     for bit.  An exactly Hermitian X = V L V* is its own adjoint, so |X| =
-    |X*| = V|L|V*, from one eigh call over all such X of the stack.  Every
+    |X*| = V|L|V*, from one eigh call over all such X of the stack; when
+    every X is, abs() and adj() both return that call's one array.  Every
     other X takes the one SVD call over the rest, X = W S V*: |X| = V S V*
     and |X*| = W S W*.  By the Araki-Yamagami bound norm(|A| - |B|) <=
     sqrt(2) norm(A - B) (C32), the backward-stable eigh gives |X| to the same
@@ -162,12 +163,6 @@ class _Moduli:
         self.a = a
 
     _hermitian = _cached(lambda m: _exactly_hermitian(m.a))
-
-    @property
-    def self_adjoint(self) -> bool:
-        """Whether adj() is abs(), as it is when every matrix is exactly
-        Hermitian; not tested for 2x2, whose closed form forms both."""
-        return self.a.shape[-2:] != _CLOSED_SHAPE and bool(self._hermitian.all())
 
     def _rows(self, mask: np.ndarray) -> np.ndarray:
         """The matrices the mask selects: a itself when it selects them all."""

@@ -138,9 +138,9 @@ def _scan_structure(iid: str, dim: int, n: int, seed: int) -> list:
     def counting_ratio_for(inequality_id):
         ratio = ratio_for(inequality_id)
 
-        def counted(x, y):
-            sizes.append(len(x))
-            return ratio(x, y)
+        def counted(xy):
+            sizes.append(xy.shape[1])
+            return ratio(xy)
 
         return counted
 

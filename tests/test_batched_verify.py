@@ -30,7 +30,7 @@ from hsangle import (
 from hsangle import random_lab
 from hsangle.inequality_suite import NotNormalError, _OperandStack, _check_stack
 from hsangle.matrix_core import _ct
-from hsangle.random_lab import NORMAL_ENSEMBLE_KINDS, _MASK64, _STACK_ENTRIES, _draw, _trial_seeds
+from hsangle.random_lab import _MASK64, _STACK_ENTRIES, _draw, _trial_seeds
 
 
 @functools.cache
@@ -110,14 +110,13 @@ def test_json_is_byte_identical_to_the_per_trial_loop(dims, trials, seed):
 
 
 def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
-    # The trials of every ensemble of a dim share their stacks, trials 0 ..
-    # T-1 apart from the later ones that only R33 takes: one stack per
-    # (dim, part) where its drawn trials fit in _STACK_ENTRIES // dim^2
-    # pairs, else as few as fit, each within the cap.  Each id is checked
-    # once on each stack that holds trials it takes, with a mask of those
-    # pairs.  Each (kind, dim, part) is drawn as few times as its trials
-    # need, so at dims 8 and 12 a draw may span two stacks.  The JSON is
-    # still the per-trial loop's.
+    # The drawn trials of every ensemble of a dim share one sequence of
+    # stacks, spec by spec and in trial order: one stack per dim where they
+    # fit in _STACK_ENTRIES // dim^2 pairs, else as few as fit, each within
+    # the cap.  Each id is checked once on each stack that holds trials it
+    # takes, with a mask of those pairs.  Each (kind, dim) is drawn as few
+    # times as its trials need, so at dims 8 and 12 a draw may span two
+    # stacks.  The JSON is still the per-trial loop's.
     checks, stacks, draws = [], [], []
 
     def recording_stack(xy):
@@ -143,28 +142,25 @@ def test_one_check_stack_per_dim_under_the_cap(monkeypatch):
     expected_checks, expected_stacks, expected_draws, partly = [], [], [], set()
     for dim in dims:
         step = _STACK_ENTRIES // dim**2
-        for head in (True, False):
-            # The part's trials at this dim, ensemble by ensemble.
-            mine = {spec: [i for i in spec_of if spec_of[i] == spec and (i < trials) == head]
-                    for spec in specs if spec.dim == dim}
-            at_dim = [i for trials_of_spec in mine.values() for i in trials_of_spec]
-            assert {spec_of[i].kind for i in at_dim} == set(ENSEMBLE_KINDS if head else NORMAL_ENSEMBLE_KINDS)
-            for start in range(0, len(at_dim), step):
-                stack = at_dim[start : start + step]
-                expected_stacks.append((dim, len(stack)))
-                for iid in INEQUALITY_IDS:
-                    selected = len(takes[iid] & set(stack))
-                    if selected:
-                        expected_checks.append((iid, dim, len(stack), selected))
-                    if 0 < selected < len(stack):
-                        partly.add(iid)
-            expected_draws += [(spec.kind, dim) for spec, t in mine.items() for _ in range(0, len(t), step)]
+        # The drawn trials at this dim, ensemble by ensemble.
+        mine = {spec: [i for i in spec_of if spec_of[i] == spec] for spec in specs if spec.dim == dim}
+        at_dim = [i for trials_of_spec in mine.values() for i in trials_of_spec]
+        for start in range(0, len(at_dim), step):
+            stack = at_dim[start : start + step]
+            expected_stacks.append((dim, len(stack)))
+            for iid in INEQUALITY_IDS:
+                selected = len(takes[iid] & set(stack))
+                if selected:
+                    expected_checks.append((iid, dim, len(stack), selected))
+                if 0 < selected < len(stack):
+                    partly.add(iid)
+        expected_draws += [(spec.kind, dim) for spec, t in mine.items() for _ in range(0, len(t), step)]
     assert checks == expected_checks
     assert stacks == expected_stacks
     assert draws == expected_draws
-    # Only R33 reads some pairs of a stack; every other id reads all of each
-    # stack it is checked on.
-    assert partly == {"R33"}
+    # The later trials, which only R33 takes, share stacks with the first
+    # ones: every id reads only some pairs of some stack it is checked on.
+    assert partly == set(INEQUALITY_IDS)
     assert as_json(batched) == as_json(per_trial_suite(INEQUALITY_IDS, specs, trials, 1e-9, seed))
 
 

@@ -9,8 +9,7 @@ import pytest
 import hsangle
 from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale, witness_triple
 from hsangle.cli import _COMMANDS, main
-from hsangle.random_lab import MAX_DIM
-from hsangle.scan import _SCAN_RESTARTS, _SLICE_RESTARTS, _simplex_fit
+from hsangle.scan import _SCAN_RESTARTS, _SLICE_RESTARTS, _largest_fit
 
 
 def write_matrix(path, m):
@@ -256,11 +255,8 @@ class TestScan:
         # The largest dims at which every restart's simplex, and one, fit
         # the cap: T37's free pair, then R33's normal pair with its two
         # diagonals; and the restarts in the gauge-fixed slice.
-        def largest(iid, simplices):
-            return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(iid, d) >= simplices)
-
         (all_raw, all_normal), (one_raw, one_normal) = (
-            [largest(iid, k) for iid in ("T37", "R33")] for k in (_SCAN_RESTARTS, 1)
+            [_largest_fit(iid, k) for iid in ("T37", "R33")] for k in (_SCAN_RESTARTS, 1)
         )
         with pytest.raises(SystemExit):
             main(["scan", "--help"])

@@ -96,16 +96,15 @@ def test_verify_makes_two_svds_per_trial_in_one_call_per_stack(svd_calls, eigh_c
     trials, dims, seed = 300, (1, 2, 3), 5
     assert cli.main(["verify", "--trials", str(trials), "--dims", "1..3", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    # One stack per dim and part that some drawn trial picks, trials 0 ..
-    # trials - 1 apart from the later ones; at these dims no stack reaches
-    # the size cap.  R33 takes the first `trials` trials of the normal
-    # kinds, the other ids trials 0 .. trials - 1.
+    # One stack per dim that some drawn trial picks; at these dims no stack
+    # reaches the size cap.  R33 takes the first `trials` trials of the
+    # normal kinds, the other ids trials 0 .. trials - 1.
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
     normal = {s.kind for s in applicable_specs("R33", specs)}
     seeds = _trial_seeds(np.uint64(seed), np.arange(2 * trials, dtype=np.uint64), len(specs))
     picks = [specs[int(t) % len(specs)] for t in seeds]
     r33 = [i for i, spec in enumerate(picks) if spec.kind in normal][:trials]
-    picked = [(picks[i].dim, i < trials) for i in sorted(set(range(trials)) | set(r33)) if picks[i].dim != 2]
+    picked = [picks[i].dim for i in sorted(set(range(trials)) | set(r33)) if picks[i].dim != 2]
     calls = svd_calls + eigh_calls
     assert all(a.shape[-2:] != (2, 2) for a in calls)
     assert sum(map(matrices, calls)) == 2 * len(picked)
@@ -146,10 +145,10 @@ def test_each_scan_evaluation_makes_two_svds(inequality_id, svd_calls, monkeypat
     def counting_ratio_for(iid):
         ratio = ratio_for(iid)
 
-        def counted(x, y):
+        def counted(xy):
             before = len(svd_calls)
-            value = ratio(x, y)
-            evals.append((len(x), [matrices(a) for a in svd_calls[before:]]))
+            value = ratio(xy)
+            evals.append((xy.shape[1], [matrices(a) for a in svd_calls[before:]]))
             return value
 
         return counted
@@ -196,18 +195,18 @@ def test_each_pair_stack_takes_its_inner_products_once(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_the_moduli_of_an_all_hermitian_stack_are_one_pair(dim, svd_calls, eigh_calls):
-    # Each exactly Hermitian X has |X*| = |X|: adj is abs itself, from one
-    # eigh call.  A stack with one other operand forms both, and so does
-    # the 2x2 closed form, which tests no operand.
+    # Each exactly Hermitian X has |X*| = |X|: adj and abs hold the one
+    # array of one eigh call.  A stack with one other operand forms both,
+    # and so does the 2x2 closed form, which tests no operand.
     h = _draw("hermitian", dim, np.arange(8, dtype=np.uint64)).reshape(2, 4, dim, dim)
     pair = _OperandStack(h)
-    assert pair.adj is pair.abs
+    assert pair.adj.xy is pair.abs.xy
     assert [matrices(m) for m in eigh_calls] == [8] and svd_calls == []
     mixed = h.copy()
     mixed[1, 2] = _draw("ginibre", dim, np.arange(1, dtype=np.uint64))[0]
-    assert _OperandStack(mixed).adj is not _OperandStack(mixed).abs
-    closed = _OperandStack(_draw("hermitian", 2, np.arange(8, dtype=np.uint64)).reshape(2, 4, 2, 2))
-    assert closed.adj is not closed.abs
+    for other in (mixed, _draw("hermitian", 2, np.arange(8, dtype=np.uint64)).reshape(2, 4, 2, 2)):
+        pair = _OperandStack(other)
+        assert pair.adj.xy is not pair.abs.xy
 
 
 def test_a_hermitian_operand_forms_no_commutator(monkeypatch):
@@ -274,15 +273,43 @@ def test_stacked_ratio_is_the_one_point_ratio_bit_for_bit(inequality_id):
         if inequality_id == "R33":
             p[3, 20:24] = p[3, 16:20]
     xy = decode(p, 2)
-    stacked = ratio(xy[0], xy[1])
+    stacked = ratio(xy)
     assert stacked.shape == (16,)
     for i in range(16):
         one = decode(p[i], 2)
         assert one.tobytes() == xy[:, i : i + 1].tobytes()
-        assert ratio(one[0], one[1]).tobytes() == stacked[i : i + 1].tobytes()
+        assert ratio(one).tobytes() == stacked[i : i + 1].tobytes()
     if inequality_id in ("C32", "R33"):
         assert stacked[3] == -math.inf
     assert np.isfinite(np.delete(stacked, 3)).all()
+
+
+@pytest.mark.parametrize(
+    "inequality_id, dim, decoder",
+    [("T37", 2, "_slice_pair"), ("C32", 2, "_raw_pair"), ("R33", 2, "_normal_pair"),
+     ("T36", 3, "_raw_pair"), ("R33", 3, "_normal_pair")],
+)
+def test_a_scan_checks_the_pairs_its_decoder_gives_in_place(inequality_id, dim, decoder, monkeypatch):
+    # The ratio builds its operand stack on the decoder's (2, k, d, d) array
+    # itself: no pair is copied between decoding and checking.
+    decoded, received = [], []
+    decode = getattr(scan, decoder)
+    assert _search_space(inequality_id, dim)[0] is decode
+
+    def recording_decode(p, d):
+        decoded.append(decode(p, d))
+        return decoded[-1]
+
+    def recording_stack(xy):
+        received.append(xy)
+        return _OperandStack(xy)
+
+    monkeypatch.setattr(scan, decoder, recording_decode)
+    monkeypatch.setattr(scan, "_OperandStack", recording_stack)
+    scan.sharpness_scan(inequality_id, dim, 500, 1)
+    # The last decode gives the witness pair, which is not checked again.
+    assert len(received) == len(decoded) - 1 > 1
+    assert all(np.shares_memory(xy, d) for xy, d in zip(received, decoded))
 
 
 @pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))
@@ -294,7 +321,7 @@ def test_scan_ratio_is_target_times_lhs_over_rhs(inequality_id):
     for _ in range(50):
         xy = decode(rng.normal(size=nparams), 3)
         rep = check(inequality_id, ComplexMatrix(xy[0, 0]), ComplexMatrix(xy[1, 0]))
-        assert abs(ratio(*xy) - target * rep.lhs / rep.rhs) <= 1e-12
+        assert abs(ratio(xy) - target * rep.lhs / rep.rhs) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -322,12 +349,12 @@ def test_the_slice_keeps_the_ratio_of_every_pair(inequality_id, kind):
     # [s, re W* Y V, im W* Y V] has the ratio of (X, Y).
     decode, n = _search_space(inequality_id, 2)[:2]
     ratio = _ratio_for(inequality_id)
-    x, y = (np.array([m.a for m in ms]) for ms in zip(*(pair(kind, 2, seed) for seed in range(32))))
-    w, s, vh = np.linalg.svd(x)
-    gauged = w.conj().swapaxes(1, 2) @ y @ vh.conj().swapaxes(1, 2)
+    xy = np.array([[m.a for m in ms] for ms in zip(*(pair(kind, 2, seed) for seed in range(32)))])
+    w, s, vh = np.linalg.svd(xy[0])
+    gauged = w.conj().swapaxes(1, 2) @ xy[1] @ vh.conj().swapaxes(1, 2)
     p = np.concatenate([s, gauged.real.reshape(-1, 4), gauged.imag.reshape(-1, 4)], axis=1)
     assert p.shape == (32, n)
-    free, sliced = ratio(x, y), ratio(*decode(p, 2))
+    free, sliced = ratio(xy), ratio(decode(p, 2))
     assert np.isfinite(free).all()
     assert np.all(np.abs(sliced - free) <= 1e-14 * free)
 

@@ -452,10 +452,10 @@ class TestSharpnessScan:
         def counting_ratio_for(inequality_id):
             ratio = ratio_for(inequality_id)
 
-            def counted(x, y):
+            def counted(xy):
                 nonlocal points
-                points += len(x)
-                return ratio(x, y)
+                points += xy.shape[1]
+                return ratio(xy)
 
             return counted
 
@@ -494,7 +494,7 @@ class TestSharpnessScan:
 
         def objective(p):
             seen.append(p.copy())
-            return -ratio(*decode(p, dim))[0]
+            return -ratio(decode(p, dim))[0]
 
         x0 = CounterRng(derive_seed(4, "scan:" + iid, dim)).normals(nparams)
         result = minimize(
@@ -517,7 +517,7 @@ class TestSharpnessScan:
         # ratio, recomputed here as one stack.
         result = sharpness_scan(iid, 2, n, seed)
         xy = scan._search_space(iid, 2)[0](np.array(charged), 2)
-        ratios = np.fmax(scan._ratio_for(iid)(*xy), -np.inf)
+        ratios = np.fmax(scan._ratio_for(iid)(xy), -np.inf)
         i = ratios.argmax()
         assert result.best_ratio == ratios[i]
         assert result.witness_x.a.tobytes() == xy[0, i].tobytes()
