@@ -14,12 +14,13 @@ from .spectral import _CLOSED_SHAPE, _vdv
 SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not None}
 
 # Restarts run in lockstep, each a chain of at most _SCAN_POLISH_CHAIN
-# Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations; in the
-# gauge-fixed slice (_search_space), _SLICE_RESTARTS of them with polishes
-# of at most _SLICE_POLISH_FEV.  Restarts x polish is what a scan leaves
-# unfinished when its budget ends, so the two change together.
+# Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations.  In the
+# gauge-fixed slice (_search_space) a polish takes at most _SLICE_POLISH_FEV,
+# and the restarts follow the budget: restarts x polish is what a scan
+# leaves unfinished when its budget ends, so it is held at _SLICE_SHARE of
+# the budget, with at least one restart and at most _SLICE_RESTARTS.
 _SCAN_RESTARTS, _SCAN_POLISH_CHAIN, _SCAN_POLISH_FEV = 7, 4, 6000
-_SLICE_RESTARTS, _SLICE_POLISH_FEV = 18, 1500
+_SLICE_RESTARTS, _SLICE_POLISH_FEV, _SLICE_SHARE = 36, 750, 0.27
 # The simplices, (n+1) x n floats per restart, hold at most this many bytes:
 # fewer restarts run where seven do not fit (above dim 23, above 22 for R33),
 # and a dim whose one simplex does not fit (above 38, above 37 for R33) is
@@ -108,29 +109,37 @@ def _slice_pair(p: np.ndarray, dim: int) -> np.ndarray:
     return xy
 
 
-def _search_space(inequality_id: str, dim: int):
-    """(decode, n, restarts, polish) of a scan of inequality_id at dim: the
-    decoder of its parameter rows, their count n, the lockstep restarts and
-    the evaluations a polish may take.  R33 searches normal pairs.  At dim 2
-    an id whose target a pair attains (no denominator floor: T36 and T37)
-    searches the gauge-fixed slice, with _SLICE_RESTARTS restarts of
-    _SLICE_POLISH_FEV-evaluation polishes: restarts x polish is what a
-    scan leaves unfinished when its budget ends, and a larger product left
-    more of its scans short of the band.  Above dim 2 the slice searched
-    worse, and C32, whose supremum is approached only as Y -> X, searched
-    worse in it at dim 2 too.  Every other scan searches free pairs."""
+def _search_space(inequality_id: str, dim: int, budget: int):
+    """(decode, n, restarts, polish) of a scan of inequality_id at dim with
+    budget evaluations: the decoder of its parameter rows, their count n,
+    the lockstep restarts and the evaluations a polish may take.  R33
+    searches normal pairs.  At dim 2 an id whose target a pair attains (no
+    denominator floor: T36 and T37) searches the gauge-fixed slice with
+    polishes of _SLICE_POLISH_FEV evaluations, in as many restarts as
+    _SLICE_SHARE of the budget gives polishes, between 1 and
+    _SLICE_RESTARTS: restarts x polish is what a scan leaves unfinished
+    when its budget ends, and a larger share left more of its scans short of
+    the band, while a wider lockstep steps more points for the same fixed
+    cost.  A budget below one polish finishes none at any width, and runs
+    _SLICE_RESTARTS restarts, as many as its initial simplices reach.  Above
+    dim 2 the slice searched worse, and C32, whose supremum is approached
+    only as Y -> X, searched worse in it at dim 2 too.  Every other scan
+    searches free pairs with _SCAN_RESTARTS restarts."""
     record = _lookup(inequality_id)
     if record.domain == "normal":
         return _normal_pair, 4 * dim * dim + 4 * dim, _SCAN_RESTARTS, _SCAN_POLISH_FEV
     if dim == 2 and not record.floor:
-        return _slice_pair, 2 * dim * dim + dim, _SLICE_RESTARTS, _SLICE_POLISH_FEV
+        restarts = _SLICE_RESTARTS
+        if budget >= _SLICE_POLISH_FEV:
+            restarts = max(1, min(restarts, math.floor(_SLICE_SHARE * budget / _SLICE_POLISH_FEV)))
+        return _slice_pair, 2 * dim * dim + dim, restarts, _SLICE_POLISH_FEV
     return _raw_pair, 4 * dim * dim, _SCAN_RESTARTS, _SCAN_POLISH_FEV
 
 
 def _simplex_fit(inequality_id: str, dim: int) -> int:
     """How many (n+1) x n simplices of a scan of inequality_id at dim fit
     _SCAN_SIMPLEX_BYTES."""
-    n = _search_space(inequality_id, dim)[1]
+    n = _search_space(inequality_id, dim, 1)[1]  # n does not depend on the budget
     return _SCAN_SIMPLEX_BYTES // (8 * n * (n + 1))
 
 
@@ -143,7 +152,8 @@ def _largest_fit(inequality_id: str, simplices: int = 1) -> int:
 # hsangle scan's --dim help: the restarts, and the dims the simplex cap gives.
 _DIM_HELP = (
     f"1..{MAX_DIM}; {_SCAN_RESTARTS} Nelder-Mead restarts run in lockstep "
-    f"({_SLICE_RESTARTS} where a scan fixes X diagonal); "
+    f"(where a scan fixes X diagonal, 1 to {_SLICE_RESTARTS}: one per "
+    f"{_SLICE_POLISH_FEV}-evaluation polish in {_SLICE_SHARE} of --iters); "
     f"the simplices may hold {_SCAN_SIMPLEX_BYTES >> 20} MiB, "
     f"so fewer than {_SCAN_RESTARTS} restarts run above dim "
     f"{_largest_fit('T37', _SCAN_RESTARTS)} ({_largest_fit('R33', _SCAN_RESTARTS)} for R33), "
@@ -197,29 +207,29 @@ def sharpness_scan(
     """Maximize the lhs/rhs-coefficient ratio within exactly `iterations`
     evaluations.
 
-    The restarts of the id's search space at dim (_search_space; fewer if
-    the budget ends in their first simplices, or if their simplices would
-    hold more than _SCAN_SIMPLEX_BYTES; a dim where one does is refused) run
-    Nelder-Mead (Nelder and Mead 1965; coefficients 1, 2, 1/2, 1/2) in
-    lockstep over its parameter rows.  Each step evaluates the initial
-    simplices of the polishes that begin, then the reflections and the
-    expansions and contractions that follow them, then the shrink points.
-    At dim 2, where the moduli come in closed form and a stack of 72 points
-    costs less than twice as much as one point, the reflections and all
-    three points that may follow each are one stack; above dim 2 they are
-    two stacks, the second holding only the points that follow.  A restart
-    draws a standard normal start point and runs a chain of polishes, each
-    starting where the last ended, until one fails to improve; then it draws
-    a fresh start, in restart order.  A polish ends at the stop rules, when
-    fewer than two of the evaluations the search space gives it remain, or
-    at a shrink that would pass them (an initial simplex of more points is
-    evaluated whole).  The budget counts the charged points exactly: those
-    plain Nelder-Mead evaluates, in its order, never the points that a step
-    at dim 2 values ahead but does not take.  The last stack is cut to the
-    budget, and the scan ends once it is spent.  A stack is decoded and
-    evaluated _STACK_ENTRIES entries per operand at a time.  Deterministic
-    in master_seed.  The scanner corroborates sharpness; it certifies
-    nothing.
+    The restarts that the id's search space at dim gives the budget
+    (_search_space; fewer if the budget ends in their first simplices, or if
+    their simplices would hold more than _SCAN_SIMPLEX_BYTES; a dim where
+    one does is refused) run Nelder-Mead (Nelder and Mead 1965; coefficients
+    1, 2, 1/2, 1/2) in lockstep over its parameter rows.  Each step
+    evaluates the initial simplices of the polishes that begin, then the
+    reflections and the expansions and contractions that follow them, then
+    the shrink points.  At dim 2, where the moduli come in closed form and a
+    stack of 144 points (36 restarts) costs less than three times as much as
+    one point, the reflections and all three points that may follow each are
+    one stack; above dim 2 they are two stacks, the second holding only the
+    points that follow.  A restart draws a standard normal start point and
+    runs a chain of polishes, each starting where the last ended, until one
+    fails to improve; then it draws a fresh start, in restart order.  A
+    polish ends at the stop rules, when fewer than two of the evaluations
+    the search space gives it remain, or at a shrink that would pass them
+    (an initial simplex of more points is evaluated whole).  The budget
+    counts the charged points exactly: those plain Nelder-Mead evaluates, in
+    its order, never the points that a step at dim 2 values ahead but does
+    not take.  The last stack is cut to the budget, and the scan ends once
+    it is spent.  A stack is decoded and evaluated _STACK_ENTRIES entries
+    per operand at a time.  Deterministic in master_seed.  The scanner
+    corroborates sharpness; it certifies nothing.
     """
     record = _lookup(inequality_id)
     if record.target is None:
@@ -230,7 +240,7 @@ def sharpness_scan(
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    decode, n, restarts, polish = _search_space(inequality_id, dim)
+    decode, n, restarts, polish = _search_space(inequality_id, dim, iterations)
     fit = _simplex_fit(inequality_id, dim)
     if not fit:
         raise ValueError(

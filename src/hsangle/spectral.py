@@ -225,15 +225,26 @@ class _Moduli:
         return self._modulus(True)
 
 
+def _result(a: np.ndarray, name: str) -> ComplexMatrix:
+    """The result a, named name, as a ComplexMatrix.  The operand is finite,
+    so a non-finite entry means that its decomposition overflowed float64,
+    and the error says so rather than blame the input."""
+    if not np.isfinite(a).all():
+        raise ValidationError(
+            f"result outside float64 (inf or nan): the decomposition giving {name} overflowed"
+        )
+    return ComplexMatrix(a)
+
+
 def abs_op(x: ComplexMatrix) -> ComplexMatrix:
     """Operator absolute value |X| = (X*X)^(1/2); cols x cols, PSD."""
-    return ComplexMatrix(_Moduli(x.a).abs())
+    return _result(_Moduli(x.a).abs(), "|X|")
 
 
 def abs_adjoint(x: ComplexMatrix) -> ComplexMatrix:
     """|X*| = (XX*)^(1/2) for square X."""
     _require_square(x, "abs_adjoint")
-    return ComplexMatrix(_Moduli(x.a).adj())
+    return _result(_Moduli(x.a).adj(), "|X*|")
 
 
 def polar(x: ComplexMatrix) -> PolarParts:
@@ -245,7 +256,7 @@ def polar(x: ComplexMatrix) -> PolarParts:
     w, s, vh = (_lapack(np.linalg.svd, "singular value decomposition", x.a, full_matrices=False)
                 if m._hermitian else m._svd)
     mask = s > POLAR_RANK_REL * s[0]
-    return PolarParts(ComplexMatrix(w[:, mask] @ vh[mask, :]), ComplexMatrix(m.abs()))
+    return PolarParts(_result(w[:, mask] @ vh[mask, :], "U"), _result(m.abs(), "|X|"))
 
 
 def polar_identity_residuals(x: ComplexMatrix, parts: PolarParts) -> dict:
@@ -269,7 +280,7 @@ def franca_abs_2x2(a: ComplexMatrix) -> ComplexMatrix:
         raise ShapeError(f"franca_abs_2x2 requires a 2x2 matrix, got {a.rows}x{a.cols}")
     if not a.a.any():
         raise ValidationError("franca_abs_2x2 undefined for the zero matrix")
-    return ComplexMatrix(_Moduli(a.a).abs())
+    return _result(_Moduli(a.a).abs(), "|A|")
 
 
 def is_psd(h: ComplexMatrix, tol: float) -> bool:

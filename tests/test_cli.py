@@ -9,7 +9,9 @@ import pytest
 import hsangle
 from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale, witness_triple
 from hsangle.cli import _COMMANDS, main
-from hsangle.scan import _SCAN_RESTARTS, _SLICE_RESTARTS, _largest_fit
+from hsangle.scan import (
+    _SCAN_RESTARTS, _SLICE_POLISH_FEV, _SLICE_RESTARTS, _SLICE_SHARE, _largest_fit,
+)
 
 
 def write_matrix(path, m):
@@ -254,7 +256,8 @@ class TestScan:
     def test_help_states_the_dims_that_the_simplex_cap_gives(self, capsys):
         # The largest dims at which every restart's simplex, and one, fit
         # the cap: T37's free pair, then R33's normal pair with its two
-        # diagonals; and the restarts in the gauge-fixed slice.
+        # diagonals; and the restarts in the gauge-fixed slice, which follow
+        # the budget.
         (all_raw, all_normal), (one_raw, one_normal) = (
             [_largest_fit(iid, k) for iid in ("T37", "R33")] for k in (_SCAN_RESTARTS, 1)
         )
@@ -263,7 +266,8 @@ class TestScan:
         text = " ".join(capsys.readouterr().out.split())
         assert (
             f"{_SCAN_RESTARTS} Nelder-Mead restarts run in lockstep "
-            f"({_SLICE_RESTARTS} where a scan fixes X diagonal)"
+            f"(where a scan fixes X diagonal, 1 to {_SLICE_RESTARTS}: one per "
+            f"{_SLICE_POLISH_FEV}-evaluation polish in {_SLICE_SHARE} of --iters)"
         ) in text
         assert (
             f"fewer than {_SCAN_RESTARTS} restarts run above dim {all_raw} ({all_normal} for R33), "
@@ -302,6 +306,23 @@ class TestStrictJson:
     def test_squared_inner_product_outside_float64_exits_2(self, tmp_path):
         # At 1e154 |<X, Y>| is finite but its square, a side of T213, is not.
         self.assert_exits_2(tmp_path, ["check", "--id", "T213"], 1e154, 2, "ginibre")
+
+    @pytest.mark.parametrize("command", ["abs", "polar"])
+    def test_a_decomposition_that_overflows_names_the_result(self, capsys, tmp_path, command):
+        # Every entry is 1.7e308, so sigma_1 of the 3x3 operand, 5.1e308, is
+        # outside float64: the decomposition of a finite operand overflows,
+        # and the error names the result, not the input.
+        top = ComplexMatrix(np.full((3, 3), 1.7e308, dtype=complex))
+        code, out, err = run_cli(capsys, command, write_matrix(tmp_path / "top.json", top))
+        assert code == 2 and out == ""
+        assert "result outside float64" in err and "overflowed" in err
+        assert "non-finite entry" not in err
+
+    def test_the_2x2_closed_form_takes_a_top_binade_operand(self, capsys, tmp_path):
+        # The closed form scales the 2x2 operand, and |X| = X here.
+        top = ComplexMatrix(np.full((2, 2), 1.7e308, dtype=complex))
+        code, out, _ = run_cli(capsys, "abs", write_matrix(tmp_path / "top.json", top))
+        assert code == 0 and json.loads(out)["re"] == top.a.real.tolist()
 
     def test_overflow_warnings_stay_off_stderr(self, tmp_path):
         # numpy warns of the overflow in the square; stderr holds only the

@@ -265,7 +265,7 @@ def test_verify_and_moduli_at_dim_2_make_no_svd(svd_calls, capsys):
 @pytest.mark.parametrize("inequality_id", sorted(SCAN_TARGETS))
 def test_stacked_ratio_is_the_one_point_ratio_bit_for_bit(inequality_id):
     ratio = _ratio_for(inequality_id)
-    decode, nparams = _search_space(inequality_id, 2)[:2]
+    decode, nparams = _search_space(inequality_id, 2, 1)[:2]
     p = np.random.default_rng(29).normal(size=(16, nparams))
     if inequality_id in ("C32", "R33"):
         # Point 3 has Y = X up to one part in 2^50: a degenerate denominator.
@@ -294,7 +294,7 @@ def test_a_scan_checks_the_pairs_its_decoder_gives_in_place(inequality_id, dim, 
     # itself: no pair is copied between decoding and checking.
     decoded, received = [], []
     decode = getattr(scan, decoder)
-    assert _search_space(inequality_id, dim)[0] is decode
+    assert _search_space(inequality_id, dim, 500)[0] is decode
 
     def recording_decode(p, d):
         decoded.append(decode(p, d))
@@ -316,7 +316,7 @@ def test_a_scan_checks_the_pairs_its_decoder_gives_in_place(inequality_id, dim, 
 def test_scan_ratio_is_target_times_lhs_over_rhs(inequality_id):
     target = SCAN_TARGETS[inequality_id]
     ratio = _ratio_for(inequality_id)
-    decode, nparams = _search_space(inequality_id, 3)[:2]
+    decode, nparams = _search_space(inequality_id, 3, 1)[:2]
     rng = np.random.default_rng(17)
     for _ in range(50):
         xy = decode(rng.normal(size=nparams), 3)
@@ -340,14 +340,15 @@ def test_slice_pair_puts_s_on_the_diagonal_of_x_and_y_in_place(dim):
 
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
 @pytest.mark.parametrize(
-    "inequality_id", [i for i in sorted(SCAN_TARGETS) if _search_space(i, 2)[0] is scan._slice_pair]
+    "inequality_id",
+    [i for i in sorted(SCAN_TARGETS) if _search_space(i, 2, 1)[0] is scan._slice_pair],
 )
 def test_the_slice_keeps_the_ratio_of_every_pair(inequality_id, kind):
     # The premise of the scan's slice at dim 2, for every id that searches
     # it: with X = W diag(s) V*, the pair (diag(s), W* Y V) is jointly
     # unitarily equivalent to (X, Y), so the slice's point
     # [s, re W* Y V, im W* Y V] has the ratio of (X, Y).
-    decode, n = _search_space(inequality_id, 2)[:2]
+    decode, n = _search_space(inequality_id, 2, 1)[:2]
     ratio = _ratio_for(inequality_id)
     xy = np.array([[m.a for m in ms] for ms in zip(*(pair(kind, 2, seed) for seed in range(32)))])
     w, s, vh = np.linalg.svd(xy[0])

@@ -296,6 +296,24 @@ class TestRepro:
         assert by_name["sum_sharp_constant*norm(|X|+|Z|)"].deviation <= 1e-9
 
 
+class _FirstStack(Exception):
+    """Stops a scan at its first charge, carrying the size of that stack."""
+
+
+def _first_stack(monkeypatch, *args) -> int:
+    """The number of points in the first stack that sharpness_scan(*args)
+    charges, the initial simplices of every restart; the scan stops there."""
+
+    def stop(budget, points, f=None):
+        raise _FirstStack(len(points))
+
+    with monkeypatch.context() as m:
+        m.setattr(scan._Budget, "charge", stop)
+        with pytest.raises(_FirstStack) as stopped:
+            sharpness_scan(*args)
+    return stopped.value.args[0]
+
+
 class TestSharpnessScan:
     def test_dim1_never_exceeds_one(self):
         result = sharpness_scan("T37", 1, 1000, 21)
@@ -342,8 +360,8 @@ class TestSharpnessScan:
         # With one restart every charge of n + 1 points is the initial
         # simplex of a polish, so the charges between two of them are one
         # polish.  At this seed the first four polishes run to the slice's
-        # limit, a quarter of the free pairs' 6000.
-        decode, n, _, polish = scan._search_space("T37", 2)
+        # limit, an eighth of the free pairs' 6000.
+        decode, n, _, polish = scan._search_space("T37", 2, 3250)
         sizes, charge = [], scan._Budget.charge
 
         def recording_charge(budget, points, f=None):
@@ -351,41 +369,58 @@ class TestSharpnessScan:
             return charge(budget, points, f)
 
         monkeypatch.setattr(scan._Budget, "charge", recording_charge)
-        monkeypatch.setattr(scan, "_search_space", lambda iid, dim: (decode, n, 1, polish))
-        sharpness_scan("T37", 2, 6500, 2)
+        def one_restart(iid, dim, budget):
+            return decode, n, 1, polish
+
+        monkeypatch.setattr(scan, "_search_space", one_restart)
+        sharpness_scan("T37", 2, 3250, 2)
         polishes = []
         for size in sizes:
             if size == n + 1:
                 polishes.append(0)
             polishes[-1] += size
-        assert polish == scan._SLICE_POLISH_FEV == 1500
+        assert polish == scan._SLICE_POLISH_FEV == 750
         assert len(polishes) == 5 and max(polishes) <= polish
         assert min(polishes[:4]) >= polish - 1
 
-    @pytest.mark.parametrize("fit", [18, 9, 7, 6, 2, 1])
+    @pytest.mark.parametrize("fit", [36, 18, 9, 7, 6, 2, 1])
     def test_restarts_fit_the_simplex_cap(self, monkeypatch, fit):
-        # T37 at dim 2 searches the slice's n = 10 parameters with 18
-        # restarts, so a simplex holds 8 n (n + 1) bytes.  The first stack
-        # charged is the initial simplices of every restart; where all 18
-        # restarts fit, the cap changes nothing.
-        n, restarts = scan._search_space("T37", 2)[1:3]
-        default, simplex = sharpness_scan("T37", 2, 2000, 7), 8 * n * (n + 1)
-        sizes, charge = [], scan._Budget.charge
-
-        def recording_charge(budget, points, f=None):
-            sizes.append(len(points))
-            return charge(budget, points, f)
-
-        monkeypatch.setattr(scan._Budget, "charge", recording_charge)
+        # T37 at dim 2 searches the slice's n = 10 parameters, with 36
+        # restarts at 100 000 evaluations, so a simplex holds 8 n (n + 1)
+        # bytes.  The first stack charged is the initial simplices of every
+        # restart; where all 36 restarts fit, the cap changes nothing.
+        n, restarts = scan._search_space("T37", 2, 100_000)[1:3]
+        simplex = 8 * n * (n + 1)
+        default = sharpness_scan("T37", 2, 100_000, 7) if fit == restarts else None
         monkeypatch.setattr(scan, "_SCAN_SIMPLEX_BYTES", (fit + 1) * simplex - 1)
-        result = sharpness_scan("T37", 2, 2000, 7)
-        assert (n, restarts) == (10, 18) and sizes[0] == fit * (n + 1)
-        if fit == restarts:
+        assert (n, restarts) == (10, 36)
+        assert _first_stack(monkeypatch, "T37", 2, 100_000, 7) == fit * (n + 1)
+        if default is not None:
+            result = sharpness_scan("T37", 2, 100_000, 7)
             assert result.best_ratio == default.best_ratio
             assert result.witness_x.a.tobytes() == default.witness_x.a.tobytes()
         monkeypatch.setattr(scan, "_SCAN_SIMPLEX_BYTES", simplex - 1)
         with pytest.raises(ValueError, match="largest dim that fits is 1$"):
-            sharpness_scan("T37", 2, 2000, 7)
+            sharpness_scan("T37", 2, 100_000, 7)
+
+    @pytest.mark.parametrize("iid", ["T37", "T36"])
+    def test_the_slice_width_follows_the_budget(self, monkeypatch, iid):
+        # Restarts x polish is held at 0.27 of the budget, with polishes of
+        # 750 and 1 to 36 restarts.  A budget below one polish starts as
+        # many restarts as its initial simplices of 11 points (the slice's
+        # n = 10 parameters, plus one) reach.
+        widths = {b: _first_stack(monkeypatch, iid, 2, b, 0) / 11
+                  for b in (200, 4_000, 20_000, 100_000)}
+        assert widths == {200: 19, 4_000: 1, 20_000: 7, 100_000: 36}
+
+    @pytest.mark.parametrize("iid, seed", [("T37", 2), ("T37", 21), ("T36", 42), ("T36", 6)])
+    def test_a_short_scan_in_the_slice_ends_in_the_band(self, iid, seed):
+        # With 18 restarts of 1500 evaluations at every budget, these
+        # 20 000-evaluation scans ended below 0.999 of the target, at
+        # 0.98984, 0.99290, 0.99859 and 0.99848; with the 7 restarts of 750
+        # that the budget now gives, at 0.999898, 0.999968, 1.0 and 1.0.
+        result = sharpness_scan(iid, 2, 20_000, seed)
+        assert 0.999 * result.target <= result.best_ratio <= result.target * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("seed", [4268117012, 3017, 1017, 1020])
     def test_the_stalled_seeds_end_in_the_band(self, seed):
@@ -394,8 +429,9 @@ class TestSharpnessScan:
         # pairs with seven restarts.  At 3017 it ended at 0.9998058 in the
         # slice with polishes of 6000 evaluations.  1017 was the worst of
         # 1000-1299 with nine restarts and polishes of 3000 (0.9999370), and
-        # 1020 is the worst with 18 and polishes of 1500.  At native dispatch
-        # the four now end at 0.9999986, 0.9999988, 0.9999925 and 0.9999511.
+        # 1020 with 18 and polishes of 1500 (0.9999511).  With 36 restarts
+        # and polishes of 750, at native dispatch, the four end at
+        # 0.9999999, 0.9999960, 0.9999993 and 0.9999994.
         result = sharpness_scan("T37", 2, 100_000, seed)
         assert 0.9999 * result.target <= result.best_ratio <= result.target * (1.0 + 1e-9)
 
@@ -464,31 +500,31 @@ class TestSharpnessScan:
         # the first stack, the initial simplices of every restart (35 to 343
         # points at these dims), which is then cut.
         for dim in (1, 2, 3):
-            m, restarts = scan._search_space(iid, dim)[1:3]
-            for n in (1, 7, 101, 250):
+            for n in (1, 7, 101, 250, 1000):
+                m, restarts = scan._search_space(iid, dim, n)[1:3]
                 points, charged[:] = 0, []
                 sharpness_scan(iid, dim, n, 0)
                 assert len(charged) == n
                 # The ratio sees exactly the charged points, except at dim 2
-                # once the initial simplices are charged (198 points for T36
-                # and T37 in the slice, 119 for C32, 175 for R33): a step
-                # there also values the points it does not take.  A scan
-                # whose budget ends in its initial simplices evaluates
-                # nothing after them.
+                # once the initial simplices are charged (119 points for C32,
+                # 175 for R33; for T36 and T37 in the slice, more than 250
+                # below one polish, and 11 at 1000): a step there also
+                # values the points it does not take.  A scan whose budget
+                # ends in its initial simplices evaluates nothing after them.
                 if dim == 2 and n > restarts * (m + 1):
                     assert points > n
                 else:
                     assert points == n
 
     # R33 at dim 1 meets the stop rules after 680 of the 900 evaluations.
-    @pytest.mark.parametrize("iid, dim, n, stops", [("T37", 2, 1400, False), ("R33", 1, 900, True)])
+    @pytest.mark.parametrize("iid, dim, n, stops", [("T37", 2, 748, False), ("R33", 1, 900, True)])
     def test_one_restart_evaluates_the_points_of_scipy_nelder_mead(self, iid, dim, n, stops):
         # The reference: scipy's Nelder-Mead from the same start point, with
         # the same stop rules and the budget as its maxfev.  Below the polish
         # limit no polish ends where scipy's run would go on.
         minimize = pytest.importorskip("scipy.optimize").minimize
         charged = charged_points(iid, dim, n, 4)
-        decode, nparams, _, polish = scan._search_space(iid, dim)
+        decode, nparams, _, polish = scan._search_space(iid, dim, n)
         assert n <= polish - 2
         ratio, seen = scan._ratio_for(iid), []
 
@@ -516,7 +552,7 @@ class TestSharpnessScan:
         # set the best.  The best is the first charged point of the largest
         # ratio, recomputed here as one stack.
         result = sharpness_scan(iid, 2, n, seed)
-        xy = scan._search_space(iid, 2)[0](np.array(charged), 2)
+        xy = scan._search_space(iid, 2, n)[0](np.array(charged), 2)
         ratios = np.fmax(scan._ratio_for(iid)(xy), -np.inf)
         i = ratios.argmax()
         assert result.best_ratio == ratios[i]
