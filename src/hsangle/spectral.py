@@ -113,31 +113,34 @@ _QUANTITIES = """
     ag-bh-ce+df  ah+bg-cf-de
     aa+bb-aa-bb
 """.split()
-# Term t of every quantity, then term t + 1, so that two halvings sum them.
-_SIGN, _LEFT, _RIGHT = np.array(
-    [[(-1 if s == "-" else 1, "abcdefgh".index(p), "abcdefgh".index(q))
+# Term t of every quantity, then term t + 1, so that two halvings sum them; a
+# minus sign takes the left factor from the negated components (rows 8-15).
+_LEFT, _RIGHT = np.array(
+    [[(8 * (s == "-") + "abcdefgh".index(p), "abcdefgh".index(q))
       for s, p, q in re.findall("([+-]?)(.)(.)", terms)] for terms in _QUANTITIES]
-).transpose(2, 1, 0).reshape(3, -1)
-_SIGN = _SIGN.astype(float)[:, None]
+).transpose(2, 1, 0).reshape(2, -1)
 # The real view of |X| and then of |X*| by quantity: each diagonal's
 # imaginary part is 0, and the lower corner is the conjugate of the upper.
-_SLOTS = [0, 12, 4, 5, 4, 6, 1, 12, 2, 12, 7, 8, 7, 9, 3, 12]
+_SLOTS = np.array([0, 12, 4, 5, 4, 6, 1, 12, 2, 12, 7, 8, 7, 9, 3, 12])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range r is redone scaled
 def _quantities(a: np.ndarray):
     """The _QUANTITIES q (13, n) of each matrix of a contiguous stack a (n, 2,
     2), with delta = |det X| = sigma_1 sigma_2 added to the diagonals, and r
-    = sqrt(tr(X*X) + 2 delta) = sigma_1 + sigma_2.  Quantity-major: each
-    product, half sum and quantity is one contiguous row over the stack."""
-    f = a.view(float).reshape(-1, 8).T
+    = sqrt(tr(X*X) + 2 delta) = sigma_1 + sigma_2.  Quantity-major: the eight
+    components and their negatives are copied once into the rows of f (16,
+    n), and each signed product, and each quantity, summed in place as (t0 +
+    t2) + (t1 + t3), is one contiguous row over the stack."""
+    f = np.empty((16, len(a)))
+    f[:8] = a.view(float).reshape(-1, 8).T
+    np.negative(f[:8], out=f[8:])
     # In place, so that no more than two (52, n) arrays are held at once.
     p = f.take(_LEFT, axis=0)
     p *= f.take(_RIGHT, axis=0)
-    p *= _SIGN
     k = len(_QUANTITIES)
-    half = p[: 2 * k] + p[2 * k :]
-    q = half[:k] + half[k:]
+    p[: 2 * k] += p[2 * k :]
+    q = np.add(p[:k], p[k : 2 * k], out=p[:k])
     q[:4] += np.hypot(q[10], q[11])
     return q, np.sqrt(q[0] + q[1])
 
@@ -199,7 +202,9 @@ class _Moduli:
 
     @_cached
     def _closed(self) -> np.ndarray:
-        """|X| and |X*| of each 2x2 X, as the array (..., 2, 2, 2) of both."""
+        """|X| and |X*| of each 2x2 X, as the array (..., 2, 2, 2) of both.  Its
+        quantities fold each minus sign into a negated factor, exact as (-a) b
+        = -(a b), signed zeros included; their slots are divided by r."""
         a = np.ascontiguousarray(self.a).reshape(-1, 2, 2)
         q, r = _quantities(a)
         lo, hi = _SAFE_RANGE
@@ -209,7 +214,7 @@ class _Moduli:
             u, e = _unit(a[out])
             q[:, out], r[out] = _quantities(u)
             r[r == 0.0] = 1.0  # X = 0: the moduli are 0 / 1
-        m = (q / r).T.take(_SLOTS, axis=1)
+        m = (q.take(_SLOTS, axis=0) / r).T.copy()
         if e is not None:
             m[out] = np.ldexp(m[out], e[:, None])
         return m.view(complex).reshape(self.a.shape[:-2] + (2, 2, 2))

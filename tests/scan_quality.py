@@ -5,10 +5,12 @@ budget) from every seed of two sets, the benchmark's twelve
 and 1000-1299.  Prints one JSON object: per id and seed set, and over both
 sets ("all"), the worst best/target and its seed, the mean shortfall
 1 - best/target, the count of scans below the band (0.9999, or 0.999 below
-100 000 evaluations) and the count above target * (1 + 1e-9).  Runs the
-scanner of the checkout it sits in, on one core for about 6 minutes at the
-default budget and 3 at 20 000 or 4 000 (a shared 2-vCPU Xeon host,
-Python 3.11):
+100 000 evaluations) and the count above target * (1 + 1e-9); and per id,
+the evaluations per second of all its scans in this process, so that one
+run shows what a change of width or of kernel costs as well as what it
+buys.  Runs the scanner of the checkout it sits in, on one core for about
+6 minutes at the default budget and 3 at 20 000 or 4 000 (a shared 2-vCPU
+Xeon host, Python 3.11):
 
     OPENBLAS_NUM_THREADS=1 python tests/scan_quality.py [--evaluations N]
 """
@@ -16,6 +18,7 @@ Python 3.11):
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,7 +58,7 @@ def summary(fractions: dict, floor: float) -> dict:
 def main(evaluations: int = EVALUATIONS) -> dict:
     out, floor = {"evaluations": evaluations}, band(evaluations)
     for iid in ("T37", "T36"):
-        every, out[iid] = {}, {}
+        every, out[iid], t0 = {}, {}, time.perf_counter()
         for name, seeds in SEED_SETS.items():
             fractions = {}
             for seed in seeds:
@@ -64,6 +67,7 @@ def main(evaluations: int = EVALUATIONS) -> dict:
             out[iid][name] = summary(fractions, floor)
             every.update(fractions)
         out[iid]["all"] = summary(every, floor)
+        out[iid]["evaluations_per_s"] = len(every) * evaluations / (time.perf_counter() - t0)
     return out
 
 

@@ -1,9 +1,11 @@
 """The closed form of the 2x2 moduli, |X| = (X*X + delta I) / r and |X*| =
 (XX* + delta I) / r with delta = |det X| and r = sigma_1 + sigma_2: its
 accuracy against the 50-digit reference of tests/hp_oracle.py, including
-near-singular, rank-one and zero X, and its exact homogeneity under
-power-of-two scaling."""
+near-singular, rank-one and zero X, its exact homogeneity under
+power-of-two scaling, and the bits of its quantities against a
+term-by-term reference."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -24,7 +26,7 @@ from hsangle import (
     witness_triple,
 )
 from hsangle.random_lab import _draw
-from hsangle.spectral import _Moduli, _quantities
+from hsangle.spectral import _QUANTITIES, _Moduli, _quantities
 
 
 def near_singular(eps):
@@ -126,3 +128,40 @@ def test_the_closed_form_holds_two_product_arrays_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 52 * n * 8
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_quantities(a):
+    """_quantities term by term: each term of a _QUANTITIES string is the
+    product of its two components, negated for a minus sign, and the four
+    are summed as (t0 + t2) + (t1 + t3); |det X| is added to quantities 0-3."""
+    part = dict(zip("abcdefgh", a.view(float).reshape(-1, 8).T))
+    q = []
+    for terms in _QUANTITIES:
+        t = [-(part[x] * part[y]) if sign == "-" else part[x] * part[y]
+             for sign, x, y in re.findall("([+-]?)(.)(.)", terms)]
+        q.append((t[0] + t[2]) + (t[1] + t[3]))
+    q = np.array(q)
+    q[:4] += np.hypot(q[10], q[11])
+    return q, np.sqrt(q[0] + q[1])
+
+
+@pytest.mark.parametrize("variant", ["ginibre", "signed-zeros", "2^600"])
+@pytest.mark.parametrize("size", [1, 288, 2048])
+def test_the_quantities_are_their_terms_summed_in_a_fixed_order(size, variant):
+    # Bit for bit, so the sign and the order of each sum are pinned: a
+    # product negated or a sum regrouped moves a bit of some matrix, a
+    # signed zero or an overflowed quantity.
+    rng = np.random.default_rng(size)
+    a = np.ascontiguousarray(_draw("ginibre", 2, np.arange(size, dtype=np.uint64)))
+    f = a.view(float).reshape(size, 8)
+    if variant == "signed-zeros":
+        f[rng.random(f.shape) < 0.5] = 0.0
+        f[:] = np.copysign(f, rng.choice([-1.0, 1.0], size=f.shape))
+    elif variant == "2^600":
+        # Their products overflow float64: the rows _Moduli redoes scaled.
+        f[::2] *= 2.0**600
+    q, r = _quantities(a)
+    ref_q, ref_r = reference_quantities(a)
+    assert q.tobytes() == ref_q.tobytes()
+    assert r.tobytes() == ref_r.tobytes()

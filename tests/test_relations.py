@@ -10,7 +10,11 @@ arithmetic:
 - joint phase (e^{it}X, e^{it}Y);
 - swap (Y, X): every registry formula is symmetric in X and Y;
 - adjoint (X*, Y*): the theorem at other operands, so holds stays; the ids
-  whose formula is symmetric under |X| <-> |X*| keep their slack too.
+  whose formula is symmetric under |X| <-> |X*| keep their slack too;
+- zero padding (X + 0_k, Y + 0_k), the direct sums with the k x k zero
+  matrix, for every id: norms, inner products and moduli are direct sums.
+  Padding a 2x2 pair compares the closed form of its moduli with the eigh
+  and SVD routes, and padding a 1x1 pair takes it into the closed form.
 
 A related pair keeps every holds and moves slack/scale by at most 1e-13.
 A unitary image of an exactly Hermitian operand is not bit-Hermitian, so
@@ -22,6 +26,7 @@ Araki-Yamagami), each within 1e-13 relative."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,3 +85,21 @@ def test_related_pairs_keep_every_check(kind, dim, count, seed, phase):
             assert holds_after.tolist() == holds.tolist(), (name, iid)
             if iid in kept:
                 assert (abs(rel_after - rel) <= BOUND).all(), (name, iid, abs(rel_after - rel).max())
+
+
+PADDINGS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 1), (5, 3), (8, 8), (16, 1), (31, 1)]
+
+
+@pytest.mark.parametrize(("dim", "k"), PADDINGS)
+def test_zero_padding_keeps_every_check(dim, k):
+    for kind in ENSEMBLE_KINDS:
+        seeds = np.arange(48, dtype=np.uint64).reshape(2, 24) + np.uint64(100 * dim + k)
+        xy = _draw(kind, dim, seeds)
+        padded = np.zeros(xy.shape[:2] + (dim + k, dim + k), dtype=complex)
+        padded[..., :dim, :dim] = xy
+        ids = [iid for iid in INEQUALITY_IDS if iid != "R33" or kind in NORMAL_ENSEMBLE_KINDS]
+        base, after = checks(xy, ids), checks(padded, ids)
+        for iid in ids:
+            (holds, rel), (holds_after, rel_after) = base[iid], after[iid]
+            assert holds_after.tolist() == holds.tolist(), (kind, iid)
+            assert (abs(rel_after - rel) <= BOUND).all(), (kind, iid, abs(rel_after - rel).max())
