@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from .matrix_core import ComplexMatrix, ValidationError
-from .spectral import EigensolverError, abs_op, franca_abs_2x2, polar, polar_identity_residuals
+from .spectral import EigensolverError, abs_op, polar, polar_identity_residuals
 from .hs_geometry import angle_report
 from .inequality_suite import DEFAULT_CHECK_TOL, INEQUALITY_IDS, check
 from .random_lab import (
@@ -35,22 +34,6 @@ from .scan import _DIM_HELP, sharpness_scan
 # ValueError; OSError covers unreadable and unwritable paths, MemoryError a
 # request too large to allocate, such as verify --trials 2**55.
 _INPUT_ERRORS = (ValueError, OSError, EigensolverError, MemoryError)
-
-
-def _tolerance(cli_tol) -> float:
-    """--tol, else HSANGLE_TOL, else DEFAULT_CHECK_TOL; either must be finite
-    and positive."""
-    if cli_tol is not None:
-        source, raw = "--tol", cli_tol
-    else:
-        source, raw = "HSANGLE_TOL", os.environ.get("HSANGLE_TOL", DEFAULT_CHECK_TOL)
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{source} is not a number: {raw!r}") from exc
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"{source} must be finite and positive, got {raw!r}")
-    return tol
 
 
 def _load_matrix(path: str) -> ComplexMatrix:
@@ -122,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hsangle",
         description="Hilbert-Schmidt angles, decompositions, and inequality verification.",
     )
-    parser.add_argument("--tol", type=float, default=None, help="relative tolerance (default 1e-9; HSANGLE_TOL overrides the default)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_CHECK_TOL, help="relative tolerance (default 1e-9)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--output", default="-", metavar="PATH", help="output file (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,11 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abs", help="operator absolute value")
     p.add_argument("x")
-    p.add_argument(
-        "--franca",
-        action="store_true",
-        help="use franca_abs_2x2 (nonzero 2x2 only); abs takes the same closed form for any 2x2",
-    )
 
     p = sub.add_parser("polar", help="polar decomposition plus identity residuals")
     p.add_argument("x")
@@ -163,20 +141,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_angle(args, tol) -> int:
-    rep = angle_report(_load_matrix(args.x), _load_matrix(args.y))
-    _emit([rep.to_json_dict()], args)
-    return 0
+# Each command returns its payloads and whether every verified quantity
+# met its target; main alone emits them and maps the verdict to 0 or 1.
+def _cmd_angle(args):
+    return [angle_report(_load_matrix(args.x), _load_matrix(args.y)).to_json_dict()], True
 
 
-def _cmd_abs(args, tol) -> int:
-    x = _load_matrix(args.x)
-    result = franca_abs_2x2(x) if args.franca else abs_op(x)
-    _emit([result.to_json_dict()], args)
-    return 0
+def _cmd_abs(args):
+    return [abs_op(_load_matrix(args.x)).to_json_dict()], True
 
 
-def _cmd_polar(args, tol) -> int:
+def _cmd_polar(args):
     x = _load_matrix(args.x)
     parts = polar(x)
     payload = {
@@ -184,35 +159,30 @@ def _cmd_polar(args, tol) -> int:
         "abs": parts.abs.to_json_dict(),
         "residuals": polar_identity_residuals(x, parts),
     }
-    _emit([payload], args)
-    return 0
+    return [payload], True
 
 
-def _cmd_check(args, tol) -> int:
-    rep = check(args.inequality_id, _load_matrix(args.x), _load_matrix(args.y), tol)
-    _emit([rep.to_json_dict()], args)
-    return 0 if rep.holds else 1
+def _cmd_check(args):
+    rep = check(args.inequality_id, _load_matrix(args.x), _load_matrix(args.y), args.tol)
+    return [rep.to_json_dict()], rep.holds
 
 
-def _cmd_verify(args, tol) -> int:
+def _cmd_verify(args):
     dims = _parse_dims(args.dims)
     specs = [GeneratorSpec(kind, dim) for kind in ENSEMBLE_KINDS for dim in dims]
-    reports = run_property_suite(INEQUALITY_IDS, specs, args.trials, tol, args.seed)
-    _emit([r.to_json_dict() for r in reports], args)
-    return 0 if all(r.violations == 0 for r in reports) else 1
+    reports = run_property_suite(INEQUALITY_IDS, specs, args.trials, args.tol, args.seed)
+    return [r.to_json_dict() for r in reports], all(r.violations == 0 for r in reports)
 
 
-def _cmd_repro(args, tol) -> int:
+def _cmd_repro(args):
     report = reproduce_witnesses()
-    _emit([report.to_json_dict()], args)
-    return 0 if report.passed else 1
+    return [report.to_json_dict()], report.passed
 
 
-def _cmd_scan(args, tol) -> int:
+def _cmd_scan(args):
     result = sharpness_scan(args.inequality_id, args.dim, args.iters, args.seed)
-    _emit([result.to_json_dict()], args)
     # Exceeding the proved-sharp target signals broken numerics, not a discovery.
-    return 0 if result.best_ratio <= result.target * (1.0 + 1e-9) else 1
+    return [result.to_json_dict()], result.best_ratio <= result.target * (1.0 + 1e-9)
 
 
 _COMMANDS = {
@@ -232,8 +202,12 @@ def main(argv=None) -> int:
     # An overflow on an accepted input ends in a non-finite result, which
     # _emit maps to exit 2; numpy's warnings about it would only add noise.
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ValidationError(f"--tol must be finite and positive, got {args.tol!r}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _COMMANDS[args.command](args, _tolerance(args.tol))
+            payloads, passed = _COMMANDS[args.command](args)
+        _emit(payloads, args)
+        return 0 if passed else 1
     except _INPUT_ERRORS as exc:
         # An error without a message, such as a MemoryError, is named by its class.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
