@@ -122,19 +122,14 @@ class _PairStack:
         norm lies in _SAFE_RANGE, where nx * ny can do neither, they are
         returned unscaled.  A zero norm is not tested: the angles of a pair
         with a zero operand are undefined, and its row is discarded or
-        refused.  A norm that overflowed float64 unscaled is taken again over
-        the scaled operand."""
+        refused."""
         n = self.norms
         v = n[n != 0.0]
         lo, hi = _SAFE_RANGE
         if not v.size or lo <= np.minimum.reduce(v) <= np.maximum.reduce(v) <= hi:
             return self.xy, n
-        xy, e = _unit(self.xy)
-        n = np.ldexp(n, -e)
-        inf = ~np.isfinite(n)
-        if inf.any():
-            n[inf] = _norms(xy[inf])
-        return xy, n
+        xy = _unit(self.xy)[0]
+        return xy, _norms(xy)
 
     @_cached
     def cos(self) -> np.ndarray:
@@ -195,8 +190,10 @@ def sin_angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
 
 
 def angle(x: ComplexMatrix, y: ComplexMatrix) -> float:
-    """The angle itself, in [0, pi]."""
-    return math.acos(cos_angle(x, y))
+    """The angle itself, in [0, pi]: atan2(sin, cos), accurate near 0 and
+    pi, where acos(cos) keeps only half the digits."""
+    p = _angle_pairs("angle", (x, y))
+    return math.atan2(p.sin.item(), p.cos.item())
 
 
 def angle_report(x: ComplexMatrix, y: ComplexMatrix) -> AngleReport:

@@ -83,14 +83,18 @@ def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
 class _OperandStack(_PairStack):
     """A stack of operand pairs with the pairs of their moduli, abs =
     (|X|, |Y|) and adj = (|X*|, |Y*|), formed on first use over both
-    operands of every pair: by the closed form for 2x2, else by one eigh
-    call over the exactly Hermitian operands and one SVD call over the
-    rest.  When every operand is exactly Hermitian, abs and adj hold the
-    one array that eigh gives."""
+    operands of every pair by _Moduli.modulus.  When it gives both as one
+    array, as when every operand is exactly Hermitian above 2x2, adj is
+    the abs pair itself, whose norms, inner products and angles are then
+    formed once."""
 
     _moduli = _cached(lambda p: _Moduli(p.xy))
-    abs = _cached(lambda p: _PairStack(p._moduli.abs()))
-    adj = _cached(lambda p: _PairStack(p._moduli.adj()))
+    abs = _cached(lambda p: _PairStack(p._moduli.modulus()))
+
+    @_cached
+    def adj(self) -> _PairStack:
+        m = self._moduli.modulus(True)
+        return self.abs if m is self.abs.xy else _PairStack(m)
 
 
 @dataclass(frozen=True)
@@ -258,7 +262,8 @@ def angle_triangle_slack(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix):
     """
     p = _angle_pairs("angle_triangle_slack", (x, z), (z, y), (x, y))
     (s1, s2, s), (c1, c2, c) = p.sin.tolist(), p.cos.tolist()
-    return s1 + s2 - s, math.acos(c1) + math.acos(c2) - math.acos(c)
+    # atan2 keeps the digits that acos(cos) loses near 0 and pi.
+    return s1 + s2 - s, math.atan2(s1, c1) + math.atan2(s2, c2) - math.atan2(s, c)
 
 
 def t213_equality_holds(

@@ -156,11 +156,12 @@ class _Moduli:
     Otherwise each square X is tested once for exact Hermitian symmetry, bit
     for bit.  An exactly Hermitian X = V L V* is its own adjoint, so |X| =
     |X*| = V|L|V*, from one eigh call over all such X of the stack; when
-    every X is, abs() and adj() both return that call's one array.  Every
-    other X takes the one SVD call over the rest, X = W S V*: |X| = V S V*
-    and |X*| = W S W*.  By the Araki-Yamagami bound norm(|A| - |B|) <=
-    sqrt(2) norm(A - B) (C32), the backward-stable eigh gives |X| to the same
-    order as the SVD.  Either way each matrix gets the bits it gets alone."""
+    every X is, modulus() and modulus(True) both return that call's one
+    array.  Every other X takes the one SVD call over the rest, X = W S V*:
+    |X| = V S V* and |X*| = W S W*.  By the Araki-Yamagami bound norm(|A| -
+    |B|) <= sqrt(2) norm(A - B) (C32), the backward-stable eigh gives |X| to
+    the same order as the SVD.  Either way each matrix gets the bits it gets
+    alone."""
 
     def __init__(self, a: np.ndarray):
         self.a = a
@@ -186,20 +187,6 @@ class _Moduli:
         return _lapack(np.linalg.svd, "singular value decomposition",
                        self._rows(~self._hermitian), full_matrices=False)
 
-    def _modulus(self, adjoint: bool) -> np.ndarray:
-        """|X*| if adjoint, else |X|, of each matrix, by _eigh or _svd."""
-        h = self._hermitian
-        if h.all():
-            return self._eigh
-        w, s, vh = self._svd
-        # Only asked for |X*| of square X, where W and S conform.
-        m = _hermitian_part(_vdv(w if adjoint else _ct(vh), s))
-        if not h.any():
-            return m
-        out = np.empty_like(self.a)
-        out[h], out[~h] = self._eigh, m
-        return out
-
     @_cached
     def _closed(self) -> np.ndarray:
         """|X| and |X*| of each 2x2 X, as the array (..., 2, 2, 2) of both.  Its
@@ -219,49 +206,57 @@ class _Moduli:
             m[out] = np.ldexp(m[out], e[:, None])
         return m.view(complex).reshape(self.a.shape[:-2] + (2, 2, 2))
 
-    def abs(self) -> np.ndarray:
+    def modulus(self, adjoint: bool = False) -> np.ndarray:
+        """|X*| if adjoint, else |X|, of each matrix: the one place that
+        picks the route, _closed for 2x2, else _eigh or _svd."""
         if self.a.shape[-2:] == _CLOSED_SHAPE:
-            return self._closed[..., 0, :, :]
-        return self._modulus(False)
+            return self._closed[..., int(adjoint), :, :]
+        h = self._hermitian
+        if h.all():
+            return self._eigh
+        w, s, vh = self._svd
+        # Only asked for |X*| of square X, where W and S conform.
+        m = _hermitian_part(_vdv(w if adjoint else _ct(vh), s))
+        if not h.any():
+            return m
+        out = np.empty_like(self.a)
+        out[h], out[~h] = self._eigh, m
+        return out
 
-    def adj(self) -> np.ndarray:
-        if self.a.shape[-2:] == _CLOSED_SHAPE:
-            return self._closed[..., 1, :, :]
-        return self._modulus(True)
 
-
-def _result(a: np.ndarray, name: str) -> ComplexMatrix:
-    """The result a, named name, as a ComplexMatrix.  The operand is finite,
-    so a non-finite entry means that its decomposition overflowed float64,
-    and the error says so rather than blame the input."""
-    if not np.isfinite(a).all():
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised below
+def _modulus_of(x: ComplexMatrix, adjoint: bool, name: str) -> ComplexMatrix:
+    """|X*| if adjoint, else |X|, named name, as a ComplexMatrix.  The operand
+    is finite, so a non-finite entry means that its decomposition overflowed
+    float64, and the error says so rather than blame the input."""
+    m = _Moduli(x.a).modulus(adjoint)
+    if not np.isfinite(m).all():
         raise ValidationError(
             f"result outside float64 (inf or nan): the decomposition giving {name} overflowed"
         )
-    return ComplexMatrix(a)
+    return ComplexMatrix(m)
 
 
 def abs_op(x: ComplexMatrix) -> ComplexMatrix:
     """Operator absolute value |X| = (X*X)^(1/2); cols x cols, PSD."""
-    return _result(_Moduli(x.a).abs(), "|X|")
+    return _modulus_of(x, False, "|X|")
 
 
 def abs_adjoint(x: ComplexMatrix) -> ComplexMatrix:
     """|X*| = (XX*)^(1/2) for square X."""
     _require_square(x, "abs_adjoint")
-    return _result(_Moduli(x.a).adj(), "|X*|")
+    return _modulus_of(x, True, "|X*|")
 
 
 def polar(x: ComplexMatrix) -> PolarParts:
     """Polar decomposition X = U|X| with U vanishing on ker|X|."""
     _require_square(x, "polar")
-    m = _Moduli(x.a)
-    # U from the SVD of X: the one the moduli take, unless X is exactly
-    # Hermitian and its moduli come from eigh.
-    w, s, vh = (_lapack(np.linalg.svd, "singular value decomposition", x.a, full_matrices=False)
-                if m._hermitian else m._svd)
+    # U has degree 0 in X, so it comes from the SVD of X scaled by _unit,
+    # where no singular value overflows.
+    w, s, vh = _lapack(np.linalg.svd, "singular value decomposition", _unit(x.a)[0],
+                       full_matrices=False)
     mask = s > POLAR_RANK_REL * s[0]
-    return PolarParts(_result(w[:, mask] @ vh[mask, :], "U"), _result(m.abs(), "|X|"))
+    return PolarParts(ComplexMatrix(w[:, mask] @ vh[mask, :]), abs_op(x))
 
 
 def polar_identity_residuals(x: ComplexMatrix, parts: PolarParts) -> dict:
@@ -285,7 +280,7 @@ def franca_abs_2x2(a: ComplexMatrix) -> ComplexMatrix:
         raise ShapeError(f"franca_abs_2x2 requires a 2x2 matrix, got {a.rows}x{a.cols}")
     if not a.a.any():
         raise ValidationError("franca_abs_2x2 undefined for the zero matrix")
-    return _result(_Moduli(a.a).abs(), "|A|")
+    return _modulus_of(a, False, "|A|")
 
 
 def is_psd(h: ComplexMatrix, tol: float) -> bool:

@@ -93,6 +93,17 @@ class TestPolar:
         assert len(payload["residuals"]) == 5
         assert all(v <= 1e-10 for v in payload["residuals"].values())
 
+    def test_top_binade_operand_answers(self, capsys, tmp_path):
+        # sigma_1 of the operand overflows, but U = [[1/2, 1/2], [1/2, 1/2]]
+        # and |X| = X are in float64.
+        top = ComplexMatrix(np.full((2, 2), 1.7e308, dtype=complex))
+        code, out, err = run_cli(capsys, "polar", write_matrix(tmp_path / "top.json", top))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert np.abs(np.array(payload["u"]["re"]) - 0.5).max() <= 1e-15
+        assert payload["abs"]["re"] == top.a.real.tolist()
+        assert all(v <= 1e-10 for v in payload["residuals"].values())
+
 
 class TestCheck:
     def test_equal_pair_zero_slack(self, capsys, witness_files):
@@ -176,6 +187,10 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: --dims must name dimensions in 1..64, got {dims!r}\n"
 
+    def test_empty_dims_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--trials", "5", "--dims", "5..3")
+        assert (code, out, err) == (2, "", "error: --dims names no dimension, got '5..3'\n")
+
     def test_error_without_a_message_is_named_by_its_class(self, capsys, monkeypatch):
         def fail(args):
             raise MemoryError()
@@ -231,6 +246,16 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--id", "BOGUS", "--dim", "2", "--iters", "10")
         assert code == 2
         assert "unknown inequality id 'BOGUS'; known: CS_21" in err
+
+    @pytest.mark.parametrize(
+        "dim, iters, message",
+        [("0", "10", "dim must be in [1, 64], got 0"),
+         ("65", "10", "dim must be in [1, 64], got 65"),
+         ("2", "0", "iterations must be >= 1")],
+    )
+    def test_out_of_range_dim_or_iters_exits_2(self, capsys, dim, iters, message):
+        code, out, err = run_cli(capsys, "scan", "--id", "T37", "--dim", dim, "--iters", iters)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_dim_over_the_simplex_cap_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--id", "T37", "--dim", "64", "--iters", "100000")
@@ -381,6 +406,12 @@ class TestInputHandling:
         bad.write_text(json.dumps({"rows": 1, "cols": 2, "re": re, "im": im}))
         code, out, err = run_cli(capsys, "abs", str(bad))
         assert (code, out, err) == (2, "", f"error: matrix JSON {refused}\n")
+
+    def test_matrix_file_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        code, out, err = run_cli(capsys, "abs", str(bad))
+        assert (code, out, err) == (2, "", "error: matrix JSON must be an object\n")
 
     def test_shape_mismatch_in_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

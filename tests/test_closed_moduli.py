@@ -109,10 +109,10 @@ def test_each_matrix_of_a_stack_gets_its_moduli_alone(size):
     a[kind == 3] = 0.0
     stacked = _Moduli(a)
     for i, x in enumerate(ComplexMatrix(m) for m in a):
-        assert stacked.abs()[i].tobytes() == abs_op(x).a.tobytes()
-        assert stacked.adj()[i].tobytes() == abs_adjoint(x).a.tobytes()
-        assert_exactly_hermitian(stacked.abs()[i])
-        assert_exactly_hermitian(stacked.adj()[i])
+        assert stacked.modulus()[i].tobytes() == abs_op(x).a.tobytes()
+        assert stacked.modulus(True)[i].tobytes() == abs_adjoint(x).a.tobytes()
+        assert_exactly_hermitian(stacked.modulus()[i])
+        assert_exactly_hermitian(stacked.modulus(True)[i])
 
 
 def test_the_closed_form_holds_two_product_arrays_at_once():

@@ -45,8 +45,8 @@ def test_moduli_agree_with_the_dilation(d):
     moduli = _Moduli(a)
     m = dilation_modulus(a)
     deviations = {
-        "|X|": m[:, d:, d:] - moduli.abs(),
-        "|X*|": m[:, :d, :d] - moduli.adj(),
+        "|X|": m[:, d:, d:] - moduli.modulus(),
+        "|X*|": m[:, :d, :d] - moduli.modulus(True),
         "upper block": m[:, :d, d:],
         "lower block": m[:, d:, :d],
     }

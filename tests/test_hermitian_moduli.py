@@ -54,11 +54,12 @@ def test_each_matrix_of_a_stack_gets_its_moduli_alone(dim, layout):
     assert h.any() and not h.all()
     stacked = _Moduli(a)
     # Every modulus is exactly Hermitian, by either route.
-    assert _exactly_hermitian(stacked.abs()).all() and _exactly_hermitian(stacked.adj()).all()
+    assert _exactly_hermitian(stacked.modulus()).all()
+    assert _exactly_hermitian(stacked.modulus(True)).all()
     for idx in np.ndindex(a.shape[:-2]):
         x = ComplexMatrix(a[idx])
-        assert stacked.abs()[idx].tobytes() == abs_op(x).a.tobytes()
-        assert stacked.adj()[idx].tobytes() == abs_adjoint(x).a.tobytes()
+        assert stacked.modulus()[idx].tobytes() == abs_op(x).a.tobytes()
+        assert stacked.modulus(True)[idx].tobytes() == abs_adjoint(x).a.tobytes()
         if h[idx]:
             assert abs_op(x).a.tobytes() == abs_adjoint(x).a.tobytes()
 

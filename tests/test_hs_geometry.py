@@ -11,6 +11,7 @@ from hsangle import (
     ShapeError,
     ZeroOperandError,
     adjoint,
+    angle,
     angle_report,
     check,
     cos_angle,
@@ -211,6 +212,25 @@ class TestAngles:
             base = cos_angle(x, y)
             scaled = cos_angle(scale(al, x), scale(be, y))
             assert abs(scaled - math.copysign(1.0, al * be) * base) <= 1e-12
+
+    def test_angle_keeps_its_digits_near_0_and_pi(self):
+        # acos of a cosine rounded to +-1 reads 2.1e-8 for the first two
+        # pairs; atan2(sin, cos) reads the residual sine.
+        two = scale(2.0, identity(2))
+        assert angle(identity(2), two) <= 1e-15
+        assert math.pi - angle(identity(2), scale(-1.0, two)) <= 1e-15
+        for seed in range(20):
+            x = generate(GeneratorSpec("ginibre", 3, seed))
+            assert angle(x, scale(3.0, x)) <= 1e-15
+            assert math.pi - angle(x, scale(-3.0, x)) <= 1e-15
+
+    def test_angle_is_acos_of_the_cosine_away_from_0_and_pi(self):
+        rng = np.random.default_rng(52)
+        for _ in range(40):
+            x, y = random_matrix(rng, 4), random_matrix(rng, 4)
+            assert abs(angle(x, y) - math.acos(cos_angle(x, y))) <= 1e-13
+        disjoint = ComplexMatrix.from_rows([[0, 0], [0, 1]])
+        assert angle(ComplexMatrix.from_rows([[1, 0], [0, 0]]), disjoint) == math.pi / 2
 
     def test_pythagorean_identity(self):
         rng = np.random.default_rng(48)

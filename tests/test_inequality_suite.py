@@ -283,8 +283,21 @@ class TestAngleTriangle:
         x, y = random_matrix(rng, 3), random_matrix(rng, 3)
         sin_slack, theta_slack = angle_triangle_slack(x, y, x)
         assert abs(sin_slack) <= 1e-12
-        # theta(X,X) is acos-limited: 0 up to ~sqrt(eps)
-        assert -1e-12 <= theta_slack <= 1e-7
+        # theta(X,X) by atan2(sin, cos) is 0 to roundoff: 0.0 here, and at
+        # most 4.4e-16 over the bridges of seeds 0-199.
+        assert -1e-12 <= theta_slack <= 1e-14
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (3, 2), (0.5, 7), (5, 1.25)])
+    def test_collinear_triples_have_zero_theta_slack(self, a, b):
+        # Every angle among X, aX and bX is 0 for positive a and b.  acos
+        # of a cosine rounded near 1 keeps only half the digits: it read
+        # theta-slacks down to -2.6e-8, a false violation of the triangle
+        # inequality; atan2 reads at most 1.5e-16 in magnitude.
+        for seed in range(50):
+            x = generate(GeneratorSpec("ginibre", 3, seed))
+            sin_slack, theta_slack = angle_triangle_slack(x, scale(b, x), scale(a, x))
+            assert abs(sin_slack) <= 1e-14
+            assert abs(theta_slack) <= 1e-14
 
     def test_symmetric_bridge(self):
         x = ComplexMatrix.from_rows([[1, 0], [0, 0]])
@@ -300,6 +313,18 @@ class TestAngleTriangle:
             sin_slack, theta_slack = angle_triangle_slack(x, y, z)
             assert sin_slack >= -1e-10
             assert theta_slack >= -1e-10
+
+
+class TestShapeRefusals:
+    def test_t213_equality_requires_equal_shapes(self):
+        with pytest.raises(ShapeError, match="t213_equality_holds requires square matrices"):
+            t213_equality_holds(identity(2), identity(3))
+
+    @pytest.mark.parametrize("residual", [commutation_identity_residual, adjoint_link_residual])
+    def test_identity_residuals_require_conformable_operands(self, residual):
+        # XZ is 2x2 and ZY would be 2x2 times 3x3.
+        with pytest.raises(ShapeError, match=f"{residual.__name__} requires conformable"):
+            residual(identity(2), identity(3), identity(2))
 
 
 class TestT213Equality:

@@ -201,6 +201,10 @@ class TestAddScale:
 
 
 class TestRankOne:
+    def test_vector_inner_of_unequal_dims_rejected(self):
+        with pytest.raises(ShapeError, match="vector dims differ: 1 vs 2"):
+            vec_inner(ComplexVector.from_entries([1]), ComplexVector.from_entries([1, 0]))
+
     def test_basis_outer_product(self):
         e1 = ComplexVector.from_entries([1, 0])
         assert np.array_equal(rank_one(e1, e1).a, np.array([[1, 0], [0, 0]], dtype=complex))

@@ -193,6 +193,28 @@ def test_each_pair_stack_takes_its_inner_products_once(monkeypatch):
     assert sizes == [6, 6, 6]
 
 
+@pytest.mark.parametrize("kind, inners, norms", [("hermitian", 2, 8), ("ginibre", 3, 12)])
+def test_one_moduli_array_is_one_pair(kind, inners, norms, norm_calls, monkeypatch):
+    # Every id over one 48x48 pair reads <., .>, the norms, norm(. + .),
+    # norm(. - .) and the sine residual of each of its pairs once: (X, Y),
+    # (|X|, |Y|) and (|X*|, |Y*|), but only two pairs when every operand is
+    # exactly Hermitian and the moduli are one array.
+    inner_calls = []
+    take_inners = hs_geometry._inners
+
+    def counting(x, y):
+        inner_calls.append(x)
+        return take_inners(x, y)
+
+    monkeypatch.setattr(hs_geometry, "_inners", counting)
+    x, y = pair(kind, 48, 0)
+    stack = _OperandStack(np.array(((x.a,), (y.a,))))
+    for inequality_id in INEQUALITY_IDS:
+        _check_stack(inequality_id, stack, 1e-9)
+    assert (stack.adj is stack.abs) == (kind == "hermitian")
+    assert (len(inner_calls), len(norm_calls)) == (inners, norms)
+
+
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_the_moduli_of_an_all_hermitian_stack_are_one_pair(dim, svd_calls, eigh_calls):
     # Each exactly Hermitian X has |X*| = |X|: adj and abs hold the one

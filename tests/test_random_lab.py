@@ -16,6 +16,7 @@ from hsangle import (
     INEQUALITY_IDS,
     GeneratorSpec,
     UnknownInequalityError,
+    applicable_specs,
     derive_seed,
     generate,
     hs_norm,
@@ -273,6 +274,14 @@ class TestPropertySuite:
         assert run_property_suite([], specs, 5) == []
         with pytest.raises(ValueError, match="trials must be >= 1"):
             run_property_suite([], specs, 0)
+
+    def test_an_id_that_admits_none_of_the_specs_is_refused(self):
+        with pytest.raises(ValueError, match="no applicable ensembles for R33"):
+            applicable_specs("R33", [GeneratorSpec("ginibre", 2)])
+
+    def test_a_trial_without_specs_is_refused(self):
+        with pytest.raises(ValueError, match="no ensembles to pick from for T37"):
+            run_single_trial("T37", [], 1, 1e-9)
 
     def test_json_shape(self):
         (report,) = run_property_suite(["T31"], self.specs(), 20, 1e-9, 1)

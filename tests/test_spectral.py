@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,41 @@ class TestPolar:
     def test_requires_square(self):
         with pytest.raises(ShapeError):
             polar(ComplexMatrix(np.ones((2, 3), dtype=complex)))
+
+    def test_top_binade_operand(self):
+        # sigma_1 = 3.4e308 overflows, but U has degree 0 in X, and |X| = X
+        # here: both are representable, and the SVD of X scaled by _unit
+        # gives U.
+        x = ComplexMatrix(np.full((2, 2), 1.7e308, dtype=complex))
+        parts = polar(x)
+        assert np.abs(parts.u.a - 0.5).max() <= 1e-15
+        assert np.array_equal(parts.abs.a, x.a)
+        self.assert_identities(x)
+
+
+class TestOverflowingResult:
+    # |X| of X = a [[1, 0], [1, 0]] is diag(sqrt(2) a, 0), outside float64
+    # for a = 1.7e308; |X*| = (a / sqrt(2)) [[1, 1], [1, 1]] is inside it,
+    # so abs_adjoint is asked for |(X*)*| = |X|.
+    A = 1.7e308
+    X = ComplexMatrix(np.array([[A, 0], [A, 0]], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [(abs_op, "|X|"), (lambda x: abs_adjoint(adjoint(x)), "|X*|"),
+         (franca_abs_2x2, "|A|"), (polar, "|X|")],
+        ids=["abs_op", "abs_adjoint", "franca_abs_2x2", "polar"],
+    )
+    def test_is_named_without_a_warning(self, call, name):
+        # Under the test run's RuntimeWarning-as-error filter, numpy's
+        # overflow warning would be raised in place of the error.
+        overflowed = f"the decomposition giving {re.escape(name)} overflowed"
+        with pytest.raises(ValidationError, match=overflowed):
+            call(self.X)
+
+    def test_a_representable_modulus_is_returned(self):
+        got = abs_adjoint(self.X).a
+        assert np.abs(got - self.A / math.sqrt(2.0)).max() <= 4 * np.spacing(self.A)
 
 
 class TestFranca:
