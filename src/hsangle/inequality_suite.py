@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, _cached, _ct, digest
+from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _cached, _ct, digest
 from .spectral import _Moduli, _exactly_hermitian, _is_psd, _require_square
 from .hs_geometry import _PairStack, _angle_pairs, _norms, _unit
 
@@ -182,7 +182,8 @@ def check(
     """Evaluate both sides of the inequality and report the slack.
 
     holds is slack >= -tol * scale with scale = max(|lhs|, |rhs|, 1): a
-    relative test, as the sides are homogeneous of the record's degree.
+    relative test, as the sides are homogeneous of the record's degree.  A
+    side outside float64 raises ValidationError.
     """
     record = _lookup(inequality_id)
     if not (x.is_square and y.is_square and x.rows == y.rows):
@@ -195,7 +196,13 @@ def check(
             if not is_normal(m):
                 raise NotNormalError(f"{inequality_id} requires normal operands; {name} is not")
     pair = _OperandStack(np.array(((x.a,), (y.a,))))
-    lhs, rhs = (side.item() for side in _sides(inequality_id, pair))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        lhs, rhs = (side.item() for side in _sides(inequality_id, pair))
+    for name, side in (("lhs", lhs), ("rhs", rhs)):
+        if not math.isfinite(side):
+            raise ValidationError(
+                f"result outside float64 (inf or nan): the {name} of {inequality_id} overflowed"
+            )
     scale = max(abs(lhs), abs(rhs), 1.0)
     slack = rhs - lhs
     holds = slack >= -tol * scale

@@ -2,6 +2,7 @@
 target * lhs / rhs of a registry record, searching for extremal pairs."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,11 +15,7 @@ from .spectral import _CLOSED_SHAPE, _vdv
 SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not None}
 
 # Restarts run in lockstep, each a chain of at most _SCAN_POLISH_CHAIN
-# Nelder-Mead polishes of at most _SCAN_POLISH_FEV evaluations.  In the
-# gauge-fixed slice (_search_space) a polish takes at most _SLICE_POLISH_FEV,
-# and the restarts follow the budget: restarts x polish is what a scan
-# leaves unfinished when its budget ends, so it is held at _SLICE_SHARE of
-# the budget, with at least one restart and at most _SLICE_RESTARTS.
+# Nelder-Mead polishes; _search_space gives their number and length.
 _SCAN_RESTARTS, _SCAN_POLISH_CHAIN, _SCAN_POLISH_FEV = 7, 4, 6000
 _SLICE_RESTARTS, _SLICE_POLISH_FEV, _SLICE_SHARE = 36, 750, 0.27
 # The simplices, (n+1) x n floats per restart, hold at most this many bytes:
@@ -112,41 +109,37 @@ def _slice_pair(p: np.ndarray, dim: int) -> np.ndarray:
 def _search_space(inequality_id: str, dim: int, budget: int):
     """(decode, n, restarts, polish) of a scan of inequality_id at dim with
     budget evaluations: the decoder of its parameter rows, their count n,
-    the lockstep restarts and the evaluations a polish may take.  R33
-    searches normal pairs.  At dim 2 an id whose target a pair attains (no
-    denominator floor: T36 and T37) searches the gauge-fixed slice with
-    polishes of _SLICE_POLISH_FEV evaluations, in as many restarts as
-    _SLICE_SHARE of the budget gives polishes, between 1 and
+    the restarts run in lockstep and the evaluations a polish may take.  R33
+    searches normal pairs, the others free pairs, in _SCAN_RESTARTS restarts
+    of polishes of _SCAN_POLISH_FEV; but at dim 2 an id whose target a pair
+    attains (no denominator floor: T36 and T37) searches the gauge-fixed
+    slice with polishes of _SLICE_POLISH_FEV evaluations, in as many
+    restarts as _SLICE_SHARE of the budget gives polishes, between 1 and
     _SLICE_RESTARTS: restarts x polish is what a scan leaves unfinished
     when its budget ends, and a larger share left more of its scans short of
     the band, while a wider lockstep steps more points for the same fixed
     cost.  A budget below one polish finishes none at any width, and runs
-    _SLICE_RESTARTS restarts, as many as its initial simplices reach.  Above
-    dim 2 the slice searched worse, and C32, whose supremum is approached
-    only as Y -> X, searched worse in it at dim 2 too.  Every other scan
-    searches free pairs with _SCAN_RESTARTS restarts."""
+    _SLICE_RESTARTS restarts.  Above dim 2 the slice searched worse, and
+    C32, whose supremum is approached only as Y -> X, searched worse in it
+    at dim 2 too.  No more restarts run than the budget's initial simplices
+    reach, or than fit _SCAN_SIMPLEX_BYTES."""
     record = _lookup(inequality_id)
+    decode, n, restarts, polish = _raw_pair, 4 * dim * dim, _SCAN_RESTARTS, _SCAN_POLISH_FEV
     if record.domain == "normal":
-        return _normal_pair, 4 * dim * dim + 4 * dim, _SCAN_RESTARTS, _SCAN_POLISH_FEV
-    if dim == 2 and not record.floor:
-        restarts = _SLICE_RESTARTS
-        if budget >= _SLICE_POLISH_FEV:
-            restarts = max(1, min(restarts, math.floor(_SLICE_SHARE * budget / _SLICE_POLISH_FEV)))
-        return _slice_pair, 2 * dim * dim + dim, restarts, _SLICE_POLISH_FEV
-    return _raw_pair, 4 * dim * dim, _SCAN_RESTARTS, _SCAN_POLISH_FEV
+        decode, n = _normal_pair, n + 4 * dim
+    elif dim == 2 and not record.floor:
+        decode, n, polish = _slice_pair, 2 * dim * dim + dim, _SLICE_POLISH_FEV
+        share = math.floor(_SLICE_SHARE * budget / polish)
+        restarts = _SLICE_RESTARTS if budget < polish else max(1, min(_SLICE_RESTARTS, share))
+    fit = _SCAN_SIMPLEX_BYTES // (8 * n * (n + 1))
+    return decode, n, min(restarts, -(-budget // (n + 1)), fit), polish
 
 
-def _simplex_fit(inequality_id: str, dim: int) -> int:
-    """How many (n+1) x n simplices of a scan of inequality_id at dim fit
-    _SCAN_SIMPLEX_BYTES."""
-    n = _search_space(inequality_id, dim, 1)[1]  # n does not depend on the budget
-    return _SCAN_SIMPLEX_BYTES // (8 * n * (n + 1))
-
-
-def _largest_fit(inequality_id: str, simplices: int = 1) -> int:
-    """The largest dim at which that many simplices of a scan of
-    inequality_id fit _SCAN_SIMPLEX_BYTES."""
-    return max(d for d in range(1, MAX_DIM + 1) if _simplex_fit(inequality_id, d) >= simplices)
+def _largest_fit(inequality_id: str, restarts: int = 1) -> int:
+    """The largest dim at which a scan of inequality_id, however large its
+    budget, runs at least that many restarts within _SCAN_SIMPLEX_BYTES."""
+    dims = range(1, MAX_DIM + 1)
+    return max(d for d in dims if _search_space(inequality_id, d, sys.maxsize)[2] >= restarts)
 
 
 # hsangle scan's --dim help: the restarts, and the dims the simplex cap gives.
@@ -165,7 +158,7 @@ _DIM_HELP = (
 class _Budget:
     """A scan's evaluations left and the best point charged to it; the one
     place that values parameter rows, by the id's ratio over the pairs that
-    decode gives at dim."""
+    decode gives at dim, _STACK_ENTRIES entries per operand at a time."""
 
     def __init__(self, inequality_id: str, dim: int, decode, evaluations: int):
         self.ratio, self.dim, self.decode = _ratio_for(inequality_id), dim, decode
@@ -201,35 +194,104 @@ class _Budget:
         return f
 
 
+class _NelderMead:
+    """Nelder-Mead (Nelder and Mead 1965; coefficients 1, 2, 1/2, 1/2) in
+    lockstep over r polishes of n parameters, of at most polish evaluations
+    each, charged to budget in plain Nelder-Mead's order.  Vertex-major,
+    sim[v] holds vertex v of every polish and fsim[v] its values, each
+    sorted from best (v = 0) to worst; fev counts each polish's evaluations.
+    A polish ends at the stop rules, when fewer than two of its evaluations
+    remain, or at a shrink that would pass them (an initial simplex of more
+    points is evaluated whole).  At dim 2, where the moduli come in closed
+    form and a stack of 144 points (36 restarts) costs less than three times
+    as much as one point, a step values its reflections and the three points
+    that may follow each as one stack; above dim 2 the points that follow
+    are a second stack, of only those that Nelder-Mead evaluates."""
+
+    def __init__(self, budget: _Budget, r: int, n: int, polish: int):
+        self.budget, self.polish, self.fev = budget, polish, np.zeros(r, dtype=int)
+        self.sim, self.fsim = np.empty((n + 1, r, n)), np.empty((n + 1, r))
+        self.lookahead = (budget.dim,) * 2 == _CLOSED_SHAPE
+
+    def step(self, x0: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """One step of every polish: charges the initial simplices of those
+        where the mask start is set (from the rows of x0), the reflections and
+        the points that follow them, and the shrink points.  Returns the mask
+        of the polishes that end; start if the budget ends in the simplices."""
+        budget, sim, fsim, fev = self.budget, self.sim, self.fsim, self.fev
+        r, n = sim.shape[1:]
+        if np.count_nonzero(start):
+            s, axis = np.repeat(x0[:, None], n + 1, axis=1), np.arange(n)
+            s[:, axis + 1, axis] = np.where(x0 != 0.0, (1.0 + _SCAN_NONZDELT) * x0, _SCAN_ZDELT)
+            fs = budget.charge(s.reshape(-1, n)).reshape(-1, n + 1)
+            if not budget.left:
+                return start
+            i, order = np.arange(len(fs))[:, None], fs.argsort(axis=1)
+            sim[:, start], fsim[:, start] = s[i, order].swapaxes(0, 1), fs[i, order].T
+            fev[start] = n + 1
+        # xr = pts[0] holds the reflections and succ[expand + outside] the
+        # points that may follow them; ahead values all four, charged only
+        # where Nelder-Mead evaluates them.
+        xbar, worst, fworst = np.add.reduce(sim[:-1]) / n, sim[-1], fsim[-1]
+        pts = _SCAN_XBAR * xbar - _SCAN_WORST * worst
+        xr, succ = pts[0], pts[1:]
+        ahead = budget.values(pts.reshape(-1, n)).reshape(4, r) if self.lookahead else None
+        fr = budget.charge(xr, None if ahead is None else ahead[0])
+        # Where the reflection is not kept outright: expansion, outside or
+        # inside contraction.  Its point is taken where it beats the worst
+        # vertex and the reflection, which an expansion must beat strictly
+        # (f2 is +inf where there is none); a contraction that is not taken
+        # shrinks the simplex.  fr is never NaN, so ~below[0] is fr >= fsim[-2].
+        expand, below = fr < fsim[0], fr < fsim[-2:]
+        second = expand | ~below[0]
+        which, cols = expand.view(np.uint8) + below[1].view(np.uint8), np.arange(r)
+        x2, f2 = succ[which, cols], np.full(r, math.inf)
+        a2 = None if ahead is None else ahead[1:][which, cols].compress(second)
+        f2[second] = budget.charge(x2.compress(second, axis=0), a2)
+        take = (f2 < fworst) & np.where(expand, f2 < fr, f2 <= fr)
+        shrink = second & ~(expand | take)
+        # The worst vertex becomes the second point where it is taken, else
+        # the reflection, except where the simplex shrinks.
+        np.copyto(worst, xr, where=~shrink[:, None])
+        np.copyto(worst, x2, where=take[:, None])
+        np.copyto(fworst, fr, where=~shrink)
+        np.copyto(fworst, f2, where=take)
+        fev += 1 + second
+        over = shrink & (fev > self.polish - n)
+        shrink ^= over
+        if np.count_nonzero(shrink):
+            h = sim[:1, shrink] + 0.5 * (sim[1:, shrink] - sim[:1, shrink])
+            sim[1:, shrink] = h
+            fsim[1:, shrink] = budget.charge(h.swapaxes(0, 1).reshape(-1, n)).reshape(-1, n).T
+            fev[shrink] += n
+        # Sort each polish's vertices by flat indices into sim and fsim.
+        order = fsim.argsort(axis=0)
+        order *= r
+        order += cols
+        self.sim = sim = sim.reshape(-1, n).take(order, axis=0)
+        self.fsim = fsim = fsim.take(order)
+        flat = fsim[-1] <= fsim[0] + _SCAN_FATOL
+        if np.count_nonzero(flat):
+            flat[flat] = np.abs(sim[1:, flat] - sim[:1, flat]).max(axis=(0, 2)) <= _SCAN_XATOL
+        return flat | over | (fev > self.polish - 2)
+
+
 def sharpness_scan(
     inequality_id: str, dim: int, iterations: int, master_seed: int = 0
 ) -> ScanResult:
     """Maximize the lhs/rhs-coefficient ratio within exactly `iterations`
     evaluations.
 
-    The restarts that the id's search space at dim gives the budget
-    (_search_space; fewer if the budget ends in their first simplices, or if
-    their simplices would hold more than _SCAN_SIMPLEX_BYTES; a dim where
-    one does is refused) run Nelder-Mead (Nelder and Mead 1965; coefficients
-    1, 2, 1/2, 1/2) in lockstep over its parameter rows.  Each step
-    evaluates the initial simplices of the polishes that begin, then the
-    reflections and the expansions and contractions that follow them, then
-    the shrink points.  At dim 2, where the moduli come in closed form and a
-    stack of 144 points (36 restarts) costs less than three times as much as
-    one point, the reflections and all three points that may follow each are
-    one stack; above dim 2 they are two stacks, the second holding only the
-    points that follow.  A restart draws a standard normal start point and
-    runs a chain of polishes, each starting where the last ended, until one
-    fails to improve; then it draws a fresh start, in restart order.  A
-    polish ends at the stop rules, when fewer than two of the evaluations
-    the search space gives it remain, or at a shrink that would pass them
-    (an initial simplex of more points is evaluated whole).  The budget
-    counts the charged points exactly: those plain Nelder-Mead evaluates, in
-    its order, never the points that a step at dim 2 values ahead but does
-    not take.  The last stack is cut to the budget, and the scan ends once
-    it is spent.  A stack is decoded and evaluated _STACK_ENTRIES entries
-    per operand at a time.  Deterministic in master_seed.  The scanner
-    corroborates sharpness; it certifies nothing.
+    The restarts that _search_space gives run _NelderMead polishes in
+    lockstep; a dim where one restart's simplex does not fit
+    _SCAN_SIMPLEX_BYTES is refused.  A restart draws a standard normal start
+    point and runs a chain of polishes, each starting where the last ended,
+    until one gains no more than 1e-15 or the chain has _SCAN_POLISH_CHAIN
+    links; then it draws a fresh start, in restart order.  The budget counts
+    exactly the points that plain Nelder-Mead evaluates, never those that a
+    step values ahead but does not take; the last stack is cut to it, and
+    the scan ends once it is spent.  Deterministic in master_seed.  The
+    scanner corroborates sharpness; it certifies nothing.
     """
     record = _lookup(inequality_id)
     if record.target is None:
@@ -240,87 +302,24 @@ def sharpness_scan(
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    decode, n, restarts, polish = _search_space(inequality_id, dim, iterations)
-    fit = _simplex_fit(inequality_id, dim)
-    if not fit:
+    decode, n, r, polish = _search_space(inequality_id, dim, iterations)
+    if not r:
         raise ValueError(
             f"a scan of {inequality_id} at dim {dim} needs more than the "
             f"{_SCAN_SIMPLEX_BYTES >> 20} MiB its Nelder-Mead simplex may hold; "
             f"the largest dim that fits is {_largest_fit(inequality_id)}"
         )
     rng = CounterRng(derive_seed(master_seed, "scan:" + inequality_id, dim))
-    budget, lookahead = _Budget(inequality_id, dim, decode, iterations), (dim, dim) == _CLOSED_SHAPE
-    # The simplices are vertex-major: sim[v] holds vertex v of every restart
-    # and fsim[v] its values, each sorted from best (v = 0) to worst.
-    r, axis = min(restarts, -(-iterations // (n + 1)), fit), np.arange(n)
-    cols, sim, fsim = np.arange(r), np.empty((n + 1, r, n)), np.empty((n + 1, r))
-    fev, link, last = np.zeros(r, dtype=int), np.zeros(r, dtype=int), np.full(r, -math.inf)
-    x0, fresh, begin = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool), True
-    inf_row = np.full(r, math.inf)
+    budget = _Budget(inequality_id, dim, decode, iterations)
+    nm, link, last = _NelderMead(budget, r, n, polish), np.zeros(r, int), np.full(r, -math.inf)
+    x0, ended = rng.normals(r * n).reshape(r, n), np.ones(r, dtype=bool)
     while budget.left:
-        if begin:
-            s = np.repeat(x0[:, None], n + 1, axis=1)
-            s[:, axis + 1, axis] = np.where(x0 != 0.0, (1.0 + _SCAN_NONZDELT) * x0, _SCAN_ZDELT)
-            fs = budget.charge(s.reshape(-1, n)).reshape(-1, n + 1)
-            if not budget.left:
-                break
-            i, order = np.arange(len(fs))[:, None], fs.argsort(axis=1)
-            sim[:, fresh], fsim[:, fresh] = s[i, order].swapaxes(0, 1), fs[i, order].T
-            fev[fresh] = n + 1
-        # xr = pts[0] holds the reflections and succ[expand + outside] the
-        # points that may follow them; with lookahead all four are valued
-        # ahead in one stack, charged only where Nelder-Mead evaluates them.
-        xbar, worst, fworst = np.add.reduce(sim[:-1]) / n, sim[-1], fsim[-1]
-        pts = _SCAN_XBAR * xbar - _SCAN_WORST * worst
-        xr, succ = pts[0], pts[1:]
-        ahead = budget.values(pts.reshape(-1, n)).reshape(4, r) if lookahead else None
-        fr = budget.charge(xr, None if ahead is None else ahead[0])
-        # Where the reflection is not kept outright: expansion, outside or
-        # inside contraction.  Its point is taken where it beats the worst
-        # vertex and the reflection, which an expansion must beat strictly
-        # (f2 is +inf where there is none); a contraction that is not taken
-        # shrinks the simplex.  fr is never NaN, so ~below[0] is fr >= fsim[-2].
-        expand, below = fr < fsim[0], fr < fsim[-2:]
-        second = expand | ~below[0]
-        step = expand.view(np.uint8) + below[1].view(np.uint8)
-        x2, f2 = succ[step, cols], inf_row.copy()
-        a2 = None if ahead is None else ahead[1:][step, cols].compress(second)
-        f2[second] = budget.charge(x2.compress(second, axis=0), a2)
-        take = (f2 < fworst) & np.where(expand, f2 < fr, f2 <= fr)
-        shrink = second & ~(expand | take)
-        # The worst vertex becomes the second point where it is taken, else
-        # the reflection, except where the simplex shrinks.
-        moved = ~shrink
-        np.copyto(worst, xr, where=moved[:, None])
-        np.copyto(worst, x2, where=take[:, None])
-        np.copyto(fworst, fr, where=moved)
-        np.copyto(fworst, f2, where=take)
-        fev += 1 + second
-        over = shrink & (fev > polish - n)
-        shrink ^= over
-        if np.count_nonzero(shrink):
-            h = sim[:1, shrink] + 0.5 * (sim[1:, shrink] - sim[:1, shrink])
-            sim[1:, shrink] = h
-            fsim[1:, shrink] = budget.charge(h.swapaxes(0, 1).reshape(-1, n)).reshape(-1, n).T
-            fev[shrink] += n
-        # Sort each restart's vertices by flat indices into sim and fsim.
-        order = fsim.argsort(axis=0)
-        order *= r
-        order += cols
-        sim, fsim = sim.reshape(-1, n).take(order, axis=0), fsim.take(order)
-        # A restart whose polish ends goes on from the best vertex while the
-        # chain improves, else from a fresh start.
-        flat = fsim[-1] <= fsim[0] + _SCAN_FATOL
-        if np.count_nonzero(flat):
-            flat[flat] = np.abs(sim[1:, flat] - sim[:1, flat]).max(axis=(0, 2)) <= _SCAN_XATOL
-        fresh = flat | over | (fev > polish - 2)
-        begin = np.count_nonzero(fresh)
-        if begin:
-            value = -fsim[0, fresh]
-            go = (value > last[fresh] + 1e-15) & (link[fresh] + 1 < _SCAN_POLISH_CHAIN)
-            x0 = sim[0, fresh]
+        ended = nm.step(x0, ended)
+        if budget.left and np.count_nonzero(ended):
+            value, x0 = -nm.fsim[0, ended], nm.sim[0, ended]
+            go = (value > last[ended] + 1e-15) & (link[ended] + 1 < _SCAN_POLISH_CHAIN)
             x0[~go] = rng.normals(np.count_nonzero(~go) * n).reshape(-1, n)
-            last[fresh] = np.where(go, value, -math.inf)
-            link[fresh] = np.where(go, link[fresh] + 1, 0)
+            last[ended] = np.where(go, value, -math.inf)
+            link[ended] = np.where(go, link[ended] + 1, 0)
     wx, wy = map(ComplexMatrix, decode(budget.params, dim)[:, 0])
     return ScanResult(inequality_id, float(budget.best), record.target, wx, wy, iterations)

@@ -330,6 +330,15 @@ class TestStrictJson:
         assert "result outside float64" in err and "overflowed" in err
         assert "non-finite entry" not in err
 
+    def test_a_side_outside_float64_is_named(self, capsys, tmp_path):
+        # T36's sides at (X, X), X = 1.7e308 [[1, 0], [1, 0]], are outside
+        # float64, and check names the first.
+        top = ComplexMatrix(1.7e308 * np.array([[1, 0], [1, 0]], dtype=complex))
+        x = write_matrix(tmp_path / "top.json", top)
+        code, out, err = run_cli(capsys, "check", "--id", "T36", x, x)
+        assert code == 2 and out == ""
+        assert "result outside float64" in err and "the lhs of T36" in err
+
     def test_the_2x2_closed_form_takes_a_top_binade_operand(self, capsys, tmp_path):
         # The closed form scales the 2x2 operand, and |X| = X here.
         top = ComplexMatrix(np.full((2, 2), 1.7e308, dtype=complex))

@@ -13,6 +13,7 @@ from hsangle import (
     NotNormalError,
     ShapeError,
     UnknownInequalityError,
+    ValidationError,
     adjoint,
     adjoint_link_residual,
     angle_triangle_slack,
@@ -175,6 +176,20 @@ class TestRegistry:
         with pytest.raises(ShapeError):
             check("CS_21", ComplexMatrix(np.ones((2, 3), dtype=complex)),
                   ComplexMatrix(np.ones((2, 3), dtype=complex)))
+
+    @pytest.mark.parametrize("inequality_id", ["T36", "T34"])
+    def test_a_side_outside_float64_is_refused_without_a_warning(self, inequality_id):
+        # T36: for X = a [[1, 0], [1, 0]], a = 1.7e308, |X| = diag(sqrt(2) a,
+        # 0) and the sides at (X, X), about 5e308 and 7e308, are outside
+        # float64.  T34: at 1e160-scaled normal 3x3 operands norm(X+Y)^2 is
+        # about 1e321.  Under the test run's RuntimeWarning-as-error filter,
+        # numpy's overflow warning would be raised in place of the error.
+        if inequality_id == "T36":
+            x = y = ComplexMatrix(1.7e308 * np.array([[1, 0], [1, 0]], dtype=complex))
+        else:
+            x, y = (scale(1e160, generate(GeneratorSpec("normal", 3, s))) for s in (0, 1))
+        with pytest.raises(ValidationError, match=f"outside float64 .* the lhs of {inequality_id}"):
+            check(inequality_id, x, y)
 
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(62)

@@ -553,6 +553,34 @@ class TestSharpnessScan:
             # The chain's next polish starts from the best vertex.
             assert charged[m].tobytes() == result.x.tobytes()
 
+    # T37's chains run their _SCAN_POLISH_CHAIN = 4 links.  Each chained
+    # polish of R33 gains no more than 1e-15 on the polish before, so a fresh
+    # start follows it.
+    @pytest.mark.parametrize("iid, dim, n, seed, starts", [
+        ("T37", 2, 6000, 2, "fresh chained chained chained fresh chained chained chained"),
+        ("R33", 1, 3000, 4, "fresh chained fresh chained fresh"),
+    ])
+    def test_a_restart_chains_its_polishes_while_they_gain(self, iid, dim, n, seed, starts):
+        # With one restart, a polish begins at m + 1 charged rows that are its
+        # initial simplex: row k + 1 differs from row 0 in coordinate k alone.
+        # Its start is fresh when it is the stream's next normal draw, and
+        # chained when it is the best charged row of the polish before.
+        rows = np.array(charged_points(iid, dim, n, seed))
+        decode, m = scan._search_space(iid, dim, n)[:2]
+        ratios = np.fmax(scan._ratio_for(iid)(decode(rows, dim)), -np.inf)
+        begins = [j for j in range(len(rows) - m) if all(
+            np.flatnonzero(rows[j + 1 + k] != rows[j]).tolist() == [k] for k in range(m)
+        )]
+        rng, kinds = CounterRng(derive_seed(seed, "scan:" + iid, dim)), []
+        for i, j in enumerate(begins):
+            last = slice(begins[i - 1], j)
+            if i and rows[j].tobytes() == rows[last][ratios[last].argmax()].tobytes():
+                kinds.append("chained")
+            else:
+                assert rows[j].tobytes() == rng.normals(m).tobytes()
+                kinds.append("fresh")
+        assert " ".join(kinds) == starts
+
     @pytest.mark.parametrize(
         "iid, n, seed", [("T37", 3000, 1), ("T36", 3000, 2), ("C32", 2000, 3), ("R33", 2000, 4)]
     )
