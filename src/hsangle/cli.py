@@ -4,15 +4,15 @@ Matrices are always passed as JSON files ({"rows", "cols", "re", "im"}).
 Exit codes: 0 success, 1 a verified quantity missed its target or an
 inequality was violated, 2 bad input (malformed JSON, shape mismatch,
 unknown id, zero operand where an angle is required, --dims outside 1..64,
-a tolerance that is not finite and positive, an unwritable --output, a
-result outside float64, a request too large to allocate).
+a tolerance that is not finite and positive, a --seed outside 0..2^64 - 1,
+an unwritable --output, a result outside float64, a request too large to
+allocate).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .matrix_core import ComplexMatrix, ValidationError
 from .spectral import EigensolverError, abs_op, polar, polar_identity_residuals
 from .hs_geometry import angle_report
-from .inequality_suite import DEFAULT_CHECK_TOL, INEQUALITY_IDS, check
+from .inequality_suite import DEFAULT_CHECK_TOL, INEQUALITY_IDS, _require_tol, check
 from .random_lab import (
     ENSEMBLE_KINDS,
     MAX_DIM,
@@ -111,28 +111,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("angle", help="cosine/sine/inner product for a pair")
+    p.set_defaults(run=_cmd_angle)
     p.add_argument("x")
     p.add_argument("y")
 
     p = sub.add_parser("abs", help="operator absolute value")
+    p.set_defaults(run=_cmd_abs)
     p.add_argument("x")
 
     p = sub.add_parser("polar", help="polar decomposition plus identity residuals")
+    p.set_defaults(run=_cmd_polar)
     p.add_argument("x")
 
     p = sub.add_parser("check", help="evaluate one registry inequality")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("--id", required=True, dest="inequality_id", metavar="ID")
     p.add_argument("x")
     p.add_argument("y")
 
     p = sub.add_parser("verify", help="randomized suite over the whole registry")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--dims", default="1..8")
     p.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("repro", help="recompute the sharp-witness quantities")
+    sub.add_parser("repro", help="recompute the sharp-witness quantities").set_defaults(run=_cmd_repro)
 
     p = sub.add_parser("scan", help="search for extremal pairs")
+    p.set_defaults(run=_cmd_scan)
     p.add_argument("--id", required=True, dest="inequality_id", metavar="ID")
     p.add_argument("--dim", type=int, required=True, help=_DIM_HELP)
     p.add_argument("--iters", type=int, required=True)
@@ -185,27 +191,15 @@ def _cmd_scan(args):
     return [result.to_json_dict()], result.best_ratio <= result.target * (1.0 + 1e-9)
 
 
-_COMMANDS = {
-    "angle": _cmd_angle,
-    "abs": _cmd_abs,
-    "polar": _cmd_polar,
-    "check": _cmd_check,
-    "verify": _cmd_verify,
-    "repro": _cmd_repro,
-    "scan": _cmd_scan,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # An overflow on an accepted input ends in a non-finite result, which
     # _emit maps to exit 2; numpy's warnings about it would only add noise.
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise ValidationError(f"--tol must be finite and positive, got {args.tol!r}")
+        _require_tol(args.tol, "--tol")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            payloads, passed = _COMMANDS[args.command](args)
+            payloads, passed = args.run(args)
         _emit(payloads, args)
         return 0 if passed else 1
     except _INPUT_ERRORS as exc:

@@ -8,7 +8,7 @@ The angle between nonzero X and Y is defined through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,13 +32,7 @@ class AngleReport:
     norm_y: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "cos": self.cos,
-            "sin": self.sin,
-            "inner": {"re": self.inner.real, "im": self.inner.imag},
-            "norm_x": self.norm_x,
-            "norm_y": self.norm_y,
-        }
+        return {**asdict(self), "inner": {"re": self.inner.real, "im": self.inner.imag}}
 
 
 def _unit(a: np.ndarray, axis=(-2, -1)):

@@ -41,6 +41,12 @@ NORMALITY_TOL = 1e-10
 DEFAULT_CHECK_TOL = 1e-9
 
 
+def _require_tol(tol: float, name: str = "tol") -> None:
+    """Refuse, with a ValidationError, a tolerance that is not finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"{name} must be finite and positive, got {tol!r}")
+
+
 class UnknownInequalityError(ValueError):
     """The requested id is not in the registry."""
 
@@ -67,9 +73,10 @@ class InequalityReport:
         return asdict(self)
 
 
-def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
-    """True iff X is exactly Hermitian or norm(XX* - X*X) <= tol norm(X)^2:
-    relative, so that scaling X by any power of two keeps the decision."""
+def is_normal(x: ComplexMatrix) -> bool:
+    """True iff X is exactly Hermitian or norm(XX* - X*X) <=
+    NORMALITY_TOL norm(X)^2: relative, so that scaling X by any power of
+    two keeps the decision."""
     _require_square(x, "is_normal")
     # An exactly Hermitian X is normal and forms no commutator.
     if _exactly_hermitian(x.a):
@@ -77,7 +84,7 @@ def is_normal(x: ComplexMatrix, tol: float = NORMALITY_TOL) -> bool:
     # Decided on X scaled by _unit, so that the commutator cannot overflow
     # or underflow; the scaling is exact.
     b = _unit(x.a)[0]
-    return bool(_norms(b @ _ct(b) - _ct(b) @ b) <= tol * np.square(_norms(b)))
+    return bool(_norms(b @ _ct(b) - _ct(b) @ b) <= NORMALITY_TOL * np.square(_norms(b)))
 
 
 class _OperandStack(_PairStack):
@@ -183,8 +190,10 @@ def check(
 
     holds is slack >= -tol * scale with scale = max(|lhs|, |rhs|, 1): a
     relative test, as the sides are homogeneous of the record's degree.  A
-    side outside float64 raises ValidationError.
+    tolerance that is not finite and positive, or a side outside float64,
+    raises ValidationError.
     """
+    _require_tol(tol)
     record = _lookup(inequality_id)
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ShapeError(
@@ -273,11 +282,9 @@ def angle_triangle_slack(x: ComplexMatrix, y: ComplexMatrix, z: ComplexMatrix):
     return s1 + s2 - s, math.atan2(s1, c1) + math.atan2(s2, c2) - math.atan2(s, c)
 
 
-def t213_equality_holds(
-    x: ComplexMatrix, y: ComplexMatrix, tol: float = DEFAULT_CHECK_TOL
-) -> bool:
+def t213_equality_holds(x: ComplexMatrix, y: ComplexMatrix) -> bool:
     """True iff the T213 bound is attained, i.e. some unimodular multiple of
-    Y*X is positive semidefinite.
+    Y*X is positive semidefinite, up to DEFAULT_CHECK_TOL.
 
     A PSD matrix has real nonnegative trace, so the only admissible phase is
     the one making tr(Y*X) real positive; when the trace vanishes, positivity
@@ -291,6 +298,6 @@ def t213_equality_holds(
     t = complex(np.trace(p))
     if t == 0:
         n = _norms(np.array((p, xa, ya)))
-        return bool(n[0] <= tol * (1.0 + n[1] * n[2]))
+        return bool(n[0] <= DEFAULT_CHECK_TOL * (1.0 + n[1] * n[2]))
     zeta = t.conjugate() / abs(t)
-    return _is_psd(zeta * p, tol)
+    return _is_psd(zeta * p, DEFAULT_CHECK_TOL)

@@ -23,13 +23,13 @@ are independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .matrix_core import ComplexMatrix, _ct
 from .inequality_suite import (DEFAULT_CHECK_TOL, SQRT2, InequalityReport, _OperandStack,
-                               _check_stack, _lookup, check)
+                               _check_stack, _lookup, _require_tol, check)
 from .spectral import _hermitian_part, _vdv
 
 _MASK64 = (1 << 64) - 1
@@ -67,6 +67,12 @@ def fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * 0x100000001B3) & _MASK64
     return h
+
+
+def _require_seed(seed: int, name: str = "seed") -> None:
+    """Refuse, with a ValueError, a seed outside [0, 2^64 - 1]."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed}")
 
 
 def derive_seed(master_seed: int, label: str, index: int) -> int:
@@ -155,8 +161,7 @@ class GeneratorSpec:
             raise ValueError(f"unknown ensemble kind {self.kind!r}; known: {ENSEMBLE_KINDS}")
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _require_seed(self.seed)
 
 
 def _gaussian(rng: CounterRng, rows: int, cols: int) -> np.ndarray:
@@ -218,14 +223,8 @@ class SuiteReport:
     ensembles: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.inequality_id,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_slack": self.worst_slack,
-            "worst_seed": self.worst_seed,
-            "ensembles": list(self.ensembles),
-        }
+        d = asdict(self)
+        return {"id": d.pop("inequality_id"), **d, "ensembles": list(self.ensembles)}
 
 
 def _admits(inequality_id: str, kind: str) -> bool:
@@ -249,6 +248,7 @@ def run_single_trial(
     """One trial: pick the spec specs[seed % len(specs)], draw a pair, check.
     A spec whose kind the id does not admit is refused with a ValueError.
     Given run_property_suite's specs, replays any of its trials bit for bit."""
+    _require_seed(trial_seed, "trial_seed")
     specs = list(specs)
     if not specs:
         raise ValueError(f"no ensembles to pick from for {inequality_id}")
@@ -323,6 +323,8 @@ def run_property_suite(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _require_tol(tol)
+    _require_seed(master_seed, "master_seed")
     ids, specs = list(ids), list(specs)
     if not ids:
         return []
@@ -334,7 +336,7 @@ def run_property_suite(
     # trials of every id.
     rounds = -(-trials // int(admits.sum(axis=1).min()))
     index = np.arange(rounds * len(specs), dtype=np.uint64)
-    seeds = _trial_seeds(np.uint64(master_seed & _MASK64), index, len(specs))
+    seeds = _trial_seeds(np.uint64(master_seed), index, len(specs))
     which = (seeds % np.uint64(len(specs))).astype(np.intp)
     # taken[k, i]: whether the k-th id takes trial i.
     admitted = admits[:, which]
@@ -391,14 +393,7 @@ class ReproCheck:
         return self.deviation <= self.tol
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "target": self.target,
-            "tol": self.tol,
-            "deviation": self.deviation,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "deviation": self.deviation, "ok": self.ok}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 
 import hsangle
 from hsangle import ComplexMatrix, GeneratorSpec, abs_op, check, generate, scale, witness_triple
-from hsangle.cli import _COMMANDS, main
+from hsangle.cli import main
 from hsangle.scan import (
     _SCAN_RESTARTS, _SLICE_POLISH_FEV, _SLICE_RESTARTS, _SLICE_SHARE, _largest_fit,
 )
@@ -195,10 +195,21 @@ class TestVerify:
         def fail(args):
             raise MemoryError()
 
-        monkeypatch.setitem(_COMMANDS, "repro", fail)
+        monkeypatch.setattr("hsangle.cli._cmd_repro", fail)
         code, out, err = run_cli(capsys, "repro")
         assert code == 2 and out == ""
         assert err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "36893488147419103231"])
+    def test_a_seed_outside_64_bits_exits_2(self, capsys, seed):
+        # Both seeds once ran as 2^64 - 1, their value mod 2^64.
+        code, out, err = run_cli(capsys, "verify", "--trials", "2", "--dims", "1", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err == f"error: master_seed must be an unsigned 64-bit integer, got {seed}\n"
+        code, out, _ = run_cli(capsys, "scan", "--id", "T37", "--dim", "1", "--iters", "50", "--seed", seed)
+        assert (code, out) == (2, "")
+        top = ("verify", "--trials", "2", "--dims", "1", "--seed", str(2**64 - 1))
+        assert run_cli(capsys, *top)[0] == 0
 
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "0")

@@ -271,6 +271,14 @@ class TestAngles:
             assert abs(rep.inner) <= rep.norm_x * rep.norm_y * (1.0 + 1e-12)
             assert abs(rep.cos - rep.inner.real / (rep.norm_x * rep.norm_y)) <= 1e-12
 
+    def test_report_json_keys_in_field_order(self):
+        rng = np.random.default_rng(52)
+        rep = angle_report(random_matrix(rng, 3), random_matrix(rng, 3))
+        d = rep.to_json_dict()
+        assert list(d) == ["cos", "sin", "inner", "norm_x", "norm_y"]
+        assert d["inner"] == {"re": rep.inner.real, "im": rep.inner.imag}
+        assert list(d["inner"]) == ["re", "im"]
+
     @pytest.mark.parametrize("k", [-1000, -700, 500])
     def test_report_invariant_under_power_of_two_scaling(self, k):
         rng = np.random.default_rng(51)

@@ -170,6 +170,13 @@ class TestRegistry:
         with pytest.raises(UnknownInequalityError):
             check("T99", identity(2), identity(2))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_a_tolerance_that_is_not_finite_and_positive_is_refused(self, tol):
+        # A NaN tol would report every pair violated, and an infinite one
+        # would hide every violation.
+        with pytest.raises(ValidationError, match=f"tol must be finite and positive, got {tol!r}"):
+            check("CS_21", identity(2), identity(2), tol)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             check("CS_21", identity(2), identity(3))

@@ -16,6 +16,7 @@ from hsangle import (
     INEQUALITY_IDS,
     GeneratorSpec,
     UnknownInequalityError,
+    ValidationError,
     applicable_specs,
     derive_seed,
     generate,
@@ -269,6 +270,28 @@ class TestPropertySuite:
         with pytest.raises(ValueError):
             run_property_suite(["CS_21"], self.specs(), 0, 1e-9, 0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.5])
+    def test_a_tolerance_that_is_not_finite_and_positive_is_refused(self, tol):
+        # With a NaN tol every trial would count as a violation, and with
+        # -0.5 about half of them; an infinite tol would hide violations.
+        specs = [GeneratorSpec("ginibre", 2), GeneratorSpec("normal", 2)]
+        match = f"tol must be finite and positive, got {tol!r}"
+        with pytest.raises(ValidationError, match=match):
+            run_property_suite(["CS_21"], specs, 20, tol, 1)
+        with pytest.raises(ValidationError, match=match):
+            run_single_trial("CS_21", specs, 1, tol)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        # Each of these seeds once ran as 2^64 - 1, its value mod 2^64.
+        specs = self.specs()
+        with pytest.raises(ValueError, match=f"master_seed must be an unsigned 64-bit integer, got {seed}"):
+            run_property_suite(["CS_21"], specs, 2, 1e-9, seed)
+        with pytest.raises(ValueError, match=f"trial_seed must be an unsigned 64-bit integer, got {seed}"):
+            run_single_trial("CS_21", specs, seed, 1e-9)
+        top = run_property_suite(["CS_21"], specs, 2, 1e-9, 2**64 - 1)
+        assert top[0].trials == 2
+
     def test_a_run_of_no_ids_reports_nothing(self):
         specs = [GeneratorSpec("ginibre", 2), GeneratorSpec("normal", 3)]
         assert run_property_suite([], specs, 5) == []
@@ -286,7 +309,8 @@ class TestPropertySuite:
     def test_json_shape(self):
         (report,) = run_property_suite(["T31"], self.specs(), 20, 1e-9, 1)
         d = report.to_json_dict()
-        assert set(d) == {"id", "trials", "violations", "worst_slack", "worst_seed", "ensembles"}
+        assert list(d) == ["id", "trials", "violations", "worst_slack", "worst_seed", "ensembles"]
+        assert d["id"] == "T31" and d["ensembles"] == list(report.ensembles)
 
 
 class TestRepro:
@@ -327,6 +351,12 @@ class TestSharpnessScan:
     def test_dim1_never_exceeds_one(self):
         result = sharpness_scan("T37", 1, 1000, 21)
         assert result.best_ratio <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match=f"master_seed must be an unsigned 64-bit integer, got {seed}"):
+            sharpness_scan("T37", 1, 50, seed)
+        assert sharpness_scan("T37", 1, 50, 2**64 - 1).iterations == 50
 
     def test_deterministic(self):
         a = sharpness_scan("T36", 2, 2000, 13)
@@ -604,6 +634,14 @@ class TestSharpnessScan:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_json_keys_in_field_order(self):
+        report = reproduce_witnesses()
+        d = report.to_json_dict()
+        assert list(d) == ["checks", "passed"]
+        for c, row in zip(report.checks, d["checks"], strict=True):
+            assert list(row) == ["name", "value", "target", "tol", "deviation", "ok"]
+            assert (row["deviation"], row["ok"]) == (c.deviation, c.ok)
 
     def test_json_shape(self):
         d = sharpness_scan("T37", 1, 50, 0).to_json_dict()
