@@ -25,6 +25,7 @@ from .random_lab import (
     ENSEMBLE_KINDS,
     MAX_DIM,
     GeneratorSpec,
+    _require_seed,
     reproduce_witnesses,
     run_property_suite,
 )
@@ -198,6 +199,8 @@ def main(argv=None) -> int:
     # _emit maps to exit 2; numpy's warnings about it would only add noise.
     try:
         _require_tol(args.tol, "--tol")
+        if "seed" in args:
+            _require_seed(args.seed, "--seed")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             payloads, passed = args.run(args)
         _emit(payloads, args)

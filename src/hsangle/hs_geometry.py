@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, _cached, _ct
+from .matrix_core import ComplexMatrix, _cached, _ct, _same_shape
 
 DEFAULT_PREDICATE_TOL = 1e-8
 
@@ -139,18 +139,10 @@ class _PairStack:
         return np.fmin(1.0, _norms(u[0] - self.cos[:, None, None] * u[1]))
 
 
-def _same_shape(what: str, x: ComplexMatrix, y: ComplexMatrix) -> None:
-    if x.a.shape != y.a.shape:
-        raise ShapeError(
-            f"{what} requires matching shapes, got {x.rows}x{x.cols} and {y.rows}x{y.cols}"
-        )
-
-
 def _angle_pairs(what: str, *pairs) -> _PairStack:
     """The stack of the pairs (x, y), all of one shape, whose angles are
     undefined for a zero operand."""
-    for x, y in pairs:
-        _same_shape(what, x, y)
+    _same_shape(what, *dict.fromkeys(m for pair in pairs for m in pair))
     p = _PairStack(np.array([[x.a for x, _ in pairs], [y.a for _, y in pairs]]))
     if not p.norms.all():
         raise ZeroOperandError("angle undefined for a zero operand")
@@ -195,18 +187,14 @@ def angle_report(x: ComplexMatrix, y: ComplexMatrix) -> AngleReport:
     return AngleReport(*(v.item() for v in (p.cos, p.sin, p.inner, p.nx, p.ny)))
 
 
-def is_weak_orthogonal(
-    x: ComplexMatrix, y: ComplexMatrix, tol: float = DEFAULT_PREDICATE_TOL
-) -> bool:
-    """True iff |cos| <= tol, i.e. Re<X,Y> vanishes relative to the norms."""
-    return abs(cos_angle(x, y)) <= tol
+def is_weak_orthogonal(x: ComplexMatrix, y: ComplexMatrix) -> bool:
+    """True iff |cos| <= DEFAULT_PREDICATE_TOL, i.e. Re<X,Y> vanishes relative to the norms."""
+    return abs(cos_angle(x, y)) <= DEFAULT_PREDICATE_TOL
 
 
-def is_weak_parallel(
-    x: ComplexMatrix, y: ComplexMatrix, tol: float = DEFAULT_PREDICATE_TOL
-) -> bool:
-    """True iff sin <= tol, i.e. cos = +-1 up to tol."""
-    return sin_angle(x, y) <= tol
+def is_weak_parallel(x: ComplexMatrix, y: ComplexMatrix) -> bool:
+    """True iff sin <= DEFAULT_PREDICATE_TOL, i.e. cos = +-1 up to it."""
+    return sin_angle(x, y) <= DEFAULT_PREDICATE_TOL
 
 
 def cosine_expansion(x: ComplexMatrix, y: ComplexMatrix, sign: int) -> float:

@@ -27,8 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _cached, _ct, digest
-from .spectral import _Moduli, _exactly_hermitian, _is_psd, _require_square
+from .matrix_core import (ComplexMatrix, ShapeError, ValidationError, _cached, _ct, _require_square,
+                          digest)
+from .spectral import _Moduli, _exactly_hermitian, _is_psd
 from .hs_geometry import _PairStack, _angle_pairs, _norms, _unit
 
 SQRT2 = math.sqrt(2.0)
@@ -77,7 +78,7 @@ def is_normal(x: ComplexMatrix) -> bool:
     """True iff X is exactly Hermitian or norm(XX* - X*X) <=
     NORMALITY_TOL norm(X)^2: relative, so that scaling X by any power of
     two keeps the decision."""
-    _require_square(x, "is_normal")
+    _require_square("is_normal", x)
     # An exactly Hermitian X is normal and forms no commutator.
     if _exactly_hermitian(x.a):
         return True
@@ -195,11 +196,7 @@ def check(
     """
     _require_tol(tol)
     record = _lookup(inequality_id)
-    if not (x.is_square and y.is_square and x.rows == y.rows):
-        raise ShapeError(
-            f"check requires square matrices of equal dimension, got "
-            f"{x.rows}x{x.cols} and {y.rows}x{y.cols}"
-        )
+    _require_square("check", x, y)
     if record.domain == "normal":
         for name, m in zip("XY", (x, y)):
             if not is_normal(m):
@@ -290,8 +287,7 @@ def t213_equality_holds(x: ComplexMatrix, y: ComplexMatrix) -> bool:
     the one making tr(Y*X) real positive; when the trace vanishes, positivity
     forces Y*X = 0.
     """
-    if x.a.shape != y.a.shape or not x.is_square:
-        raise ShapeError("t213_equality_holds requires square matrices of equal shape")
+    _require_square("t213_equality_holds", x, y)
     # On the pair scaled by _unit, Y*X cannot overflow and no scale counts.
     (xa, ya), _ = _unit(np.array((x.a, y.a)), axis=None)
     p = _ct(ya) @ xa

@@ -165,9 +165,22 @@ def adjoint(x: ComplexMatrix) -> ComplexMatrix:
     return ComplexMatrix(x.a.conj().T)
 
 
+def _same_shape(what: str, *mats: ComplexMatrix, square: bool = False) -> None:
+    """Refuse, with a ShapeError naming what and every shape, matrices not
+    all of one shape, or (square) not all square."""
+    if len({m.a.shape for m in mats}) > 1 or (square and not mats[0].is_square):
+        got = " and ".join(f"{m.rows}x{m.cols}" for m in mats)
+        kind = "square matrices" if square else "matrices"
+        raise ShapeError(f"{what} requires {kind} of one shape, got {got}")
+
+
+def _require_square(what: str, *mats: ComplexMatrix) -> None:
+    """Refuse matrices not all square and of one shape, as _same_shape does."""
+    _same_shape(what, *mats, square=True)
+
+
 def trace(x: ComplexMatrix) -> complex:
-    if not x.is_square:
-        raise ShapeError(f"trace requires a square matrix, got {x.rows}x{x.cols}")
+    _require_square("trace", x)
     return complex(np.trace(x.a))
 
 
@@ -178,8 +191,7 @@ def matmul(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
 
 
 def add(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
-    if x.a.shape != y.a.shape:
-        raise ShapeError(f"cannot add {x.rows}x{x.cols} and {y.rows}x{y.cols}")
+    _same_shape("add", x, y)
     return ComplexMatrix(x.a + y.a)
 
 

@@ -76,10 +76,12 @@ def _require_seed(seed: int, name: str = "seed") -> None:
 
 
 def derive_seed(master_seed: int, label: str, index: int) -> int:
-    """Deterministic sub-seed for (master, label, index)."""
-    h = mix64(master_seed & _MASK64)
+    """Deterministic sub-seed for (master, label, index), both in [0, 2^64 - 1]."""
+    _require_seed(master_seed, "master_seed")
+    _require_seed(index, "index")
+    h = mix64(master_seed)
     h = mix64(h ^ fnv1a64(label.encode("utf-8")))
-    return mix64(h ^ (index & _MASK64))
+    return mix64(h ^ index)
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
@@ -105,10 +107,14 @@ def _derive_seeds(master, label: str, index) -> np.ndarray:
 class CounterRng:
     """Counter-based splitmix64 stream; see the module docstring.  Given a
     uint64 array of seeds, it draws their streams side by side, one row per
-    seed."""
+    seed; an int seed must lie in [0, 2^64 - 1], and no other type is cast."""
 
     def __init__(self, seed):
-        self._seed = np.asarray(seed & _MASK64, dtype=np.uint64)[..., None]
+        if isinstance(seed, int):
+            _require_seed(seed)
+        elif np.asarray(seed).dtype != np.uint64:
+            raise TypeError(f"seeds must be an int or uint64, got {np.asarray(seed).dtype}")
+        self._seed = np.asarray(seed, dtype=np.uint64)[..., None]
         self._index = 0
 
     def raw(self, n: int) -> np.ndarray:

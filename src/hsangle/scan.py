@@ -9,7 +9,7 @@ import numpy as np
 
 from .matrix_core import ComplexMatrix
 from .inequality_suite import _REGISTRY, _OperandStack, _lookup, _sides
-from .random_lab import _STACK_ENTRIES, MAX_DIM, CounterRng, _phase_fixed_q, _require_seed, derive_seed
+from .random_lab import _STACK_ENTRIES, MAX_DIM, CounterRng, _phase_fixed_q, derive_seed
 from .spectral import _CLOSED_SHAPE, _vdv
 
 SCAN_TARGETS = {i: r.target for i, r in _REGISTRY.items() if r.target is not None}
@@ -303,7 +303,6 @@ def sharpness_scan(
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {dim}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    _require_seed(master_seed, "master_seed")
     decode, n, r, polish = _search_space(inequality_id, dim, iterations)
     if not r:
         raise ValueError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hs_geometry import _SAFE_RANGE, _norms, _unit
-from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _cached, _ct
+from .matrix_core import ComplexMatrix, ShapeError, ValidationError, _cached, _ct, _require_square
 
 # Relative tolerance for accepting an input as Hermitian.
 HERMITIAN_TOL = 1e-10
@@ -43,11 +43,6 @@ class PolarParts:
     abs: ComplexMatrix
 
 
-def _require_square(x: ComplexMatrix, what: str):
-    if not x.is_square:
-        raise ShapeError(f"{what} requires a square matrix, got {x.rows}x{x.cols}")
-
-
 def _lapack(solver, what: str, *args, **kwargs):
     """The numpy.linalg call solver(*args, **kwargs), LinAlgError raised as EigensolverError."""
     try:
@@ -66,7 +61,7 @@ def hermitian_eig(h: ComplexMatrix) -> HermitianEigen:
     The input may deviate from exact Hermitian symmetry by at most
     ``HERMITIAN_TOL * (1 + norm)``; the Hermitian part is decomposed.
     """
-    _require_square(h, "hermitian_eig")
+    _require_square("hermitian_eig", h)
     dev, n = _norms(np.array((h.a - _ct(h.a), h.a))).tolist()
     if dev > HERMITIAN_TOL * (1.0 + n):
         raise ValidationError(
@@ -244,13 +239,13 @@ def abs_op(x: ComplexMatrix) -> ComplexMatrix:
 
 def abs_adjoint(x: ComplexMatrix) -> ComplexMatrix:
     """|X*| = (XX*)^(1/2) for square X."""
-    _require_square(x, "abs_adjoint")
+    _require_square("abs_adjoint", x)
     return _modulus_of(x, True, "|X*|")
 
 
 def polar(x: ComplexMatrix) -> PolarParts:
     """Polar decomposition X = U|X| with U vanishing on ker|X|."""
-    _require_square(x, "polar")
+    _require_square("polar", x)
     # U has degree 0 in X, so it comes from the SVD of X scaled by _unit,
     # where no singular value overflows.
     w, s, vh = _lapack(np.linalg.svd, "singular value decomposition", _unit(x.a)[0],
@@ -285,7 +280,7 @@ def franca_abs_2x2(a: ComplexMatrix) -> ComplexMatrix:
 
 def is_psd(h: ComplexMatrix, tol: float) -> bool:
     """True iff H is Hermitian within tol and its spectrum is >= -tol, relatively."""
-    _require_square(h, "is_psd")
+    _require_square("is_psd", h)
     return _is_psd(h.a, tol)
 
 

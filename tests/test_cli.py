@@ -205,9 +205,10 @@ class TestVerify:
         # Both seeds once ran as 2^64 - 1, their value mod 2^64.
         code, out, err = run_cli(capsys, "verify", "--trials", "2", "--dims", "1", "--seed", seed)
         assert (code, out) == (2, "")
-        assert err == f"error: master_seed must be an unsigned 64-bit integer, got {seed}\n"
-        code, out, _ = run_cli(capsys, "scan", "--id", "T37", "--dim", "1", "--iters", "50", "--seed", seed)
+        assert err == f"error: --seed must be an unsigned 64-bit integer, got {seed}\n"
+        code, out, err = run_cli(capsys, "scan", "--id", "T37", "--dim", "1", "--iters", "50", "--seed", seed)
         assert (code, out) == (2, "")
+        assert err == f"error: --seed must be an unsigned 64-bit integer, got {seed}\n"
         top = ("verify", "--trials", "2", "--dims", "1", "--seed", str(2**64 - 1))
         assert run_cli(capsys, *top)[0] == 0
 
@@ -349,6 +350,15 @@ class TestStrictJson:
         code, out, err = run_cli(capsys, "check", "--id", "T36", x, x)
         assert code == 2 and out == ""
         assert "result outside float64" in err and "the lhs of T36" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_norm_outside_float64_exits_2(self, capsys, tmp_path, fmt):
+        # norm(X) = 3.4e308 for X = 1.7e308 [[1, 1], [1, 1]]: the angle is
+        # defined, but norm_x is inf, and no format prints it.
+        top = write_matrix(tmp_path / "top.json", ComplexMatrix(np.full((2, 2), 1.7e308, dtype=complex)))
+        code, out, err = run_cli(capsys, "--format", fmt, "angle", top, top)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: result outside float64") and err.count("\n") == 1
 
     def test_the_2x2_closed_form_takes_a_top_binade_operand(self, capsys, tmp_path):
         # The closed form scales the 2x2 operand, and |X| = X here.

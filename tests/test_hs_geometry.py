@@ -32,7 +32,7 @@ from hsangle import (
 
 
 from hsangle import hs_geometry
-from hsangle.hs_geometry import _PairStack, _unit
+from hsangle.hs_geometry import DEFAULT_PREDICATE_TOL, _PairStack, _unit
 from hsangle.random_lab import _draw
 
 
@@ -330,7 +330,7 @@ class TestPredicates:
     def test_disjoint_supports_orthogonal(self):
         x = ComplexMatrix.from_rows([[1, 0], [0, 0]])
         y = ComplexMatrix.from_rows([[0, 0], [0, 1]])
-        assert is_weak_orthogonal(x, y, 1e-8)
+        assert is_weak_orthogonal(x, y)
 
     def test_rank_one_orthogonality_reduces_to_vectors(self):
         rng = np.random.default_rng(51)
@@ -339,26 +339,26 @@ class TestPredicates:
             x = rank_one(xv, zv)
             # Re[xv, i*xv] = 0, so the rank-one pair is weak orthogonal
             y = rank_one(ComplexVector(1j * xv.v), zv)
-            assert is_weak_orthogonal(x, y, 1e-8)
+            assert is_weak_orthogonal(x, y)
             # a generic partner correlates
             yv = random_vector(rng, 4)
-            expected = abs(vec_inner(xv, yv).real) <= 1e-8 * np.linalg.norm(xv.v) * np.linalg.norm(yv.v)
-            assert is_weak_orthogonal(x, rank_one(yv, zv), 1e-8) == expected
+            bound = DEFAULT_PREDICATE_TOL * np.linalg.norm(xv.v) * np.linalg.norm(yv.v)
+            expected = abs(vec_inner(xv, yv).real) <= bound
+            assert is_weak_orthogonal(x, rank_one(yv, zv)) == expected
 
     def test_multiply_by_i_is_orthogonal(self):
         rng = np.random.default_rng(52)
         x = random_matrix(rng, 3)
-        assert is_weak_orthogonal(x, scale(1j, x), 1e-8)
+        assert is_weak_orthogonal(x, scale(1j, x))
 
     def test_parallel_cases(self):
         rng = np.random.default_rng(53)
         x = random_matrix(rng, 3)
-        assert is_weak_parallel(x, scale(3.0, x), 1e-8)
-        assert is_weak_parallel(x, scale(-1.0, x), 1e-8)
+        assert is_weak_parallel(x, scale(3.0, x))
+        assert is_weak_parallel(x, scale(-1.0, x))
         assert not is_weak_parallel(
             ComplexMatrix.from_rows([[1, 0], [0, 0]]),
             ComplexMatrix.from_rows([[0, 0], [0, 1]]),
-            1e-8,
         )
 
 

@@ -8,13 +8,23 @@ from hsangle import (
     ComplexVector,
     ShapeError,
     ValidationError,
+    abs_adjoint,
     add,
     adjoint,
+    angle_report,
+    check,
+    cos_angle,
+    hermitian_eig,
+    hs_inner,
     hs_norm,
     identity,
+    is_normal,
+    is_psd,
     matmul,
+    polar,
     rank_one,
     scale,
+    t213_equality_holds,
     trace,
     vec_inner,
 )
@@ -234,3 +244,35 @@ class TestRankOne:
             applied = matmul(rank_one(a, b), c.as_column()).a.ravel()
             expected = vec_inner(c, b) * a.v
             assert np.linalg.norm(applied - expected) <= 1e-13 * (np.linalg.norm(expected) + 1.0)
+
+
+_I2, _I3, _R23 = identity(2), identity(3), ComplexMatrix(np.ones((2, 3), dtype=complex))
+# Each entry that takes operands of one shape, and the operands that break
+# the rule.  The square entries refuse a 2x2/3x3 pair and a 2x3 operand; the
+# entries that take any one shape refuse a 2x2/3x3 and a 2x2/2x3 pair.
+_SQUARE_PAIR, _ANY_PAIR, _SQUARE_ONE = [(_I2, _I3), (_R23, _R23)], [(_I2, _I3), (_I2, _R23)], [(_R23,)]
+SHAPE_RULE = [
+    ("check", lambda *m: check("CS_21", *m), _SQUARE_PAIR),
+    ("t213_equality_holds", t213_equality_holds, _SQUARE_PAIR),
+    ("hs_inner", hs_inner, _ANY_PAIR),
+    ("cos_angle", cos_angle, _ANY_PAIR),
+    ("angle_report", angle_report, _ANY_PAIR),
+    ("add", add, _ANY_PAIR),
+    ("trace", trace, _SQUARE_ONE),
+    ("is_normal", is_normal, _SQUARE_ONE),
+    ("abs_adjoint", abs_adjoint, _SQUARE_ONE),
+    ("polar", polar, _SQUARE_ONE),
+    ("is_psd", lambda h: is_psd(h, 1e-10), _SQUARE_ONE),
+    ("hermitian_eig", hermitian_eig, _SQUARE_ONE),
+]
+
+
+class TestShapeRule:
+    @pytest.mark.parametrize("name, entry, cases", SHAPE_RULE, ids=[e[0] for e in SHAPE_RULE])
+    def test_one_message_names_the_entry_and_every_shape(self, name, entry, cases):
+        for mats in cases:
+            with pytest.raises(ShapeError) as refused:
+                entry(*mats)
+            kind = "matrices" if cases is _ANY_PAIR else "square matrices"
+            got = " and ".join(f"{m.rows}x{m.cols}" for m in mats)
+            assert str(refused.value) == f"{name} requires {kind} of one shape, got {got}"

@@ -161,6 +161,29 @@ class TestPrng:
         assert trial.tolist() == [derive_seed(_MASK64, "trial:T37", i) for i in range(50)]
         assert seeds[-1] == _MASK64  # the input is not mixed in place
 
+    @pytest.mark.parametrize("master, index, name, value", [
+        (-1, 0, "master_seed", -1), (2**64, 0, "master_seed", 2**64), (0, -1, "index", -1),
+        (0, 2**64, "index", 2**64),
+    ])
+    def test_derive_seed_refuses_a_value_outside_64_bits(self, master, index, name, value):
+        # Each once ran as its value mod 2^64.
+        with pytest.raises(ValueError, match=f"{name} must be an unsigned 64-bit integer, got {value}$"):
+            derive_seed(master, "x", index)
+        top = mix64(mix64(mix64(_MASK64) ^ fnv1a64(b"x")) ^ _MASK64)
+        assert derive_seed(_MASK64, "x", _MASK64) == top
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_counter_rng_refuses_an_int_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an unsigned 64-bit integer, got {seed}$"):
+            CounterRng(seed)
+        # An array of signed seeds is refused, not cast to uint64.
+        with pytest.raises(TypeError, match="seeds must be an int or uint64, got int64"):
+            CounterRng(np.array([-1, 7]))
+        # A uint64 seed array keeps its top value's bits.
+        top = np.array([_MASK64], dtype=np.uint64)
+        assert CounterRng(top).raw(4)[0].tolist() == CounterRng(_MASK64).raw(4).tolist()
+        assert CounterRng(_MASK64).raw(1)[0] == mix64((_MASK64 + _GOLDEN) & _MASK64)
+
     def test_derive_seed_spreads(self):
         seeds = {derive_seed(1, "trial:T37", i) for i in range(1000)}
         assert len(seeds) == 1000
